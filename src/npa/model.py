@@ -15,6 +15,14 @@ last-layer channel the full embedding width, shares a single codebook
 across those channels, samples a pattern per channel by Gumbel-max, and
 emits one context per channel per step, with the log belief of each
 sampled pattern retained for the training objective.
+
+A forward pass takes one basket, giving ``(steps, d)`` tensors, or a batch
+of baskets padded at the end to the longest one, giving ``(B, N, d)``
+tensors built as one autodiff graph. Padded input rows are zeroed by a
+select, so no table row outside the batch reaches a valid row, and the
+causal masks keep padded steps out of every valid step. Every random
+number is drawn basket by basket in a fixed order (see ``draw_noise``), so
+a basket's draws do not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -33,11 +41,13 @@ VARIANT_MC = "MC"
 
 __all__ = [
     "ContextState",
+    "LayerNoise",
     "LayerParams",
     "ModelConfig",
     "NpaParams",
     "VARIANT_MC",
     "VARIANT_SC",
+    "draw_noise",
     "embed_inputs",
     "forward",
     "forward_layer",
@@ -120,11 +130,35 @@ class NpaParams:
 
 
 @dataclass
+class LayerNoise:
+    """The random numbers one layer consumes, shaped like its rows.
+
+    keep_masks[c] is channel c's attention-dropout keep mask over codebook
+    entries and uniforms[c] its Gumbel uniforms, each (..., N, num_patterns)
+    or None when unused; merge_uniforms are the dropout draws of the merged
+    output, (..., N, embedding_dim), or None.
+    """
+
+    dropout_rate: float
+    keep_masks: list
+    uniforms: list
+    merge_uniforms: np.ndarray | None = None
+
+    def basket(self, b: int) -> "LayerNoise":
+        """The draws of batch row b alone, without the batch axis."""
+        def row(m):
+            return None if m is None else m[b]
+        return LayerNoise(self.dropout_rate, [row(m) for m in self.keep_masks],
+                          [row(u) for u in self.uniforms], row(self.merge_uniforms))
+
+
+@dataclass
 class ContextState:
-    """Per-step outputs of a forward pass over one basket.
+    """Per-step outputs of a forward pass over one basket or a padded batch.
 
     contexts holds one (steps x embedding_dim) tensor per prediction
-    context: a single entry for SC, one per last-layer channel for MC.
+    context, (B x N x embedding_dim) for a batch: a single entry for SC,
+    one per last-layer channel for MC.
     pattern_logprobs aligns with contexts; an entry is the per-step log
     belief of the sampled codebook row, or None when extraction was
     deterministic. unit_states[layer][channel] keeps every unit's
@@ -202,56 +236,133 @@ def output_embeddings(params: NpaParams) -> Tensor:
 
 
 def embed_inputs(item_ids, config: ModelConfig, params: NpaParams,
-                 use_positions: bool | None = None) -> Tensor:
-    """Item embedding rows, plus the learned position row when enabled."""
+                 use_positions: bool | None = None, lengths=None) -> Tensor:
+    """Item embedding rows, plus the learned position row when enabled.
+
+    item_ids is a 1-d id sequence or a (B, N) array padded at the end, with
+    lengths[b] the valid steps of row b (default: all N). Padded rows are
+    zeroed with a select, so a non-finite table row they gather never
+    spreads; their ids are ignored.
+    """
     ids = np.asarray(item_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
+    if ids.ndim not in (1, 2) or ids.size == 0:
         raise ConfigError(f"embed_inputs: expected a non-empty id sequence, got shape {ids.shape}")
-    if ids.size > config.max_sequence_length:
+    n = ids.shape[-1]
+    if n > config.max_sequence_length:
         raise ConfigError(
-            f"sequence of {ids.size} items exceeds max_sequence_length {config.max_sequence_length}")
+            f"sequence of {n} items exceeds max_sequence_length {config.max_sequence_length}")
+    pad = None
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if ids.ndim != 2 or lengths.shape != ids.shape[:1] or lengths.min() < 1 or lengths.max() > n:
+            raise ConfigError(f"embed_inputs: lengths {lengths.tolist()} do not fit ids {ids.shape}")
+        pad = np.arange(n) >= lengths[:, None]
+        if pad.any():
+            ids = np.where(pad, 0, ids)
+        else:
+            pad = None
     if ids.min() < 0 or ids.max() >= config.num_items:
         bad = ids[(ids < 0) | (ids >= config.num_items)][0]
         raise ConfigError(f"item id {bad} out of range [0, {config.num_items})")
     x = T.gather_rows(params.item_embeddings, ids)
     if config.use_positions if use_positions is None else use_positions:
-        p = T.gather_rows(params.positional_embeddings, np.arange(ids.size))
+        p = T.gather_rows(params.positional_embeddings, np.arange(n))
         x = T.add(x, p)
+    if pad is not None:
+        x = T.masked_fill(x, np.broadcast_to(pad[..., None], x.shape), 0.0)
     return x
 
 
+def draw_noise(lengths, config: ModelConfig, rng: np.random.Generator,
+               dropout_rate: float) -> list:
+    """Every random number of one forward pass, one LayerNoise per layer.
+
+    Baskets draw in batch order. Within a basket, layer by layer, each
+    channel draws its attention-dropout keep mask (when dropout_rate > 0)
+    and then its Gumbel uniforms (MC last layer); the layer's merge-dropout
+    mask comes last. That is the order of running the baskets one at a
+    time, so a basket's draws do not depend on its batch. The arrays are
+    (B, N, width) with N = max(lengths); padded rows keep every entry.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    shape = (lengths.size, int(lengths.max()))
+    p, d = config.num_patterns, config.embedding_dim
+    layers = []
+    order = []  # the arrays in per-basket draw order
+    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+        sampling = li == config.num_layers - 1 and config.variant == VARIANT_MC
+        noise = LayerNoise(dropout_rate, keep_masks=[None] * channels,
+                           uniforms=[None] * channels)
+        for c in range(channels):
+            if dropout_rate > 0:
+                noise.keep_masks[c] = np.ones(shape + (p,))
+                order.append(noise.keep_masks[c])
+            if sampling:
+                noise.uniforms[c] = np.full(shape + (p,), 0.5)
+                order.append(noise.uniforms[c])
+        if merges and dropout_rate > 0:
+            noise.merge_uniforms = np.ones(shape + (d,))
+            order.append(noise.merge_uniforms)
+        layers.append(noise)
+    for b, n in enumerate(lengths):
+        for draws in order:
+            rng.random(out=draws[b, :n])
+    for noise in layers:
+        for c, draws in enumerate(noise.keep_masks):
+            if draws is not None:
+                keep = draws >= dropout_rate
+                keep[~keep.any(axis=-1)] = True  # never empty a row
+                noise.keep_masks[c] = keep
+    return layers
+
+
 def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionStrategy,
-                  rng=None, dropout_rate: float = 0.0, drop_rng=None):
+                  noise: LayerNoise | None = None):
     """Run every channel of one merging layer and project the concatenation.
 
-    Returns the merged (steps x embedding_dim) output and the per-channel
-    unit states. Only meaningful for layers that merge; MC last-layer
-    channels are run individually by forward().
+    Returns the merged (..., steps, embedding_dim) output and the
+    per-channel unit states. noise, when given, holds the layer's dropout
+    masks and Gumbel uniforms. Only meaningful for layers that merge; MC
+    last-layer channels are run individually by forward().
     """
-    states = [vqa.unit_forward(inputs, unit, strategy, rng=rng,
-                               attn_dropout=dropout_rate, drop_rng=drop_rng)
-              for unit in layer.channels]
-    stacked = states[0].contexts if len(states) == 1 else T.concat([s.contexts for s in states], axis=1)
+    if noise is None:
+        noise = LayerNoise(0.0, [None] * len(layer.channels), [None] * len(layer.channels))
+    states = [vqa.unit_forward(inputs, unit, strategy, noise.keep_masks[c], noise.uniforms[c])
+              for c, unit in enumerate(layer.channels)]
+    stacked = states[0].contexts if len(states) == 1 else T.concat([s.contexts for s in states], axis=-1)
     merged = T.matmul(stacked, T.transpose(layer.merge))
-    if dropout_rate > 0:
-        merged = T.dropout(merged, dropout_rate, drop_rng)
+    if noise.merge_uniforms is not None:
+        merged = T.dropout(merged, noise.dropout_rate, noise.merge_uniforms)
     return merged, states
 
 
 def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
-            training: bool = False, use_positions: bool | None = None) -> ContextState:
-    """Contexts for every causal prefix of a basket.
+            training: bool = False, use_positions: bool | None = None,
+            lengths=None) -> ContextState:
+    """Contexts for every causal prefix of a basket, or of a padded batch.
 
-    rng_seed may be an int or a numpy Generator; it drives MC pattern
-    sampling and (in training) dropout masks. Deterministic given the
-    seed, the inputs, and the parameters.
+    basket is a 1-d id sequence, or a (B, N) id array padded at the end
+    with lengths[b] the valid steps of row b (default: all N); the outputs
+    then carry the leading batch axis, and rows past a basket's length are
+    padding to ignore. rng_seed may be an int, a numpy Generator, or None
+    for the fixed seed 0; it drives MC pattern sampling and (in training)
+    dropout masks. Deterministic given the seed, the inputs, and the
+    parameters.
     """
-    if len(basket) < 1:
+    ids = np.asarray(basket, dtype=np.int64)
+    if ids.size < 1:
         raise ConfigError("forward: basket must contain at least one item")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(
+        0 if rng_seed is None else rng_seed)
     dropout_rate = config.dropout_rate if training else 0.0
 
-    x = embed_inputs(basket, config, params, use_positions=use_positions)
+    x = embed_inputs(ids, config, params, use_positions=use_positions, lengths=lengths)
+    batched = ids.ndim == 2
+    if lengths is None:
+        lengths = np.full(ids.shape[0] if batched else 1, ids.shape[-1])
+    noise = draw_noise(lengths, config, rng, dropout_rate)
+    if not batched:
+        noise = [layer_noise.basket(0) for layer_noise in noise]
     prev_raw = x  # raw output of layer l-1; layer 0 is the embedding
     current_input = x
     unit_states = []
@@ -269,8 +380,7 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
 
         layer = params.layers[li]
         if merges:
-            merged, states = forward_layer(current_input, layer, strategy, rng=rng,
-                                           dropout_rate=dropout_rate, drop_rng=rng)
+            merged, states = forward_layer(current_input, layer, strategy, noise[li])
             unit_states.append(states)
             if not last:
                 # Residual feed: the next layer consumes C(l) + C(l-1).
@@ -280,12 +390,13 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
                 contexts = [merged]
                 logprobs = [None]
         else:
-            states = [vqa.unit_forward(current_input, unit, strategy, rng=rng,
-                                       attn_dropout=dropout_rate, drop_rng=rng)
-                      for unit in layer.channels]
+            states = [vqa.unit_forward(current_input, unit, strategy,
+                                       noise[li].keep_masks[c], noise[li].uniforms[c])
+                      for c, unit in enumerate(layer.channels)]
             unit_states.append(states)
             contexts = [s.contexts for s in states]
             logprobs = [s.pattern_logprob for s in states]
 
     return ContextState(contexts=contexts, pattern_logprobs=logprobs,
                         unit_states=unit_states, embedded=x)
+

@@ -137,7 +137,8 @@ def recommend_topk(basket, config, params, k: int,
     The full basket is run forward, the final-step context(s) are scored
     (softmax for a single context, fesf for multi-context models unless
     overridden), and the best k non-members are returned, ties broken
-    toward the lower item id.
+    toward the lower item id. rng_seed drives MC pattern sampling; None
+    means the fixed seed 0, so unseeded calls repeat.
     """
     items = [int(i) for i in basket]
     if not items:

@@ -7,11 +7,18 @@ set, the primitive records a backward closure on its output; calling
 :func:`backward` on a scalar result then fills ``.grad`` on every reachable
 tensor that requires gradients, accumulating additively across uses.
 
+Matrix multiply, transpose, softmax, concatenate, row gather and per-row
+pick take optional leading batch axes, so a batch of padded sequences is
+one ``(B, N, d)`` tensor in one graph, and a single sequence runs the same
+code without the leading axis. A weight shared across the batch stays
+2-d, and its gradient is one 2-d product over the flattened rows. ``add``
+broadcasts an operand over leading axes that only the other has.
+
 The primitive set is deliberately small: matrix multiply, transpose, add,
 scale, elementwise multiply, concatenate, row softmax (optionally masked,
 always with max subtraction), log, exp, mean over an axis, sum, masked
-fill, row gather, per-row element gather, cross entropy with logits, and a
-seeded dropout mask. It is enough to express every model in this package.
+fill, row gather, per-row element gather, cross entropy with logits, and
+inverted dropout. It is enough to express every model in this package.
 
 Single-threaded by contract: graph construction and backward are not
 thread safe, but tensors are immutable after the forward pass and may be
@@ -116,52 +123,81 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g):
+def _accumulate(t: Tensor, g, fresh: bool = False):
+    """Add g into t.grad.
+
+    The first gradient is copied, since g may be a view or the same array
+    handed to another operand; ``fresh=True`` promises that g is a new
+    float64 array of t's shape that nothing else holds, and keeps it.
+    """
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g if fresh else np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of two 2-d tensors."""
+    """Matrix product over the last two axes.
+
+    ``a`` is ``(..., n, k)``. ``b`` is either ``(k, m)``, one matrix shared
+    by every leading index of ``a``, or ``(..., k, m)`` with exactly the
+    leading axes of ``a``.
+    """
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.data.shape} and {b.data.shape} not conformable")
-    out_data = a.data @ b.data
+    x, y = a.data, b.data
+    if (x.ndim < 2 or y.ndim < 2 or x.shape[-1] != y.shape[-2]
+            or (y.ndim > 2 and y.shape[:-2] != x.shape[:-2])):
+        raise ShapeError(f"matmul: shapes {x.shape} and {y.shape} not conformable")
+    out_data = x @ y
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ y.swapaxes(-1, -2), fresh=True)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            if y.ndim == 2:
+                # A shared matrix: one product over every row of the batch.
+                _accumulate(b, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
+                            fresh=True)
+            else:
+                _accumulate(b, x.swapaxes(-1, -2) @ g, fresh=True)
 
     return _make(out_data, (a, b), back)
 
 
 def transpose(a) -> Tensor:
-    """Transpose a 2-d tensor."""
+    """Swap the last two axes of a tensor with two or more axes."""
     a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d, got shape {a.data.shape}")
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: expected 2 or more axes, got shape {a.data.shape}")
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, g.T)
+            _accumulate(a, g.swapaxes(-1, -2))
 
-    return _make(a.data.T, (a,), back)
+    return _make(a.data.swapaxes(-1, -2), (a,), back)
+
+
+def _sum_to(g, shape):
+    """Sum g over the leading axes it has beyond ``shape``."""
+    if g.shape == shape:
+        return g
+    return g.reshape((-1,) + shape).sum(axis=0)
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
+    """Elementwise sum; an operand whose shape is the other's trailing
+    shape is broadcast over the other's leading axes."""
     a, b = _coerce(a), _coerce(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+    sa, sb = a.data.shape, b.data.shape
+    short, full = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
+    if full[len(full) - len(short):] != short:
+        raise ShapeError(f"add: shapes {sa} and {sb} differ")
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, g)
+            _accumulate(a, _sum_to(g, sa))
         if b.requires_grad:
-            _accumulate(b, g)
+            _accumulate(b, _sum_to(g, sb))
 
     return _make(a.data + b.data, (a, b), back)
 
@@ -209,70 +245,64 @@ def mul(a, b) -> Tensor:
 
 
 def concat(parts, axis: int = 1) -> Tensor:
-    """Concatenate 2-d tensors along the given axis."""
+    """Concatenate same-rank tensors along the given axis (negative counts
+    from the end); every other axis must agree."""
     parts = [_coerce(p) for p in parts]
     if not parts:
         raise ShapeError("concat: no operands")
-    for p in parts:
-        if p.data.ndim != 2:
-            raise ShapeError(f"concat: expected 2-d operands, got shape {p.data.shape}")
-    other = 1 - axis
-    sizes = [p.data.shape[other] for p in parts]
-    if len(set(sizes)) != 1:
-        raise ShapeError(f"concat: mismatched sizes {sizes} on axis {other}")
+    ndim = parts[0].data.ndim
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"concat: axis {axis} out of range for shape {parts[0].data.shape}")
+    axis %= ndim
+    others = {p.data.shape[:axis] + p.data.shape[axis + 1:] for p in parts}
+    if len(others) != 1 or any(p.data.ndim != ndim for p in parts):
+        raise ShapeError(f"concat: mismatched shapes {[p.data.shape for p in parts]} "
+                         f"off axis {axis}")
     widths = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + widths)
 
     def back(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                sl = g[lo:hi] if axis == 0 else g[:, lo:hi]
-                _accumulate(p, sl)
+                _accumulate(p, g[(slice(None),) * axis + (slice(lo, hi),)])
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
 
 
 def softmax(a, mask=None) -> Tensor:
-    """Row softmax with max subtraction; masked entries get exactly zero.
+    """Softmax over the last axis with max subtraction; masked entries get
+    exactly zero.
 
-    ``mask`` is an optional boolean array, True where entries participate.
-    Every row must keep at least one entry. A 1-d input is treated as a
-    single row.
+    Every leading index is an independent row, and a 1-d input is a single
+    row. ``mask`` is an optional boolean array, True where entries
+    participate, of the input's shape or of its trailing axes (then shared
+    across the leading ones). Every row must keep at least one entry.
     """
     a = _coerce(a)
     x = a.data
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ShapeError(f"softmax: expected non-empty rows, got shape {a.data.shape}")
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"softmax: expected non-empty rows, got shape {x.shape}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if squeeze and mask.ndim == 1:
-            mask = mask[None, :]
-        if mask.shape != x.shape:
+        if mask.ndim > x.ndim or mask.shape != x.shape[x.ndim - mask.ndim:]:
             raise ShapeError(f"softmax: mask shape {mask.shape} does not match {x.shape}")
-        if not mask.any(axis=1).all():
+        if not mask.any(axis=-1).all():
             raise ShapeError("softmax: a row has no unmasked entries")
         neg = np.where(mask, x, -np.inf)
-        m = neg.max(axis=1, keepdims=True)
+        m = neg.max(axis=-1, keepdims=True)
         e = np.where(mask, np.exp(x - m), 0.0)
     else:
-        m = x.max(axis=1, keepdims=True)
+        m = x.max(axis=-1, keepdims=True)
         e = np.exp(x - m)
-    p = e / e.sum(axis=1, keepdims=True)
-    out_data = p[0] if squeeze else p
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
-        if not a.requires_grad:
-            return
-        gp = g[None, :] if squeeze else g
-        # d softmax: p * (g - sum(g * p)); masked entries have p == 0.
-        inner = (gp * p).sum(axis=1, keepdims=True)
-        gx = p * (gp - inner)
-        _accumulate(a, gx[0] if squeeze else gx)
+        if a.requires_grad:
+            # d softmax: p * (g - sum(g * p)); masked entries have p == 0.
+            inner = (g * p).sum(axis=-1, keepdims=True)
+            _accumulate(a, p * (g - inner), fresh=True)
 
-    return _make(out_data, (a,), back)
+    return _make(p, (a,), back)
 
 
 def log(a) -> Tensor:
@@ -388,13 +418,26 @@ def reshape(a, shape) -> Tensor:
 
 
 def gather_rows(a, idx) -> Tensor:
-    """Select rows of a 2-d tensor by integer index; rows may repeat."""
+    """Select entries along the leading axes of a tensor; entries may repeat.
+
+    ``idx`` is an integer array of any shape indexing the first axis, giving
+    ``idx.shape + a.shape[1:]``, or a tuple of same-shape integer arrays,
+    one per leading axis: ``gather_rows(a, (bs, ts))`` picks the rows
+    ``a[bs[i], ts[i]]`` of a ``(B, N, d)`` tensor as one ``(len(bs), d)``.
+    """
     a = _coerce(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"gather_rows: expected 2-d data and 1-d index, got {a.data.shape} and {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
+    if isinstance(idx, tuple):
+        idx = tuple(np.asarray(p, dtype=np.int64) for p in idx)
+        parts = idx
+    else:
+        idx = np.asarray(idx, dtype=np.int64)
+        parts = (idx,)
+    if len(parts) > a.data.ndim or any(p.shape != parts[0].shape for p in parts):
+        raise ShapeError(f"gather_rows: cannot index data {a.data.shape} with "
+                         f"{[p.shape for p in parts]}")
+    for p, size in zip(parts, a.data.shape):
+        if p.size and (p.min() < 0 or p.max() >= size):
+            raise ShapeError(f"gather_rows: index out of range for {size} rows")
 
     def back(g):
         if a.requires_grad:
@@ -406,22 +449,22 @@ def gather_rows(a, idx) -> Tensor:
 
 
 def take_per_row(a, idx) -> Tensor:
-    """Pick one entry per row of a 2-d tensor: out[t] = a[t, idx[t]]."""
+    """Pick one entry per row along the last axis: out[..., t] = a[..., t, idx[..., t]]."""
     a = _coerce(a)
     idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2 or idx.shape != (a.data.shape[0],):
+    if a.data.ndim < 2 or idx.shape != a.data.shape[:-1]:
         raise ShapeError(f"take_per_row: got data {a.data.shape} and index {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[1]):
-        raise ShapeError(f"take_per_row: column index out of range for {a.data.shape[1]} columns")
-    rows = np.arange(a.data.shape[0])
+    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[-1]):
+        raise ShapeError(f"take_per_row: column index out of range for {a.data.shape[-1]} columns")
+    cols = idx[..., None]
 
     def back(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            np.add.at(acc, (rows, idx), g)
+            np.put_along_axis(acc, cols, g[..., None], axis=-1)
             _accumulate(a, acc)
 
-    return _make(a.data[rows, idx], (a,), back)
+    return _make(np.take_along_axis(a.data, cols, axis=-1)[..., 0], (a,), back)
 
 
 def cross_entropy_with_logits(logits, targets) -> Tensor:
@@ -438,31 +481,39 @@ def cross_entropy_with_logits(logits, targets) -> Tensor:
     if targets.size and (targets.min() < 0 or targets.max() >= x.shape[1]):
         raise ShapeError(f"cross_entropy: target out of range for {x.shape[1]} classes")
     m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
-    lse = np.log(e.sum(axis=1)) + m[:, 0]
+    e = x - m
+    np.exp(e, out=e)
+    total = e.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0]) + m[:, 0]
     rows = np.arange(x.shape[0])
     out_data = lse - x[rows, targets]
 
     def back(g):
         if not logits.requires_grad:
             return
-        p = e / e.sum(axis=1, keepdims=True)
-        gx = p * g[:, None]
+        gx = e / total
+        gx *= g[:, None]
         gx[rows, targets] -= g
-        _accumulate(logits, gx)
+        _accumulate(logits, gx, fresh=True)
 
     return _make(out_data, (logits,), back)
 
 
-def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a seeded generator; identity when rate is 0."""
+def dropout(a, rate: float, uniforms) -> Tensor:
+    """Inverted dropout over caller-drawn uniforms; identity when rate is 0.
+
+    ``uniforms`` holds one draw in [0, 1) per entry of ``a``: entries drawn
+    below ``rate`` are zeroed and the rest scaled by 1 / (1 - rate).
+    """
     a = _coerce(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
     if rate == 0.0:
         return a
-    keep = rng.random(a.data.shape) >= rate
-    m = keep / (1.0 - rate)
+    uniforms = np.asarray(uniforms)
+    if uniforms.shape != a.data.shape:
+        raise ShapeError(f"dropout: draws of shape {uniforms.shape} for data {a.data.shape}")
+    m = (uniforms >= rate) / (1.0 - rate)
 
     def back(g):
         if a.requires_grad:

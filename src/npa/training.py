@@ -2,7 +2,12 @@
 
 The autoregressive objective scores each item of a sequence given the
 context of its predecessors; one forward pass with causal masks yields
-every step at once. The per-step, per-context score is
+every step of every sequence in a batch at once. The batch is padded at
+the end to its longest sequence and run as one autodiff graph; only the
+rows of real predicted steps reach the output head, the cross-entropy
+and the max-pool, and the random draws are made sequence by sequence, so
+a batch's loss is the step-weighted mean of its sequences' losses run
+one at a time with the same generator. The per-step, per-context score is
 
     log p(item | context) + log p(context | prefix)
 
@@ -96,61 +101,54 @@ def sample_permutation(basket_items, rng: np.random.Generator):
     return items[rng.permutation(items.size)]
 
 
-def sequence_scores(seq, config, params, rng=None, training=False,
+def sequence_scores(batch, config, params, rng=None, training=False,
                     use_positions=None):
-    """Per-step, per-context log scores for one sequence.
+    """Per-step, per-context log scores for a batch of sequences.
 
-    Returns (scores, state) where scores is a list with one 1-d tensor of
-    length len(seq)-1 per prediction context; entry t of each tensor
-    scores item t+1 given the step-t context.
+    Returns (scores, state). scores has one 1-d tensor per prediction
+    context, holding len(seq)-1 entries per sequence, sequence after
+    sequence in batch order; entry t of a sequence's run scores item t+1
+    given the step-t context. state is the padded forward pass, with
+    (B, N, ...) tensors.
     """
-    seq = [int(i) for i in seq]
-    if len(seq) < 2:
-        raise ConfigError("sequence_scores: need at least two items")
-    state = npa_model.forward(seq, config, params, rng_seed=rng,
-                              training=training, use_positions=use_positions)
-    emb = npa_model.output_embeddings(params)
-    targets = np.asarray(seq[1:], dtype=np.int64)
-    n = len(seq) - 1
-    prefix_rows = np.arange(n)
+    seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
+    if not seqs:
+        raise ConfigError("sequence_scores: empty batch")
+    for seq in seqs:
+        if seq.ndim != 1 or seq.size < 2:
+            raise ConfigError("sequence_scores: need at least two items")
+    lengths = np.array([seq.size for seq in seqs])
+    steps = np.arange(lengths.max())
+    ids = np.zeros((len(seqs), steps.size), dtype=np.int64)
+    ids[steps < lengths[:, None]] = np.concatenate(seqs)
+    state = npa_model.forward(ids, config, params, rng_seed=rng, training=training,
+                              use_positions=use_positions, lengths=lengths)
+    # (sequence, step) of every predicted step; only these rows are scored.
+    rows = np.nonzero(steps < lengths[:, None] - 1)
+    targets = ids[rows[0], rows[1] + 1]
+    emb_t = T.transpose(npa_model.output_embeddings(params))
     scores = []
     for ctx, logprob in zip(state.contexts, state.pattern_logprobs):
-        used = T.gather_rows(ctx, prefix_rows)
-        logits = T.matmul(used, T.transpose(emb))
-        nll = T.cross_entropy_with_logits(logits, targets)
-        score = T.scale(nll, -1.0)
+        logits = T.matmul(T.gather_rows(ctx, rows), emb_t)
+        score = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
         if logprob is not None:
-            lp = T.reshape(logprob, (logprob.shape[0], 1))
-            lp = T.reshape(T.gather_rows(lp, prefix_rows), (n,))
-            score = T.add(score, lp)
+            score = T.add(score, T.gather_rows(logprob, rows))
         scores.append(score)
     return scores, state
 
 
-def _sequence_rows(batch, config, params, rng, training, use_positions,
-                   max_pool: bool):
-    """One score row per sequence; multi-context rows are max-pooled."""
-    rows = []
-    for seq in batch:
-        scores, _ = sequence_scores(seq, config, params, rng=rng,
-                                    training=training, use_positions=use_positions)
-        if len(scores) == 1:
-            rows.append(scores[0])
-            continue
-        if not max_pool:
-            raise ConfigError(
-                f"loss_ar expects a single context per step, model yields {len(scores)}")
-        cols = [T.reshape(s, (s.shape[0], 1)) for s in scores]
-        table = T.concat(cols, axis=1)  # (steps, contexts)
-        best = np.argmax(table.data, axis=1)
-        rows.append(T.take_per_row(table, best))
-    return rows
-
-
-def _neg_mean(rows) -> Tensor:
-    parts = [T.reshape(r, (1, r.shape[0])) for r in rows]
-    flat = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
-    return T.scale(T.mean(flat), -1.0)
+def _pooled_scores(batch, config, params, rng, training, use_positions,
+                   max_pool: bool) -> Tensor:
+    """One score per predicted step; multi-context scores are max-pooled."""
+    scores, _ = sequence_scores(batch, config, params, rng=rng, training=training,
+                                use_positions=use_positions)
+    if len(scores) == 1:
+        return scores[0]
+    if not max_pool:
+        raise ConfigError(
+            f"loss_ar expects a single context per step, model yields {len(scores)}")
+    table = T.concat([T.reshape(s, (s.shape[0], 1)) for s in scores], axis=1)  # (steps, contexts)
+    return T.take_per_row(table, np.argmax(table.data, axis=1))
 
 
 def loss_ar(batch, config, params, rng=None, training=False,
@@ -160,33 +158,57 @@ def loss_ar(batch, config, params, rng=None, training=False,
     Applies to any model that yields exactly one context per step (SC
     always, MC when it has a single head).
     """
-    rows = _sequence_rows(batch, config, params, rng, training, use_positions,
-                          max_pool=False)
-    return _neg_mean(rows)
+    scores = _pooled_scores(batch, config, params, rng, training, use_positions,
+                            max_pool=False)
+    return T.scale(T.mean(scores), -1.0)
 
 
 def loss_mc(batch, config, params, rng=None, training=False,
             use_positions=None) -> Tensor:
     """Multi-context loss: per step, keep only the best-scoring context."""
-    rows = _sequence_rows(batch, config, params, rng, training, use_positions,
-                          max_pool=True)
-    return _neg_mean(rows)
+    scores = _pooled_scores(batch, config, params, rng, training, use_positions,
+                            max_pool=True)
+    return T.scale(T.mean(scores), -1.0)
 
 
 def batch_loss(batch, config, params, rng=None, training=False,
                use_positions=None):
     """Variant dispatch; returns (loss, per-sequence mean NLL floats)."""
-    rows = _sequence_rows(batch, config, params, rng, training, use_positions,
-                          max_pool=config.variant == npa_model.VARIANT_MC)
-    details = [-float(np.mean(r.data)) for r in rows]
-    return _neg_mean(rows), details
+    scores = _pooled_scores(batch, config, params, rng, training, use_positions,
+                            max_pool=config.variant == npa_model.VARIANT_MC)
+    ends = np.cumsum([len(seq) - 1 for seq in batch])[:-1]
+    details = [-float(np.mean(part)) for part in np.split(scores.data, ends)]
+    return T.scale(T.mean(scores), -1.0), details
+
+
+def _check_baskets(usable, index, config):
+    """Reject, before any training work, a basket the model cannot take.
+
+    index[j] is the position of usable[j] in the caller's basket list.
+    """
+    flat = np.concatenate(usable)
+    if (max(b.size for b in usable) <= config.max_sequence_length
+            and flat.min() >= 0 and flat.max() < config.num_items):
+        return
+    for i, items in zip(index, usable):
+        if items.size > config.max_sequence_length:
+            raise ConfigError(
+                f"train: basket {i}: sequence of {items.size} items exceeds "
+                f"max_sequence_length {config.max_sequence_length}")
+        bad = items[(items < 0) | (items >= config.num_items)]
+        if bad.size:
+            raise ConfigError(
+                f"train: basket {i}: item id {bad[0]} out of range [0, {config.num_items})")
 
 
 def train(baskets, config, params, train_config: TrainConfig, log=None,
           optimizer: AdamW | None = None):
     """Seeded training loop; returns (params, list of LossReport).
 
-    Baskets shorter than two items are dropped. In any_order mode each
+    Baskets shorter than two items are dropped; every other basket is
+    checked against max_sequence_length and the item-id range before the
+    first step, and a failure names its index in ``baskets``. In any_order
+    mode each
     basket contributes permutations_per_basket fresh orderings per epoch
     and positions are skipped; temporal mode requires positions. An
     optimizer may be passed in (e.g. to persist its moments afterwards);
@@ -204,11 +226,13 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
         optimizer = AdamW(npa_model.trainable_parameters(params, config),
                           lr=train_config.learning_rate,
                           weight_decay=train_config.weight_decay)
-    usable = [np.asarray(b.items if hasattr(b, "items") else b, dtype=np.int64)
+    arrays = [np.asarray(b.items if hasattr(b, "items") else b, dtype=np.int64)
               for b in baskets]
-    usable = [b for b in usable if b.size >= 2]
+    index = [i for i, b in enumerate(arrays) if b.size >= 2]
+    usable = [arrays[i] for i in index]
     if not usable:
         raise ConfigError("train: every basket is shorter than two items")
+    _check_baskets(usable, index, config)
 
     reports = []
     for epoch in range(1, train_config.epochs + 1):

@@ -11,10 +11,19 @@ still missing to complete the pattern.
 The module exposes both the step-by-step operations on a single prefix
 (used directly in tests and for attention inspection) and a vectorized
 form that evaluates every causal prefix of a sequence in one pass.
+
+The vectorized form takes one ``(N, d)`` sequence or a ``(B, N, d)`` batch
+padded at the end to its longest sequence. Padded steps come after every
+valid step, so the causal masks already keep them out of every valid row;
+their own rows hold finite values that callers ignore. Random numbers
+(attention-dropout masks, Gumbel uniforms) are not drawn here: the caller
+draws them basket by basket and passes them in, so a batch sees the same
+draws as its baskets run one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +43,7 @@ __all__ = [
     "VqaParams",
     "UnitState",
     "aggregate_attention",
+    "causal_mask",
     "estimate_context",
     "extract_pattern",
     "init_vqa_params",
@@ -131,6 +141,7 @@ class PatternBelief:
 class UnitState:
     """Everything a unit produced for one sequence, one row per step.
 
+    For a padded batch every field gains the leading batch axis.
     contexts[t] is the context of the prefix up to and including step t.
     prefix_attention[t] is the pattern belief of that prefix;
     item_attention holds the raw per-item distributions it was averaged
@@ -172,9 +183,12 @@ def init_vqa_params(rng: np.random.Generator, input_dim: int, attn_dim: int,
 
 
 def project_items(item_vectors, params: VqaParams):
-    """Per-item query, key, and value rows: X W_q^T, X W_k^T, X W_v^T."""
+    """Per-item query, key, and value rows: X W_q^T, X W_k^T, X W_v^T.
+
+    X is an ``(N, d)`` item matrix or a ``(B, N, d)`` batch of them.
+    """
     x = item_vectors if isinstance(item_vectors, Tensor) else Tensor(item_vectors)
-    if x.data.ndim != 2 or x.shape[0] == 0:
+    if x.data.ndim not in (2, 3) or x.shape[-2] == 0:
         raise T.ShapeError(f"project_items: expected non-empty item matrix, got {x.data.shape}")
     q = T.matmul(x, T.transpose(params.w_query))
     k = T.matmul(x, T.transpose(params.w_key))
@@ -183,7 +197,8 @@ def project_items(item_vectors, params: VqaParams):
 
 
 def pattern_attention(q, params: VqaParams, keep_mask=None) -> Tensor:
-    """Distribution over codebook entries for every item row of q.
+    """Distribution over codebook entries for every item row of q (any
+    leading axes).
 
     keep_mask, when given, drops codebook entries out of each row's
     softmax (the renormalizing form of attention dropout), so the output
@@ -192,7 +207,7 @@ def pattern_attention(q, params: VqaParams, keep_mask=None) -> Tensor:
     if params.codebook.num_patterns == 0:
         raise T.ShapeError("pattern_attention: empty codebook")
     keys = T.matmul(params.codebook.entries, T.transpose(params.w_pattern_key))
-    d = q.shape[1]
+    d = q.shape[-1]
     logits = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(d))
     return T.softmax(logits, mask=keep_mask)
 
@@ -273,32 +288,46 @@ def unit_forward_prefix(item_vectors, params: VqaParams,
     return estimate_context(z, k, v, mask, params), belief
 
 
+@functools.lru_cache(maxsize=256)
 def prefix_mean_matrix(n: int) -> np.ndarray:
-    """Lower-triangular matrix whose row t averages rows 0..t."""
-    m = np.tril(np.ones((n, n)))
-    return m / np.arange(1, n + 1)[:, None]
+    """Lower-triangular matrix whose row t averages rows 0..t (read-only)."""
+    m = np.tril(np.ones((n, n))) / np.arange(1, n + 1)[:, None]
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=256)
+def causal_mask(n: int) -> np.ndarray:
+    """Boolean lower-triangular mask: step t sees steps 0..t (read-only)."""
+    m = np.tril(np.ones((n, n), dtype=bool))
+    m.flags.writeable = False
+    return m
 
 
 def unit_forward(inputs: Tensor, params: VqaParams, strategy: ExtractionStrategy,
-                 rng: np.random.Generator | None = None,
-                 attn_dropout: float = 0.0,
-                 drop_rng: np.random.Generator | None = None) -> UnitState:
+                 keep_mask: np.ndarray | None = None,
+                 uniforms: np.ndarray | None = None) -> UnitState:
     """Evaluate the unit on every causal prefix of a sequence at once.
 
-    Row t of every output concerns the prefix of steps 0..t. The prefix
-    pattern belief is the running mean of the per-item distributions; the
-    context attention row t is masked to items <= t. attn_dropout, when
-    nonzero, randomly drops codebook entries out of each item's softmax
-    (training only); the rows renormalize so beliefs stay distributions.
+    inputs is ``(N, d)`` or a padded ``(B, N, d)`` batch. Row t of every
+    output concerns the prefix of steps 0..t. The prefix pattern belief is
+    the running mean of the per-item distributions; the context attention
+    row t is masked to items <= t.
+
+    keep_mask, shaped ``(..., N, num_patterns)``, is the attention dropout
+    of training: False drops a codebook entry out of that item's softmax,
+    and the rows renormalize so beliefs stay distributions. uniforms, of
+    the same shape, are the draws in (0, 1) that sampling extraction turns
+    into Gumbel noise; sampling needs them.
     """
-    n = inputs.shape[0]
+    n = inputs.shape[-2]
+    lead = inputs.shape[:-2]
     q, k, v = project_items(inputs, params)
-    keep = None
-    if attn_dropout > 0:
-        keep = drop_rng.random((n, params.codebook.num_patterns)) >= attn_dropout
-        keep[~keep.any(axis=1)] = True  # never empty a row
-    a = pattern_attention(q, params, keep_mask=keep)
-    abar = T.matmul(Tensor(prefix_mean_matrix(n)), a)
+    a = pattern_attention(q, params, keep_mask=keep_mask)
+    means = prefix_mean_matrix(n)
+    if lead:
+        means = np.broadcast_to(means, lead + (n, n))
+    abar = T.matmul(Tensor(means), a)
 
     idx = None
     logprob = None
@@ -306,21 +335,21 @@ def unit_forward(inputs: Tensor, params: VqaParams, strategy: ExtractionStrategy
         z = T.matmul(abar, params.codebook.entries)
     else:
         if strategy.kind == GREEDY:
-            idx = np.argmax(abar.data, axis=1)
+            idx = np.argmax(abar.data, axis=-1)
         else:
-            if rng is None:
-                raise ValueError("sampling extraction needs a random generator")
+            if uniforms is None:
+                raise ValueError("sampling extraction needs Gumbel uniforms")
             with np.errstate(divide="ignore"):
                 logp = np.log(abar.data)
-            g = -np.log(-np.log(rng.random(abar.data.shape)))
-            idx = np.argmax(logp / strategy.gumbel_temperature + g, axis=1)
+            g = -np.log(-np.log(uniforms))
+            idx = np.argmax(logp / strategy.gumbel_temperature + g, axis=-1)
             logprob = T.log(T.take_per_row(abar, idx))
         z = T.gather_rows(params.codebook.entries, idx)
 
     rho = T.matmul(z, T.transpose(params.w_context_query))
-    d = rho.shape[1]
+    d = rho.shape[-1]
     logits = T.scale(T.matmul(rho, T.transpose(k)), 1.0 / np.sqrt(d))
-    b = T.softmax(logits, mask=np.tril(np.ones((n, n), dtype=bool)))
+    b = T.softmax(logits, mask=causal_mask(n))
     contexts = T.matmul(b, v)
     return UnitState(contexts=contexts, item_attention=a, prefix_attention=abar,
                      context_attention=b, pattern_index=idx, pattern_logprob=logprob)

@@ -366,7 +366,7 @@ def test_any_order_reduces_order_sensitivity(synth_experiment):
                       for _ in range(2)]
             nlls = []
             for order in orders:
-                scores, _ = sequence_scores(order.tolist(), config, params)
+                scores, _ = sequence_scores([order.tolist()], config, params)
                 nlls.append(-float(scores[0].data[-1]))
             gaps.append(abs(nlls[0] - nlls[1]))
         return float(np.mean(gaps))

@@ -163,3 +163,12 @@ def test_score_kind_validation():
     e = rng.normal(size=(5, 3))
     with pytest.raises(ConfigError):
         score_fesf(rng.normal(size=(2, 3)), e, temperature=0.0)
+
+
+def test_recommend_unseeded_mc_repeats():
+    # No seed means the fixed seed 0, so unseeded MC serving is repeatable.
+    cfg = small_mc_config(mc_last_layer_heads=3)
+    params = init_params(cfg, seed=4)
+    a = recommend_topk([1, 5, 9], cfg, params, k=6)
+    b = recommend_topk([1, 5, 9], cfg, params, k=6)
+    assert a.item_ids == b.item_ids and a.scores == b.scores

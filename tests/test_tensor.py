@@ -30,6 +30,7 @@ def fd_gradient(fn, x: Tensor, h=1e-6):
 
 def check_grad(fn, x: Tensor, h=1e-6, rtol=1e-4, atol=1e-6):
     out = fn()
+    x.grad = None  # an earlier check on the same graph may have filled it
     T.backward(out)
     analytic = x.grad.copy()
     x.grad = None
@@ -122,6 +123,14 @@ def test_grad_matmul():
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)))
     check_grad(lambda: T.mean(T.exp(T.matmul(a, b))), a)
+    # Leading batch axes: a shared 2-d right operand, then a batched one.
+    a3 = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    check_grad(lambda: T.mean(T.exp(T.matmul(a3, w))), a3)
+    check_grad(lambda: T.mean(T.exp(T.matmul(a3, w))), w)
+    b3 = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+    check_grad(lambda: T.mean(T.exp(T.matmul(a3, b3))), a3)
+    check_grad(lambda: T.mean(T.exp(T.matmul(a3, b3))), b3)
 
 
 def test_grad_transpose_add_scale():
@@ -129,6 +138,11 @@ def test_grad_transpose_add_scale():
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 3)))
     check_grad(lambda: T.mean(T.add(T.transpose(a), T.scale(b, 1.7))), a)
+    # 3-d: transpose swaps the last two axes; add broadcasts b over axis 0.
+    a3 = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    b2 = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    check_grad(lambda: T.mean(T.exp(T.add(T.transpose(a3), T.scale(b2, 1.7)))), a3)
+    check_grad(lambda: T.mean(T.exp(T.add(T.transpose(a3), T.scale(b2, 1.7)))), b2)
 
 
 def test_grad_subtract_mul():
@@ -145,6 +159,9 @@ def test_grad_concat_both_axes():
     check_grad(lambda: T.mean(T.exp(T.concat([a, b], axis=1))), a)
     c = Tensor(rng.normal(size=(3, 3)))
     check_grad(lambda: T.mean(T.exp(T.concat([a, c], axis=0))), a)
+    a3 = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
+    d3 = Tensor(rng.normal(size=(2, 3, 4)))
+    check_grad(lambda: T.mean(T.exp(T.concat([d3, a3], axis=-1))), a3)
 
 
 def test_grad_softmax_masked():
@@ -153,6 +170,10 @@ def test_grad_softmax_masked():
     mask = rng.random((3, 5)) > 0.3
     mask[:, 0] = True
     check_grad(lambda: T.mean(T.mul(T.softmax(a, mask=mask), T.softmax(a, mask=mask))), a)
+    a3 = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    mask3 = rng.random((2, 3, 5)) > 0.3
+    mask3[..., 0] = True
+    check_grad(lambda: T.mean(T.mul(T.softmax(a3, mask=mask3), T.softmax(a3, mask=mask3))), a3)
 
 
 def test_grad_log_exp_mean_axes():
@@ -190,6 +211,11 @@ def test_grad_gather_rows_repeated():
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     idx = np.array([2, 0, 2, 1])
     check_grad(lambda: T.mean(T.exp(T.gather_rows(a, idx))), a)
+    # A 2-d index gives a (2, 2, 3) batch; a tuple index picks (b, t) rows.
+    check_grad(lambda: T.mean(T.exp(T.gather_rows(a, idx.reshape(2, 2)))), a)
+    a3 = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    rows = (np.array([1, 0, 1]), np.array([3, 0, 3]))
+    check_grad(lambda: T.mean(T.exp(T.gather_rows(a3, rows))), a3)
 
 
 def test_grad_take_per_row():
@@ -197,6 +223,8 @@ def test_grad_take_per_row():
     a = Tensor(rng.random((4, 5)) + 0.1, requires_grad=True)
     idx = np.array([1, 4, 0, 2])
     check_grad(lambda: T.mean(T.log(T.take_per_row(a, idx))), a)
+    a3 = Tensor(rng.random((2, 4, 5)) + 0.1, requires_grad=True)
+    check_grad(lambda: T.mean(T.log(T.take_per_row(a3, np.array([idx, idx[::-1]])))), a3)
 
 
 def test_grad_cross_entropy():
@@ -215,7 +243,7 @@ def test_grad_reshape():
 def test_grad_dropout_fixed_mask():
     rng = np.random.default_rng(13)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    check_grad(lambda: T.mean(T.dropout(a, 0.5, np.random.default_rng(42))), a)
+    check_grad(lambda: T.mean(T.dropout(a, 0.5, np.random.default_rng(42).random((3, 4)))), a)
 
 
 def test_cross_entropy_matches_manual():
@@ -257,4 +285,4 @@ def test_gather_and_take_bounds_errors():
 
 def test_dropout_zero_rate_is_identity():
     a = Tensor(np.ones((2, 2)))
-    assert T.dropout(a, 0.0, np.random.default_rng(0)) is a
+    assert T.dropout(a, 0.0, np.random.default_rng(0).random((2, 2))) is a

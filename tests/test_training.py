@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from npa import tensor as T
 from npa.data import SynthSpec, gen_synthetic
 from npa.errors import ConfigError
-from npa.model import init_params, named_parameters
+from npa.model import init_params, named_parameters, trainable_parameters
 from npa.optim import AdamW
 from npa.training import (ANY_ORDER, TEMPORAL, TrainConfig, batch_loss, loss_ar,
                           loss_mc, sample_permutation, sequence_scores, train)
@@ -71,7 +73,7 @@ def test_loss_mc_matches_enumeration_oracle():
     rng = np.random.default_rng(4)
     values = []
     for seq in batch:
-        scores, _ = sequence_scores(seq, cfg, params, rng=rng)
+        scores, _ = sequence_scores([seq], cfg, params, rng=rng)
         table = np.stack([s.data for s in scores], axis=1)
         values.extend(table.max(axis=1).tolist())
     np.testing.assert_allclose(got, -np.mean(values), rtol=1e-12)
@@ -92,7 +94,7 @@ def test_loss_mc_dominant_head_defines_loss():
     rng = np.random.default_rng(7)
     got = float(loss_mc(batch, cfg, params, rng=rng).data)
     rng = np.random.default_rng(7)
-    scores, _ = sequence_scores(batch[0], cfg, params, rng=rng)
+    scores, _ = sequence_scores(batch, cfg, params, rng=rng)
     table = np.stack([s.data for s in scores], axis=1)
     assert (table[:, 1] >= table[:, 0]).all(), "construction should make head 1 dominate"
     np.testing.assert_allclose(got, -table[:, 1].mean(), rtol=1e-12)
@@ -220,3 +222,94 @@ def test_mc_training_nll_nonnegative_with_dropout():
     _, reports = train(baskets, cfg, params, tc)
     for r in reports:
         assert r.mean_nll >= 0
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([1, 2, 3, 4, 5, 6, 7, 8, 9], "basket 5: sequence of 9 items exceeds max_sequence_length 8"),
+    ([1, 2, 20], r"basket 5: item id 20 out of range \[0, 20\)"),
+], ids=["too_long", "id_out_of_range"])
+def test_train_rejects_bad_basket_before_any_step(bad, message):
+    cfg = small_sc_config(use_positions=True)
+    params = init_params(cfg, seed=21)
+    before = {n: p.data.copy() for n, p in named_parameters(params)}
+    baskets = [[1, 2], [3, 4, 5], [6, 7], [8, 9, 10], [11, 12], [0], [13, 14], [15, 16]]
+    tc = TrainConfig(epochs=1, batch_size=1, mode=TEMPORAL, seed=3)
+    usable = [i for i, b in enumerate(baskets) if len(b) >= 2]
+    # The bad basket goes where the seeded epoch order reaches it last, so any
+    # step would run first if the check came late.
+    last = usable[np.random.default_rng(tc.seed).permutation(len(usable))[-1]]
+    baskets[last] = bad
+    message = message.replace("basket 5", f"basket {last}")
+    with pytest.raises(ConfigError, match=message):
+        train(baskets, cfg, params, tc)
+    for n, p in named_parameters(params):
+        assert np.array_equal(before[n], p.data), n
+
+
+def test_unseeded_mc_batch_loss_repeats():
+    # No generator means the fixed seed 0, so unseeded MC losses repeat.
+    cfg = small_mc_config(mc_last_layer_heads=3)
+    params = init_params(cfg, seed=22)
+    batch = [[3, 1, 2, 8], [5, 6, 9]]
+    first, details = batch_loss(batch, cfg, params)
+    again, details_again = batch_loss(batch, cfg, params)
+    assert float(first.data) == float(again.data)
+    assert details == details_again
+
+
+def _grads(loss, params, cfg):
+    T.backward(loss)
+    out = {}
+    for name, p in trainable_parameters(params, cfg):
+        out[name] = np.zeros_like(p.data) if p.grad is None else p.grad
+        p.grad = None
+    return out
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch=st.lists(st.lists(st.integers(0, 19), min_size=2, max_size=8),
+                      min_size=1, max_size=8),
+       variant=st.sampled_from(["SC", "MC"]), training=st.booleans(),
+       use_positions=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_padded_batch_matches_sequences_run_alone(batch, variant, training,
+                                                  use_positions, seed):
+    factory = small_mc_config if variant == "MC" else small_sc_config
+    cfg = factory(dropout_rate=0.3, use_positions=use_positions)
+    params = init_params(cfg, seed=23)
+    loss, details = batch_loss(batch, cfg, params, rng=np.random.default_rng(seed),
+                               training=training)
+    grads = _grads(loss, params, cfg)
+
+    # The same generator runs each sequence alone, in batch order.
+    rng = np.random.default_rng(seed)
+    steps = np.array([len(seq) - 1 for seq in batch], dtype=float)
+    weights = steps / steps.sum()
+    alone, alone_details = 0.0, []
+    expected = {name: np.zeros_like(g) for name, g in grads.items()}
+    for seq, w in zip(batch, weights):
+        one, one_details = batch_loss([seq], cfg, params, rng=rng, training=training)
+        alone += w * float(one.data)
+        alone_details += one_details
+        for name, g in _grads(one, params, cfg).items():
+            expected[name] += w * g
+
+    np.testing.assert_allclose(float(loss.data), alone, rtol=1e-12)
+    np.testing.assert_allclose(details, alone_details, rtol=1e-12)
+    for name, g in grads.items():
+        scale = max(np.abs(expected[name]).max(), 1e-300)
+        assert np.abs(g - expected[name]).max() <= 1e-12 * scale, name
+
+
+def test_poisoned_table_row_outside_batch_never_reaches_loss():
+    cfg = small_mc_config(mc_last_layer_heads=2, dropout_rate=0.2)
+    batch = [[3, 1, 2, 8, 4], [5, 6], [9, 7, 3]]  # uneven, so rows are padded
+    params = init_params(cfg, seed=24)
+    clean, _ = batch_loss(batch, cfg, params, rng=np.random.default_rng(5), training=True)
+    clean_grads = _grads(clean, params, cfg)
+    outside = sorted(set(range(cfg.num_items)) - {i for seq in batch for i in seq})
+    params.item_embeddings.data[outside] = np.nan
+    poisoned, _ = batch_loss(batch, cfg, params, rng=np.random.default_rng(5), training=True)
+    assert np.isfinite(poisoned.data)
+    assert float(poisoned.data) == float(clean.data)
+    for name, g in _grads(poisoned, params, cfg).items():
+        assert np.array_equal(g, clean_grads[name]), name
