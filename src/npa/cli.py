@@ -143,6 +143,8 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("either --ckpt or --baseline is required")
         config, params = ckpt.load_checkpoint(args.ckpt)
         _echo_config(config)
+        model_mod.check_baskets([inst.inputs for inst in instances],
+                                [inst.basket_id for inst in instances], config, "evaluate")
         for i, inst in enumerate(instances):
             k = min(args.k, config.num_items - len(set(inst.inputs)))
             out = rec.recommend_topk(inst.inputs, config, params, k,

@@ -47,6 +47,7 @@ __all__ = [
     "NpaParams",
     "VARIANT_MC",
     "VARIANT_SC",
+    "check_baskets",
     "draw_noise",
     "embed_inputs",
     "forward",
@@ -233,6 +234,29 @@ def trainable_parameters(params: NpaParams, config: ModelConfig):
 
 def output_embeddings(params: NpaParams) -> Tensor:
     return params.output_embeddings if params.output_embeddings is not None else params.item_embeddings
+
+
+def check_baskets(baskets, names, config: ModelConfig, caller: str):
+    """Reject, before any model work, a basket the model cannot take.
+
+    baskets are id sequences and names[j] identifies baskets[j] in the
+    message. Raises ConfigError for the first basket longer than
+    max_sequence_length or holding an id outside [0, num_items).
+    """
+    baskets = [np.asarray(b, dtype=np.int64) for b in baskets]
+    flat = np.concatenate(baskets)
+    if (max(b.size for b in baskets) <= config.max_sequence_length
+            and flat.min() >= 0 and flat.max() < config.num_items):
+        return
+    for name, items in zip(names, baskets):
+        if items.size > config.max_sequence_length:
+            raise ConfigError(
+                f"{caller}: basket {name}: sequence of {items.size} items exceeds "
+                f"max_sequence_length {config.max_sequence_length}")
+        bad = items[(items < 0) | (items >= config.num_items)]
+        if bad.size:
+            raise ConfigError(f"{caller}: basket {name}: item id {bad[0]} out of range "
+                              f"[0, {config.num_items})")
 
 
 def embed_inputs(item_ids, config: ModelConfig, params: NpaParams,

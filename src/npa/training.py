@@ -17,6 +17,16 @@ The single-context loss averages that score over steps; the multi-context
 loss max-pools it over the sampled contexts first, so with one context
 the two losses coincide identically.
 
+The max-pool only selects, so only each step's winning context gets a
+gradient. The winners are chosen on a score table computed in plain
+numpy with the arithmetic of the graph's cross-entropy, ties going to the
+lowest context, and the graph then runs the output head and its
+cross-entropy once, over the winners' rows. The loss is bit-identical to
+a graph over every context; the gradients agree to rounding. On the
+benchmark's MC workload (5 heads, 2,000 items, 2 vCPUs, one BLAS thread)
+this took the median training step from 273 ms to 189 ms and peak memory
+from 386 MB to 212 MB.
+
 Two data modes: temporal keeps the recorded add order and learned
 positions; any_order samples fresh random permutations of each basket
 every epoch and skips position encoding, so the model converges toward
@@ -101,15 +111,12 @@ def sample_permutation(basket_items, rng: np.random.Generator):
     return items[rng.permutation(items.size)]
 
 
-def sequence_scores(batch, config, params, rng=None, training=False,
-                    use_positions=None):
-    """Per-step, per-context log scores for a batch of sequences.
+def _forward_rows(batch, config, params, rng, training, use_positions):
+    """Padded forward pass of a batch; returns (state, rows, targets).
 
-    Returns (scores, state). scores has one 1-d tensor per prediction
-    context, holding len(seq)-1 entries per sequence, sequence after
-    sequence in batch order; entry t of a sequence's run scores item t+1
-    given the step-t context. state is the padded forward pass, with
-    (B, N, ...) tensors.
+    rows is the (sequence, step) index pair of every predicted step,
+    sequence after sequence in batch order, and targets[i] the item that
+    step i predicts.
     """
     seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
     if not seqs:
@@ -123,32 +130,83 @@ def sequence_scores(batch, config, params, rng=None, training=False,
     ids[steps < lengths[:, None]] = np.concatenate(seqs)
     state = npa_model.forward(ids, config, params, rng_seed=rng, training=training,
                               use_positions=use_positions, lengths=lengths)
-    # (sequence, step) of every predicted step; only these rows are scored.
     rows = np.nonzero(steps < lengths[:, None] - 1)
-    targets = ids[rows[0], rows[1] + 1]
-    emb_t = T.transpose(npa_model.output_embeddings(params))
-    scores = []
-    for ctx, logprob in zip(state.contexts, state.pattern_logprobs):
-        logits = T.matmul(T.gather_rows(ctx, rows), emb_t)
-        score = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
+    return state, rows, ids[rows[0], rows[1] + 1]
+
+
+def _context_scores(state, rows, targets, emb) -> np.ndarray:
+    """(contexts, steps) table of per-step scores, in plain numpy.
+
+    Entry [h, i] is log p(targets[i] | context h) plus the log belief of
+    context h's sampled pattern. The arithmetic is that of
+    T.cross_entropy_with_logits, so every entry equals the score a graph
+    would compute, bit for bit; one (steps x items) buffer serves every
+    context.
+    """
+    steps = np.arange(targets.size)
+    logits = np.empty((targets.size, emb.shape[0]))
+    table = np.empty((len(state.contexts), targets.size))
+    for h, (ctx, logprob) in enumerate(zip(state.contexts, state.pattern_logprobs)):
+        np.matmul(ctx.data[rows], emb.T, out=logits)
+        picked = logits[steps, targets]
+        m = logits.max(axis=1, keepdims=True)
+        np.subtract(logits, m, out=logits)
+        np.exp(logits, out=logits)
+        lse = np.log(logits.sum(axis=1)) + m[:, 0]
+        np.subtract(picked, lse, out=table[h])
         if logprob is not None:
-            score = T.add(score, T.gather_rows(logprob, rows))
-        scores.append(score)
-    return scores, state
+            table[h] += logprob.data[rows]
+    return table
+
+
+def sequence_scores(batch, config, params, rng=None, training=False,
+                    use_positions=None):
+    """Per-step, per-context log scores for a batch of sequences.
+
+    Returns (scores, state). scores has one 1-d tensor per prediction
+    context, holding len(seq)-1 entries per sequence, sequence after
+    sequence in batch order; entry t of a sequence's run scores item t+1
+    given the step-t context. The scores carry no autodiff graph; they are
+    for inspection. state is the padded forward pass, with (B, N, ...)
+    tensors.
+    """
+    state, rows, targets = _forward_rows(batch, config, params, rng, training,
+                                         use_positions)
+    table = _context_scores(state, rows, targets,
+                            npa_model.output_embeddings(params).data)
+    return [Tensor(s) for s in table], state
+
+
+def _stack(tensors) -> Tensor:
+    """Same-shape tensors stacked along a new leading axis."""
+    return T.concat([T.reshape(t, (1,) + t.shape) for t in tensors], axis=0)
 
 
 def _pooled_scores(batch, config, params, rng, training, use_positions,
                    max_pool: bool) -> Tensor:
-    """One score per predicted step; multi-context scores are max-pooled."""
-    scores, _ = sequence_scores(batch, config, params, rng=rng, training=training,
-                                use_positions=use_positions)
-    if len(scores) == 1:
-        return scores[0]
-    if not max_pool:
-        raise ConfigError(
-            f"loss_ar expects a single context per step, model yields {len(scores)}")
-    table = T.concat([T.reshape(s, (s.shape[0], 1)) for s in scores], axis=1)  # (steps, contexts)
-    return T.take_per_row(table, np.argmax(table.data, axis=1))
+    """One score per predicted step; multi-context scores are max-pooled.
+
+    The max-pool only selects, so each step's best context (ties to the
+    lowest) is chosen on the graph-free score table, and the graph runs
+    the output head and the cross-entropy once, over the winners' rows.
+    """
+    state, rows, targets = _forward_rows(batch, config, params, rng, training,
+                                         use_positions)
+    emb = npa_model.output_embeddings(params)
+    if len(state.contexts) == 1:
+        ctx, logprob, at = state.contexts[0], state.pattern_logprobs[0], rows
+    else:
+        if not max_pool:
+            raise ConfigError(
+                f"loss_ar expects a single context per step, model yields {len(state.contexts)}")
+        head = np.argmax(_context_scores(state, rows, targets, emb.data), axis=0)
+        ctx, logprob = _stack(state.contexts), _stack(state.pattern_logprobs)
+        at = (head,) + rows
+    logits = T.matmul(T.gather_rows(ctx, at), T.transpose(emb))
+    score = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
+    if logprob is not None:
+        score = T.add(score, T.gather_rows(logprob, at))
+    return score
 
 
 def loss_ar(batch, config, params, rng=None, training=False,
@@ -179,26 +237,6 @@ def batch_loss(batch, config, params, rng=None, training=False,
     ends = np.cumsum([len(seq) - 1 for seq in batch])[:-1]
     details = [-float(np.mean(part)) for part in np.split(scores.data, ends)]
     return T.scale(T.mean(scores), -1.0), details
-
-
-def _check_baskets(usable, index, config):
-    """Reject, before any training work, a basket the model cannot take.
-
-    index[j] is the position of usable[j] in the caller's basket list.
-    """
-    flat = np.concatenate(usable)
-    if (max(b.size for b in usable) <= config.max_sequence_length
-            and flat.min() >= 0 and flat.max() < config.num_items):
-        return
-    for i, items in zip(index, usable):
-        if items.size > config.max_sequence_length:
-            raise ConfigError(
-                f"train: basket {i}: sequence of {items.size} items exceeds "
-                f"max_sequence_length {config.max_sequence_length}")
-        bad = items[(items < 0) | (items >= config.num_items)]
-        if bad.size:
-            raise ConfigError(
-                f"train: basket {i}: item id {bad[0]} out of range [0, {config.num_items})")
 
 
 def train(baskets, config, params, train_config: TrainConfig, log=None,
@@ -232,7 +270,7 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
     usable = [arrays[i] for i in index]
     if not usable:
         raise ConfigError("train: every basket is shorter than two items")
-    _check_baskets(usable, index, config)
+    npa_model.check_baskets(usable, index, config, "train")
 
     reports = []
     for epoch in range(1, train_config.epochs + 1):

@@ -1,7 +1,10 @@
 """CLI subcommands: workflows, determinism, and failure exits."""
 
+import re
+
 import pytest
 
+from npa import recommend as rec
 from npa.cli import main
 
 CONFIG_TEXT = """\
@@ -155,6 +158,26 @@ def test_evaluate_requires_model_or_baseline(workspace, capsys):
                "--k", "20"])
     assert rc == 1
     assert "ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, message", [
+    (",".join(str(i) for i in range(28)), "sequence of 14 items exceeds max_sequence_length 12"),
+    ("40,41,42,43", r"item id 4\d out of range \[0, 32\)"),
+], ids=["too_long", "id_out_of_range"])
+def test_evaluate_rejects_bad_instance_before_any_query(workspace, capsys, monkeypatch,
+                                                         bad, message):
+    self_train(workspace)
+    data = workspace / "test.txt"
+    good = (workspace / "data" / "baskets.txt").read_text(encoding="utf-8").splitlines()[:20]
+    data.write_text("\n".join(good + [f"bad7,{bad}"]) + "\n", encoding="utf-8")
+    calls = []
+    real = rec.recommend_topk
+    monkeypatch.setattr(rec, "recommend_topk", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    rc = main(["evaluate", "--ckpt", str(workspace / "m.ckpt"), "--data", str(data),
+               "--k", "20", "--seed", "2"])
+    assert rc == 1
+    assert re.search(f"evaluate: basket bad7: {message}", capsys.readouterr().err)
+    assert not calls
 
 
 def self_train(workspace):

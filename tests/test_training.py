@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from npa import tensor as T
 from npa.data import SynthSpec, gen_synthetic
 from npa.errors import ConfigError
-from npa.model import init_params, named_parameters, trainable_parameters
+from npa.model import (forward, init_params, named_parameters, output_embeddings,
+                       trainable_parameters)
 from npa.optim import AdamW
 from npa.training import (ANY_ORDER, TEMPORAL, TrainConfig, batch_loss, loss_ar,
                           loss_mc, sample_permutation, sequence_scores, train)
@@ -313,3 +314,104 @@ def test_poisoned_table_row_outside_batch_never_reaches_loss():
     assert float(poisoned.data) == float(clean.data)
     for name, g in _grads(poisoned, params, cfg).items():
         assert np.array_equal(g, clean_grads[name]), name
+
+
+def _all_heads_loss(batch, cfg, params, rng, training):
+    """Reference MC objective: a graph over every context's logits and
+    cross-entropy, max-pooled per step by concat and take_per_row.
+
+    Returns (loss, per-sequence details) like batch_loss.
+    """
+    seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
+    lengths = np.array([seq.size for seq in seqs])
+    steps = np.arange(lengths.max())
+    ids = np.zeros((len(seqs), steps.size), dtype=np.int64)
+    ids[steps < lengths[:, None]] = np.concatenate(seqs)
+    state = forward(ids, cfg, params, rng_seed=rng, training=training, lengths=lengths)
+    rows = np.nonzero(steps < lengths[:, None] - 1)
+    targets = ids[rows[0], rows[1] + 1]
+    emb_t = T.transpose(output_embeddings(params))
+    columns = []
+    for ctx, logprob in zip(state.contexts, state.pattern_logprobs):
+        logits = T.matmul(T.gather_rows(ctx, rows), emb_t)
+        score = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
+        if logprob is not None:
+            score = T.add(score, T.gather_rows(logprob, rows))
+        columns.append(T.reshape(score, (score.shape[0], 1)))
+    table = T.concat(columns, axis=1)
+    pooled = T.take_per_row(table, np.argmax(table.data, axis=1))
+    details = [-float(np.mean(part)) for part in np.split(pooled.data, np.cumsum(lengths - 1)[:-1])]
+    return T.scale(T.mean(pooled), -1.0), details
+
+
+def _assert_matches_all_heads(batch, cfg, params, seed, training):
+    loss, details = batch_loss(batch, cfg, params, rng=np.random.default_rng(seed),
+                               training=training)
+    grads = _grads(loss, params, cfg)
+    ref, ref_details = _all_heads_loss(batch, cfg, params, np.random.default_rng(seed),
+                                       training)
+    np.testing.assert_allclose(float(loss.data), float(ref.data), rtol=1e-12)
+    np.testing.assert_allclose(details, ref_details, rtol=1e-12)
+    for name, g in _grads(ref, params, cfg).items():
+        scale = max(np.abs(g).max(), 1e-300)
+        assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+    return grads
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch=st.lists(st.lists(st.integers(0, 19), min_size=2, max_size=8),
+                      min_size=1, max_size=8),
+       heads=st.sampled_from([1, 2, 5]), dropout=st.sampled_from([0.0, 0.3]),
+       training=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mc_loss_matches_all_heads_oracle(batch, heads, dropout, training, seed):
+    cfg = small_mc_config(mc_last_layer_heads=heads, dropout_rate=dropout)
+    params = init_params(cfg, seed=25)
+    _assert_matches_all_heads(batch, cfg, params, seed, training)
+
+
+def test_mc_exact_tie_goes_to_head_zero():
+    cfg = small_mc_config(mc_last_layer_heads=2)
+    params = init_params(cfg, seed=26)
+    head0, head1 = params.layers[-1].channels
+    for attr in ("w_query", "w_key", "w_value", "w_pattern_key", "w_context_query"):
+        getattr(head1, attr).data = getattr(head0, attr).data.copy()
+    # Identical rows make every sampled pattern the same vector with the same
+    # belief, so the two heads score every step identically.
+    head0.codebook.entries.data[:] = head0.codebook.entries.data[0]
+    batch = [[3, 1, 2, 8, 4], [5, 6], [9, 7, 3]]
+    scores, _ = sequence_scores(batch, cfg, params, rng=np.random.default_rng(1))
+    np.testing.assert_array_equal(scores[0].data, scores[1].data)
+    grads = _assert_matches_all_heads(batch, cfg, params, seed=1, training=True)
+    for name, g in grads.items():
+        if name.startswith("layers.1.channels.1."):
+            assert not g.any(), f"head 1 won a step: {name}"
+        if name.startswith("layers.1.channels.0."):
+            assert g.any(), f"head 0 won no step: {name}"
+
+
+def _graph_nodes(loss):
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("heads", [1, 3, 5])
+def test_mc_graph_runs_output_head_once(heads):
+    cfg = small_mc_config(mc_last_layer_heads=heads)
+    params = init_params(cfg, seed=27)
+    loss, _ = batch_loss([[3, 1, 2, 8, 4], [5, 6], [9, 7, 3]], cfg, params,
+                         rng=np.random.default_rng(2), training=True)
+    nodes = _graph_nodes(loss)
+    emb = output_embeddings(params)
+
+    def op(node):
+        return node._backward.__qualname__.split(".")[0] if node._backward else None
+
+    assert sum(op(n) == "cross_entropy_with_logits" for n in nodes) == 1
+    assert sum(op(n) == "matmul" and any(p is emb or emb in p._parents for p in n._parents)
+               for n in nodes) == 1
