@@ -166,8 +166,9 @@ def load_baskets(path, catalog: Catalog | None = None,
                  has_temporal_order: bool = False):
     """Parse a basket file; returns (catalog, baskets).
 
-    Malformed lines are reported with their line number. Without an
-    explicit catalog, a nameless one spanning the observed ids is built.
+    Malformed lines, including a basket that repeats an item, are reported
+    with their line number. Without an explicit catalog, a nameless one
+    spanning the observed ids is built.
     """
     baskets = []
     max_id = -1
@@ -190,6 +191,11 @@ def load_baskets(path, catalog: Catalog | None = None,
             if catalog is not None and any(i >= catalog.num_items for i in items):
                 bad = next(i for i in items if i >= catalog.num_items)
                 raise DataError(f"{path}:{ln}: item id {bad} outside catalog of {catalog.num_items}")
+            seen = set()
+            for i in items:
+                if i in seen:
+                    raise DataError(f"{path}:{ln}: duplicate item id {i}")
+                seen.add(i)
             max_id = max(max_id, max(items))
             baskets.append(Basket(parts[0], items, has_temporal_order))
     if not baskets:

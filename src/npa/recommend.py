@@ -10,7 +10,13 @@ ranking is what matters):
   the exponent. Not normalized; as the temperature goes to zero it ranks
   by the best single context (max-pool), which damps popularity bias.
 
-Scoring is inference only and works on plain numpy values.
+Scoring is inference only and works on plain numpy values. It is
+item-major: one ``(contexts, items)`` logit product per call, reduced over
+the contexts axis in place, so every reduction runs over contiguous rows
+of the item axis. Top-k is exact without a full sort: ``np.partition``
+finds the k-th best score, and only the candidates at or above it are
+sorted, so items tied at the boundary are all kept and the result equals
+the full sort's.
 """
 
 from __future__ import annotations
@@ -83,8 +89,14 @@ def score_softmax(context, embeddings) -> ScoreVector:
 def score_mean(contexts, embeddings) -> ScoreVector:
     """Average of the per-context softmax distributions."""
     c = _context_matrix(contexts)
-    probs = [score_softmax(row, embeddings).scores for row in c]
-    return ScoreVector(np.mean(probs, axis=0), MEAN_AGGREGATE)
+    e = np.asarray(embeddings, dtype=np.float64)
+    if e.ndim != 2 or e.shape[1] != c.shape[1]:
+        raise ConfigError(f"score_mean: embeddings {e.shape} vs contexts {c.shape}")
+    p = c @ e.T  # (contexts, items)
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return ScoreVector(p.mean(axis=0), MEAN_AGGREGATE)
 
 
 def score_fesf(contexts, embeddings, temperature: float = 1.0) -> ScoreVector:
@@ -95,9 +107,15 @@ def score_fesf(contexts, embeddings, temperature: float = 1.0) -> ScoreVector:
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] != c.shape[1]:
         raise ConfigError(f"score_fesf: embeddings {e.shape} vs contexts {c.shape}")
-    logits = (e @ c.T) / temperature  # (items, contexts)
-    m = logits.max(axis=1, keepdims=True)
-    scores = np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
+    logits = c @ e.T  # (contexts, items)
+    if temperature != 1.0:
+        logits /= temperature
+    m = logits.max(axis=0)
+    logits -= m
+    np.exp(logits, out=logits)
+    scores = logits.sum(axis=0)
+    np.log(scores, out=scores)
+    scores += m
     return ScoreVector(scores, FESF, temperature)
 
 
@@ -116,13 +134,21 @@ def score_contexts(contexts, embeddings, kind: str, fesf_temperature: float = 1.
 
 
 def rank_items(scores: np.ndarray, exclude=(), k: int | None = None):
-    """Item ids by descending score, ties to the lower id, exclusions first removed."""
-    s = np.asarray(scores, dtype=np.float64).copy()
-    exclude = np.asarray(sorted(set(int(i) for i in exclude)), dtype=np.int64)
-    if exclude.size:
-        s[exclude] = -np.inf
-    order = np.lexsort((np.arange(s.size), -s))
-    order = order[np.isfinite(s[order])]
+    """Item ids by descending score, ties to the lower id, exclusions first removed.
+
+    Non-finite scores are dropped; k=None returns every finite item.
+    """
+    neg = -np.asarray(scores, dtype=np.float64)
+    neg[~np.isfinite(neg)] = np.inf
+    neg[np.asarray([int(i) for i in exclude], dtype=np.int64)] = np.inf
+    limit = np.finfo(np.float64).max  # every finite score is a candidate
+    if k is not None and 0 < k < neg.size:
+        limit = min(limit, np.partition(neg, k - 1)[k - 1])
+    # Every item tied with the k-th best is a candidate, so the boundary
+    # tie-break by id is the full sort's.
+    ids = np.flatnonzero(neg <= limit)
+    # ids ascend, so a stable sort by value breaks ties toward the lower id.
+    order = ids[np.argsort(neg[ids], kind="stable")]
     if k is not None:
         order = order[:k]
     return order.tolist()
@@ -154,5 +180,4 @@ def recommend_topk(basket, config, params, k: int,
     emb = npa_model.output_embeddings(params).data
     vec = score_contexts(final, emb, scoring_kind, fesf_temperature)
     ranked = rank_items(vec.scores, exclude=members, k=k)
-    return Recommendation(item_ids=ranked,
-                          scores=[float(vec.scores[i]) for i in ranked], k=k)
+    return Recommendation(item_ids=ranked, scores=vec.scores[ranked].tolist(), k=k)

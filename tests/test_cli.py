@@ -180,6 +180,20 @@ def test_evaluate_rejects_bad_instance_before_any_query(workspace, capsys, monke
     assert not calls
 
 
+def test_evaluate_rejects_duplicate_item_with_file_and_line(workspace, capsys):
+    self_train(workspace)
+    capsys.readouterr()
+    data = workspace / "test.txt"
+    good = (workspace / "data" / "baskets.txt").read_text(encoding="utf-8").splitlines()[:20]
+    data.write_text("\n".join(good + ["dup5,3,7,3"]) + "\n", encoding="utf-8")
+    rc = main(["evaluate", "--ckpt", str(workspace / "m.ckpt"), "--data", str(data),
+               "--k", "20", "--seed", "2"])
+    assert rc != 0
+    captured = capsys.readouterr()
+    assert f"{data}:21: duplicate item id 3" in captured.err
+    assert not captured.out
+
+
 def self_train(workspace):
     ckpt = workspace / "m.ckpt"
     if ckpt.exists():

@@ -40,9 +40,16 @@ def test_load_validates_against_catalog(tmp_path):
         load_baskets(path, catalog=Catalog(["a", "b", "c"]))
 
 
+def test_load_rejects_duplicate_item_in_basket(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("b0,1,2\nb1,3,7,3\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"dup\.txt:2: duplicate item id 3$"):
+        load_baskets(path)
+
+
 def test_round_trip_thousand_baskets(tmp_path):
     rng = np.random.default_rng(0)
-    baskets = [Basket(f"b{i}", rng.integers(0, 50, size=rng.integers(1, 9)).tolist())
+    baskets = [Basket(f"b{i}", rng.choice(50, size=rng.integers(1, 9), replace=False).tolist())
                for i in range(1000)]
     path = tmp_path / "round.txt"
     save_baskets(path, baskets)

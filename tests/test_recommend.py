@@ -2,13 +2,42 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from npa import model as npa_model
 from npa.errors import ConfigError
 from npa.model import init_params
-from npa.recommend import (MEAN_AGGREGATE, rank_items,
-                           recommend_topk, score_fesf, score_mean, score_softmax)
+from npa.recommend import (MEAN_AGGREGATE, rank_items, recommend_topk,
+                           score_contexts, score_fesf, score_mean, score_softmax)
 
 from conftest import small_mc_config, small_sc_config
+
+
+def _rank_items_full_sort(scores, exclude=(), k=None):
+    """Reference ranking: one lexsort over every item."""
+    s = np.asarray(scores, dtype=np.float64).copy()
+    exclude = np.asarray(sorted(set(int(i) for i in exclude)), dtype=np.int64)
+    if exclude.size:
+        s[exclude] = -np.inf
+    order = np.lexsort((np.arange(s.size), -s))
+    order = order[np.isfinite(s[order])]
+    if k is not None:
+        order = order[:k]
+    return order.tolist()
+
+
+def _fesf_item_rows(contexts, embeddings, temperature=1.0):
+    """Reference fesf on the (items, contexts) logit layout."""
+    logits = (embeddings @ np.atleast_2d(contexts).T) / temperature
+    m = logits.max(axis=1, keepdims=True)
+    return np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
+
+
+def _mean_per_context(contexts, embeddings):
+    """Reference mean aggregate: one softmax per context, then the average."""
+    return np.mean([score_softmax(c, embeddings).scores for c in np.atleast_2d(contexts)],
+                   axis=0)
 
 
 def test_softmax_zero_context_uniform():
@@ -108,6 +137,73 @@ def test_mean_matches_averaging_oracle():
 def test_rank_items_ties_break_low_id():
     ranked = rank_items(np.array([1.0, 2.0, 2.0, 0.5]))
     assert ranked == [1, 2, 0, 3]
+
+
+def test_rank_items_tie_at_k_boundary_keeps_lower_id():
+    # Items 4 and 2 tie for places k and k+1; partitioning alone could keep
+    # either, the full sort keeps the lower id.
+    scores = np.array([9.0, 1.0, 5.0, 7.0, 5.0, 0.0])
+    assert rank_items(scores, k=3) == [0, 3, 2]
+    assert rank_items(scores, exclude=[3], k=2) == [0, 2]
+    assert rank_items(scores, k=3) == _rank_items_full_sort(scores, k=3)
+
+
+_score_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_rank_items_matches_full_sort(data):
+    scores = np.array(data.draw(st.lists(_score_values, min_size=1, max_size=40)))
+    n = scores.size
+    exclude = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 3))
+    k = data.draw(st.one_of(st.none(), st.integers(1, n + 3)))
+    before = scores.copy()
+    assert rank_items(scores, exclude=exclude, k=k) == _rank_items_full_sort(scores, exclude, k)
+    np.testing.assert_array_equal(scores, before)
+
+
+@pytest.mark.parametrize("temperature", [1e-3, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("heads", [1, 2, 5])
+def test_fesf_matches_item_rows_oracle(heads, temperature):
+    rng = np.random.default_rng(heads * 10 + int(temperature * 7))
+    e = rng.normal(size=(300, 16))
+    ctxs = rng.normal(size=(heads, 16))
+    got = score_fesf(ctxs, e, temperature).scores
+    expected = _fesf_item_rows(ctxs, e, temperature)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    assert np.array_equal(np.argsort(-got, kind="stable"),
+                          np.argsort(-expected, kind="stable"))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 5])
+def test_mean_matches_per_context_oracle(heads):
+    rng = np.random.default_rng(20 + heads)
+    e = rng.normal(size=(300, 16))
+    ctxs = rng.normal(size=(heads, 16))
+    got = score_mean(ctxs, e).scores
+    expected = _mean_per_context(ctxs, e)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    assert np.array_equal(np.argsort(-got, kind="stable"),
+                          np.argsort(-expected, kind="stable"))
+
+
+@pytest.mark.parametrize("cfg", [small_sc_config(), small_mc_config(mc_last_layer_heads=3)],
+                         ids=["sc", "mc"])
+def test_recommend_scores_are_the_scored_items(cfg):
+    params = init_params(cfg, seed=6)
+    basket = [2, 7, 4]
+    out = recommend_topk(basket, cfg, params, 8, rng_seed=3)
+    state = npa_model.forward(basket, cfg, params, rng_seed=3)
+    final = np.stack([ctx.data[-1] for ctx in state.contexts])
+    kind = "softmax" if final.shape[0] == 1 else "fesf"
+    vec = score_contexts(final, npa_model.output_embeddings(params).data, kind)
+    assert out.scores == vec.scores[out.item_ids].tolist()
+    assert all(type(s) is float for s in out.scores)
 
 
 def test_recommend_full_ranking_excludes_basket():
