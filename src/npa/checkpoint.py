@@ -35,6 +35,7 @@ from . import model as npa_model
 from . import recommend as rec
 from .config_io import model_config_from_kv, model_config_to_kv
 from .errors import CheckpointError
+from .tensor import Tensor
 
 MAGIC = b"NPA1"
 VERSION = 1
@@ -153,21 +154,19 @@ def load_checkpoint(path):
     """Rebuild (config, params) from a checkpoint file."""
     config_text, named = _read_container(path)
     config = model_config_from_kv(config_text)
-    params = npa_model.init_params(config, seed=0)
     table = dict(named)
-    expected = npa_model.named_parameters(params)
+    expected = npa_model.parameter_shapes(config)
     missing = [n for n, _ in expected if n not in table]
     extra = [n for n in table if n not in {n for n, _ in expected}]
     if missing or extra:
         raise CheckpointError(
             f"{path}: tensor names do not match config (missing {missing}, extra {extra})")
-    for name, tensor in expected:
-        arr = table[name]
-        if arr.shape != tensor.data.shape:
+    for name, shape in expected:
+        if table[name].shape != shape:
             raise CheckpointError(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {tensor.data.shape}")
-        tensor.data = arr.astype(np.float64)
-    return config, params
+                f"{path}: tensor {name} has shape {table[name].shape}, expected {shape}")
+    return config, npa_model.params_from_tensors(
+        config, {n: Tensor(a, requires_grad=True) for n, a in table.items()})
 
 
 def checkpoint_info(path) -> dict:

@@ -21,7 +21,12 @@ import numpy as np
 
 from .errors import DataError
 
+# Without a catalog, load_baskets names every id up to the largest one seen;
+# an id at or above this bound is rejected before that list is built.
+MAX_INFERRED_ITEMS = 1_000_000
+
 __all__ = [
+    "MAX_INFERRED_ITEMS",
     "Basket",
     "Catalog",
     "EvalInstance",
@@ -168,7 +173,8 @@ def load_baskets(path, catalog: Catalog | None = None,
 
     Malformed lines, including a basket that repeats an item, are reported
     with their line number. Without an explicit catalog, a nameless one
-    spanning the observed ids is built.
+    spanning the observed ids is built, and an id at or above
+    MAX_INFERRED_ITEMS is rejected.
     """
     baskets = []
     max_id = -1
@@ -191,6 +197,10 @@ def load_baskets(path, catalog: Catalog | None = None,
             if catalog is not None and any(i >= catalog.num_items for i in items):
                 bad = next(i for i in items if i >= catalog.num_items)
                 raise DataError(f"{path}:{ln}: item id {bad} outside catalog of {catalog.num_items}")
+            if catalog is None and max(items) >= MAX_INFERRED_ITEMS:
+                raise DataError(
+                    f"{path}:{ln}: item id {max(items)} needs a catalog of more than "
+                    f"{MAX_INFERRED_ITEMS} items; pass one with --catalog")
             seen = set()
             for i in items:
                 if i in seen:

@@ -55,6 +55,8 @@ __all__ = [
     "init_params",
     "layer_channel_plan",
     "named_parameters",
+    "parameter_shapes",
+    "params_from_tensors",
 ]
 
 
@@ -173,36 +175,72 @@ class ContextState:
 
 
 def init_params(config: ModelConfig, seed: int) -> NpaParams:
-    """Fresh parameters; embeddings and codebooks use std 1/sqrt(width)."""
+    """Fresh parameters; embeddings and codebooks use std 1/sqrt(width).
+
+    Every MC head draws a codebook, and all of them then share head 0's.
+    """
     rng = np.random.default_rng(seed)
     d = config.embedding_dim
 
     def table(rows, cols, std):
         return Tensor(rng.normal(0.0, std, size=(rows, cols)), requires_grad=True)
 
-    item_emb = table(config.num_items, d, 1.0 / np.sqrt(d))
-    out_emb = None if config.tie_output_embeddings else table(config.num_items, d, 1.0 / np.sqrt(d))
-    pos_emb = table(config.max_sequence_length, d, 0.02)
-
-    layers = []
-    shared_codebook = None
-    for channels, merges in layer_channel_plan(config):
+    tensors = {"item_embeddings": table(config.num_items, d, 1.0 / np.sqrt(d))}
+    if not config.tie_output_embeddings:
+        tensors["output_embeddings"] = table(config.num_items, d, 1.0 / np.sqrt(d))
+    tensors["positional_embeddings"] = table(config.max_sequence_length, d, 0.02)
+    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+        width = d // channels if merges else d
+        for ci in range(channels):
+            unit = vqa.init_vqa_params(rng, d, width, width, config.num_patterns)
+            tensors.update(unit.named(f"layers.{li}.channels.{ci}"))
         if merges:
-            width = d // channels
-            units = [vqa.init_vqa_params(rng, d, width, width, config.num_patterns)
-                     for _ in range(channels)]
-            merge = table(d, d, 1.0 / np.sqrt(d))
-        else:
-            # MC last layer: full-width channels around one shared codebook.
-            units = [vqa.init_vqa_params(rng, d, d, d, config.num_patterns)
-                     for _ in range(channels)]
-            shared_codebook = units[0].codebook
-            for u in units[1:]:
-                u.codebook = shared_codebook
-            merge = None
-        layers.append(LayerParams(channels=units, merge=merge))
-    return NpaParams(item_embeddings=item_emb, output_embeddings=out_emb,
-                     positional_embeddings=pos_emb, layers=layers)
+            tensors[f"layers.{li}.merge"] = table(d, d, 1.0 / np.sqrt(d))
+    return params_from_tensors(config, tensors)
+
+
+_UNIT_TENSORS = ("w_query", "w_key", "w_value", "w_pattern_key", "w_context_query")
+
+
+def parameter_shapes(config: ModelConfig):
+    """(name, shape) of every parameter, in named_parameters order."""
+    d = config.embedding_dim
+    shapes = [("item_embeddings", (config.num_items, d))]
+    if not config.tie_output_embeddings:
+        shapes.append(("output_embeddings", (config.num_items, d)))
+    shapes.append(("positional_embeddings", (config.max_sequence_length, d)))
+    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+        width = d // channels if merges else d
+        for ci in range(channels):
+            prefix = f"layers.{li}.channels.{ci}"
+            shapes += zip((f"{prefix}.{name}" for name in _UNIT_TENSORS),
+                          [(width, d)] * 3 + [(width, width)] * 2)
+            if merges or ci == 0:  # the MC last layer's heads share channel 0's codebook
+                shapes.append((f"{prefix}.codebook", (config.num_patterns, width)))
+        if merges:
+            shapes.append((f"layers.{li}.merge", (d, d)))
+    return shapes
+
+
+def params_from_tensors(config: ModelConfig, tensors) -> NpaParams:
+    """Parameters made of the given tensors, keyed by parameter_shapes names.
+
+    Every head of the MC last layer holds channel 0's codebook.
+    """
+    layers = []
+    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+        units = []
+        for ci in range(channels):
+            prefix = f"layers.{li}.channels.{ci}"
+            codebook = (units[0].codebook if units and not merges
+                        else vqa.Codebook(tensors[f"{prefix}.codebook"]))
+            units.append(vqa.VqaParams(*(tensors[f"{prefix}.{name}"] for name in _UNIT_TENSORS),
+                                       codebook=codebook))
+        layers.append(LayerParams(channels=units,
+                                  merge=tensors[f"layers.{li}.merge"] if merges else None))
+    return NpaParams(item_embeddings=tensors["item_embeddings"],
+                     output_embeddings=tensors.get("output_embeddings"),
+                     positional_embeddings=tensors["positional_embeddings"], layers=layers)
 
 
 def named_parameters(params: NpaParams):

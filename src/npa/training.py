@@ -18,14 +18,68 @@ loss max-pools it over the sampled contexts first, so with one context
 the two losses coincide identically.
 
 The max-pool only selects, so only each step's winning context gets a
-gradient. The winners are chosen on a score table computed in plain
-numpy with the arithmetic of the graph's cross-entropy, ties going to the
-lowest context, and the graph then runs the output head and its
+gradient. The winners are chosen on a graph-free score table, ties going
+to the lowest context, and the graph then runs the output head and its
 cross-entropy once, over the winners' rows. The loss is bit-identical to
 a graph over every context; the gradients agree to rounding. On the
 benchmark's MC workload (5 heads, 2,000 items, 2 vCPUs, one BLAS thread)
 this took the median training step from 273 ms to 189 ms and peak memory
 from 386 MB to 212 MB.
+
+The winners are those of the float64 table of _context_scores, which has
+the arithmetic of the graph's cross-entropy, but most are found in
+float32: _float32_scores computes the same log-softmax in float32 and a
+bound delta on each entry's distance from the float64 one. A step keeps
+its float32 winner when it leads every other context by more than twice
+the step's largest delta, which makes it the float64 winner too; every
+other step, exact ties included, is recomputed by _context_scores (two
+rows at least, since numpy multiplies a single row by a matrix-vector
+product, whose rounding can differ from the full table's). So winners,
+loss, details and gradients are those of the all-float64 selection. On
+the MC workload the float32 table costs about 26 ms of a step against
+about 50 ms in float64, 0.15% of steps are recomputed, and delta is about
+140 times the largest error seen. That took the median step from 194 ms
+to 164 ms (4,264 to 4,955 predictions/s over 10 alternated pairs of 30 s
+runs).
+
+The bound. Let u = 2^-24, d the embedding width, n the item count, c a
+context row, e_j the output embeddings, a = |c| * max_j |e_j| (Euclidean
+norms), L the float32 logits of c, m their maximum and p = L[target].
+Assumptions: numpy's float32 and float64 exp and log are within 4 ulp
+(its AVX2/AVX-512 float32 kernels are documented at 2.52 and 3.83 ulp,
+libm's at under 1; a test checks the float32 ones on the running
+machine); one float32 ulp of y is at most 2u|y|; a < 2^100, so no float32
+logit overflows; (n + d) u <= 0.01. Entries outside these get an
+infinite bound, so their steps are recomputed.
+
+1. Logits. Rounding c and e to float32 moves c.e by at most (2u + u^2) a;
+   the float32 dot product of length d adds gamma_d (1 + u)^2 a in any
+   summation order, gamma_d = d u / (1 - d u), and the float64 one its
+   own gamma_d a. Together eps <= 1.02 (d + 2) u a.
+2. L[t] - logsumexp(L) moves by at most twice the largest logit change:
+   2 eps <= 2.04 (d + 2) u a.
+3. The float32 log-softmax of L against its exact value. With
+   x_j = L_j - m, S = sum exp(x_j) in [1, n] and the softmax
+   s_j = exp(x_j) / S, -x_j <= -log s_j, so the subtraction's relative
+   error u moves S by a relative u * H(s) <= u ln n; exp adds 8u and summing non-negative terms gamma_(n-1) <=
+   1.0102 (n - 1) u. The computed sum is S (1 + r) with r <= 1.01
+   (gamma_(n-1) + 8u + 1.01 u ln n); its log is off by at most 1.011 r,
+   log's own error adds 8u (ln n + 1), adding m rounds by
+   u (|m| + ln n + 1) and the float64 difference p - lse by 2^-53
+   (|m| + |p| + ln n + 1). Together at most
+   u (1.04 n + 11 ln n + 16 + 1.01 (|m| + |p|)).
+4. The float64 table's own log-softmax error is step 3 with 2^-53 in
+   place of u, covered by a factor 1 + 2^-20. Adding the log belief
+   rounds both tables, by at most 2^-51 |score| together. Gradual
+   underflow of rounded inputs, products and exp terms adds at most
+   2^-140 (d + n) (1 + max|e|).
+
+    delta = (1 + 2^-20) (u (2.04 (d + 2) a + 1.04 n + 11 ln n + 16
+            + 1.01 (|m| + |p|)) + 2^-140 (d + n) (1 + max|e|))
+            + 2^-51 |score|
+
+Two contexts whose float32 scores differ by more than the sum of their
+deltas are ordered the same way in float64.
 
 Two data modes: temporal keeps the recorded add order and learned
 positions; any_order samples fresh random permutations of each basket
@@ -159,6 +213,74 @@ def _context_scores(state, rows, targets, emb) -> np.ndarray:
     return table
 
 
+_U32 = 2.0 ** -24  # unit roundoff of float32
+
+
+def _float32_scores(state, rows, targets, emb):
+    """_context_scores' table computed in float32, with a rounding bound.
+
+    Returns (table, bound), both (contexts, steps) float64, such that
+    |table - _context_scores(...)| <= bound wherever table is finite; an
+    infinite bound marks an entry the derivation in the module docstring
+    does not cover. The log-softmax runs in float32 in one (steps x items)
+    buffer shared by every context; picked - lse is widened to float64
+    before the log belief is added. Overflow to inf or nan raises no
+    warning here: those steps are recomputed in float64, which reports
+    its own.
+    """
+    n, d = emb.shape
+    steps = np.arange(targets.size)
+    emb32 = emb.astype(np.float32)
+    emax = np.sqrt(np.einsum("ij,ij->i", emb, emb).max())
+    logits = np.empty((targets.size, n), dtype=np.float32)
+    table = np.empty((len(state.contexts), targets.size))
+    bound = np.empty_like(table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, (ctx, logprob) in enumerate(zip(state.contexts, state.pattern_logprobs)):
+            c = ctx.data[rows]
+            np.matmul(c.astype(np.float32), emb32.T, out=logits)
+            picked = logits[steps, targets]
+            m = logits.max(axis=1, keepdims=True)
+            np.subtract(logits, m, out=logits)
+            np.exp(logits, out=logits)
+            lse = np.log(logits.sum(axis=1)) + m[:, 0]
+            np.subtract(picked, lse, out=table[h], dtype=np.float64)
+            if logprob is not None:
+                table[h] += logprob.data[rows]
+            a = np.sqrt(np.einsum("ij,ij->i", c, c)) * emax
+            size = np.abs(m[:, 0], dtype=np.float64) + np.abs(picked, dtype=np.float64)
+            delta = (1.0 + 2.0 ** -20) * (
+                _U32 * (2.04 * (d + 2) * a + 1.04 * n + 11.0 * np.log(n) + 16.0 + 1.01 * size)
+                + 2.0 ** -140 * (d + n) * (1.0 + emax)) + 2.0 ** -51 * np.abs(table[h])
+            bound[h] = np.where(a < 2.0 ** 100, delta, np.inf)
+    if (n + d) * _U32 > 0.01:
+        bound[:] = np.inf
+    return table, bound
+
+
+def _winners(state, rows, targets, emb) -> np.ndarray:
+    """Each step's best context, ties to the lowest: the float64 argmax.
+
+    Picked on the float32 table. A step whose best float32 score does not
+    lead the next by more than twice the step's largest bound is
+    recomputed by _context_scores: exact ties (gap 0), nan gaps and
+    infinite bounds included.
+    """
+    table, bound = _float32_scores(state, rows, targets, emb)
+    top = np.sort(table, axis=0)
+    refine = ~(top[-1] - top[-2] > 2.0 * bound.max(axis=0))
+    if refine.sum() == 1 and refine.size > 1:
+        # numpy multiplies a single row by a matrix-vector product, whose
+        # rounding can differ from the full table's matrix product; a second
+        # row keeps the recomputation a matrix product.
+        refine[np.argmin(refine)] = True
+    head = np.argmax(table, axis=0)
+    if refine.any():
+        sub = tuple(r[refine] for r in rows)
+        head[refine] = np.argmax(_context_scores(state, sub, targets[refine], emb), axis=0)
+    return head
+
+
 def sequence_scores(batch, config, params, rng=None, training=False,
                     use_positions=None):
     """Per-step, per-context log scores for a batch of sequences.
@@ -199,7 +321,7 @@ def _pooled_scores(batch, config, params, rng, training, use_positions,
         if not max_pool:
             raise ConfigError(
                 f"loss_ar expects a single context per step, model yields {len(state.contexts)}")
-        head = np.argmax(_context_scores(state, rows, targets, emb.data), axis=0)
+        head = _winners(state, rows, targets, emb.data)
         ctx, logprob = _stack(state.contexts), _stack(state.pattern_logprobs)
         at = (head,) + rows
     logits = T.matmul(T.gather_rows(ctx, at), T.transpose(emb))

@@ -4,12 +4,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from npa.checkpoint import (checkpoint_info, export_attention, load_checkpoint,
                             load_optimizer_sidecar, save_checkpoint,
                             save_optimizer_sidecar)
 from npa.errors import CheckpointError
-from npa.model import init_params, named_parameters, trainable_parameters
+import npa.model
+from npa.model import (ModelConfig, init_params, named_parameters, parameter_shapes,
+                       trainable_parameters)
 from npa.optim import AdamW
 from npa.training import TrainConfig, train
 
@@ -150,3 +154,77 @@ def test_export_is_deterministic(tmp_path):
     export_attention([1, 2, 3], cfg, params, a, rng_seed=11)
     export_attention([1, 2, 3], cfg, params, b, rng_seed=11)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _saved(tmp_path, cfg, seed=0):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, init_params(cfg, seed=seed))
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_flipped_bit_rejected(tmp_path, data):
+    blob = bytearray(_saved(tmp_path, small_sc_config()))
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    blob[offset] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    (tmp_path / "bad.ckpt").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "bad.ckpt")
+
+
+def test_truncation_at_every_offset_rejected(tmp_path):
+    blob = _saved(tmp_path, small_mc_config())
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(variant=st.sampled_from(["SC", "MC"]), layers=st.integers(1, 3),
+       channels=st.sampled_from([1, 2, 4]), heads=st.integers(1, 4),
+       tied=st.booleans(), use_positions=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_round_trip_random_configs(tmp_path, variant, layers, channels, heads, tied,
+                                   use_positions, seed):
+    cfg = ModelConfig(num_items=7, embedding_dim=4, num_layers=layers,
+                      channels_per_layer=[channels] * layers, num_patterns=3,
+                      variant=variant, mc_last_layer_heads=heads, max_sequence_length=5,
+                      tie_output_embeddings=tied, use_positions=use_positions)
+    params = init_params(cfg, seed=seed)
+    assert parameter_shapes(cfg) == [(n, t.shape) for n, t in named_parameters(params)]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, cfg, params)
+    loaded_cfg, loaded = load_checkpoint(path)
+    assert loaded_cfg == cfg
+    assert [n for n, _ in named_parameters(loaded)] == [n for n, _ in named_parameters(params)]
+    for (_, t1), (_, t2) in zip(named_parameters(params), named_parameters(loaded)):
+        np.testing.assert_array_equal(t1.data.astype(np.float32).astype(np.float64), t2.data)
+        assert t2.requires_grad
+
+
+@pytest.mark.parametrize("factory", [small_sc_config, small_mc_config], ids=["SC", "MC"])
+def test_load_builds_no_throwaway_model(tmp_path, monkeypatch, factory):
+    cfg = factory()
+    params = init_params(cfg, seed=11)
+    save_checkpoint(tmp_path / "m.ckpt", cfg, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint called init_params")
+
+    monkeypatch.setattr(npa.model, "init_params", refuse)
+    _, loaded = load_checkpoint(tmp_path / "m.ckpt")
+    for (_, t1), (_, t2) in zip(named_parameters(params), named_parameters(loaded)):
+        np.testing.assert_array_equal(t1.data.astype(np.float32).astype(np.float64), t2.data)
+
+
+def test_loaded_mc_heads_share_one_codebook(tmp_path):
+    cfg = small_mc_config(mc_last_layer_heads=3)
+    save_checkpoint(tmp_path / "m.ckpt", cfg, init_params(cfg, seed=12))
+    _, loaded = load_checkpoint(tmp_path / "m.ckpt")
+    heads = loaded.layers[-1].channels
+    assert all(h.codebook.entries is heads[0].codebook.entries for h in heads)
+    assert heads[0].codebook.entries is not loaded.layers[0].channels[0].codebook.entries

@@ -1,10 +1,12 @@
 """Dataset loading, splitting, evaluation instances, and the generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from npa.data import (Basket, Catalog, SynthSpec, gen_synthetic, load_baskets,
-                      load_catalog, make_eval_instances, save_baskets,
+from npa.data import (MAX_INFERRED_ITEMS, Basket, Catalog, SynthSpec, gen_synthetic,
+                      load_baskets, load_catalog, make_eval_instances, save_baskets,
                       save_catalog, split_dataset)
 from npa.errors import DataError
 
@@ -45,6 +47,31 @@ def test_load_rejects_duplicate_item_in_basket(tmp_path):
     path.write_text("b0,1,2\nb1,3,7,3\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"dup\.txt:2: duplicate item id 3$"):
         load_baskets(path)
+
+
+def test_load_rejects_huge_id_without_catalog(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("b0,1,2\nb1,3,12345678901234567890\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=r"huge\.txt:2: item id 12345678901234567890 .*--catalog"):
+            load_baskets(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_inferred_catalog_bound_is_exclusive(tmp_path):
+    path = tmp_path / "edge.txt"
+    path.write_text(f"b0,0,{MAX_INFERRED_ITEMS - 1}\n", encoding="utf-8")
+    catalog, _ = load_baskets(path)
+    assert catalog.num_items == MAX_INFERRED_ITEMS
+    path.write_text(f"b0,0,{MAX_INFERRED_ITEMS}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"item id {MAX_INFERRED_ITEMS} "):
+        load_baskets(path)
+    _, baskets = load_baskets(path, catalog=Catalog([""] * (MAX_INFERRED_ITEMS + 1)))
+    assert baskets[0].items == [0, MAX_INFERRED_ITEMS]
 
 
 def test_round_trip_thousand_baskets(tmp_path):

@@ -1,5 +1,7 @@
 """Objectives and training loop: permutations, losses, determinism, dynamics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,9 +12,10 @@ from npa.data import SynthSpec, gen_synthetic
 from npa.errors import ConfigError
 from npa.model import (forward, init_params, named_parameters, output_embeddings,
                        trainable_parameters)
-from npa.optim import AdamW
-from npa.training import (ANY_ORDER, TEMPORAL, TrainConfig, batch_loss, loss_ar,
-                          loss_mc, sample_permutation, sequence_scores, train)
+from npa.optim import AdamW, clip_grad_norm
+from npa.training import (ANY_ORDER, TEMPORAL, TrainConfig, _context_scores,
+                          _float32_scores, _winners, batch_loss, loss_ar, loss_mc,
+                          sample_permutation, sequence_scores, train)
 
 from conftest import small_mc_config, small_sc_config
 
@@ -415,3 +418,92 @@ def test_mc_graph_runs_output_head_once(heads):
     assert sum(op(n) == "cross_entropy_with_logits" for n in nodes) == 1
     assert sum(op(n) == "matmul" and any(p is emb or emb in p._parents for p in n._parents)
                for n in nodes) == 1
+
+
+def test_mc_training_losses_pinned():
+    # Three seeded MC steps with dropout, losses recorded at commit 0e9bc5b,
+    # whose winners came from the float64 table alone. A change to the
+    # objective, the winner selection or the gradients moves these bits.
+    # They also depend on the BLAS kernels: recorded with numpy 2.4's
+    # OpenBLAS on x86-64 with AVX-512.
+    cfg = small_mc_config(num_items=60, mc_last_layer_heads=3, dropout_rate=0.3,
+                          max_sequence_length=12)
+    params = init_params(cfg, seed=31)
+    opt = AdamW(trainable_parameters(params, cfg), lr=1e-2)
+    data, rng = np.random.default_rng(32), np.random.default_rng(33)
+    losses = []
+    for _ in range(3):
+        batch = [data.choice(60, size=data.integers(2, 12), replace=False).tolist()
+                 for _ in range(6)]
+        loss, _ = batch_loss(batch, cfg, params, rng=rng, training=True)
+        T.backward(loss)
+        clip_grad_norm(opt.params, 1.0)
+        opt.step()
+        opt.zero_grad()
+        losses.append(float(loss.data).hex())
+    assert losses == ["0x1.59fa5e2bb6a00p+2", "0x1.56fe920ec670bp+2",
+                      "0x1.528799f411660p+2"]
+
+
+def test_float32_exp_and_log_within_four_ulp():
+    # _float32_scores' bound assumes numpy's float32 exp and log err by at
+    # most 4 units in the last place; check it on this platform's kernels.
+    rng = np.random.default_rng(0)
+    x = np.concatenate([-rng.uniform(0, 87, 200_000), -rng.uniform(0, 1e-3, 50_000),
+                        [0.0]]).astype(np.float32)
+    y = np.concatenate([rng.uniform(1, 3, 100_000), np.exp(rng.uniform(0, 12, 100_000)),
+                        1 + rng.uniform(0, 1e-4, 50_000)]).astype(np.float32)
+    for f, v in ((np.exp, x), (np.log, y)):
+        ref = f(v.astype(np.float64))
+        ulp = np.spacing(np.abs(ref).astype(np.float32)).astype(np.float64)
+        assert (np.abs(f(v).astype(np.float64) - ref) <= 4 * ulp).all(), f.__name__
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.sampled_from([2, 20, 300]), steps=st.integers(1, 40),
+       extra_heads=st.integers(0, 2), eps=st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1e-5, 1e-3]),
+       scale=st.floats(0.05, 50.0), slack=st.sampled_from([0.0, 1e-15, 1e-9, 1e-6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_float32_winners_equal_float64_argmax_on_near_ties(n, steps, extra_heads, eps,
+                                                           scale, slack, seed):
+    # Head 1 is head 0 moved by eps along v, and its log belief cancels the
+    # score gap up to `slack`, so steps tie or nearly tie on purpose;
+    # |c| * max|e| reaches about `scale`.
+    rng = np.random.default_rng(seed)
+    d = 8
+    emb = rng.normal(size=(n, d))
+    emb /= np.linalg.norm(emb, axis=1).max()
+    c0 = rng.normal(size=(steps, d))
+    c0 *= scale / np.linalg.norm(c0, axis=1, keepdims=True)
+    v = rng.normal(size=(steps, d))
+    ctxs = [c0, c0 + eps * v] + [rng.normal(size=(steps, d)) for _ in range(extra_heads)]
+    rows, targets = (np.arange(steps),), rng.integers(0, n, size=steps)
+    bare = SimpleNamespace(contexts=[T.Tensor(c) for c in ctxs],
+                           pattern_logprobs=[None] * len(ctxs))
+    base = _context_scores(bare, rows, targets, emb)
+    beliefs = -rng.exponential(size=(len(ctxs), steps))
+    beliefs[1] = beliefs[0] + (base[0] - base[1]) + slack * rng.normal(size=steps)
+    state = SimpleNamespace(contexts=bare.contexts,
+                            pattern_logprobs=[T.Tensor(b) for b in beliefs])
+    exact = _context_scores(state, rows, targets, emb)
+    table, bound = _float32_scores(state, rows, targets, emb)
+    assert (np.abs(table - exact) <= bound).all()
+    np.testing.assert_array_equal(_winners(state, rows, targets, emb),
+                                  np.argmax(exact, axis=0))
+
+
+def test_float32_overflow_steps_fall_back_to_float64():
+    # Contexts beyond float32's range overflow the float32 table; those steps
+    # must be recomputed in float64, without a warning from the float32 pass.
+    rng = np.random.default_rng(3)
+    emb = rng.normal(size=(30, 8))
+    ctxs = [rng.normal(size=(6, 8)) for _ in range(3)]
+    ctxs[1][[1, 4]] *= 1e40
+    ctxs[2][2] *= 1e36  # float32 logits overflow, the cast does not
+    state = SimpleNamespace(contexts=[T.Tensor(c) for c in ctxs],
+                            pattern_logprobs=[None] * 3)
+    rows, targets = (np.arange(6),), rng.integers(0, 30, size=6)
+    exact = _context_scores(state, rows, targets, emb)
+    assert np.isfinite(exact).all()
+    np.testing.assert_array_equal(_winners(state, rows, targets, emb),
+                                  np.argmax(exact, axis=0))
