@@ -15,8 +15,13 @@ rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 x = Tensor(rng.normal(size=(4, 3)))
 
-hidden = T.softmax(T.matmul(x, T.transpose(w)))
-loss = T.mean(T.mul(hidden, hidden))
+
+def objective():
+    """Mean log-probability of a row softmax over x W^T."""
+    return T.mean(T.log(T.softmax(T.matmul(x, T.transpose(w)))))
+
+
+loss = objective()
 print("loss:", float(loss.data))
 
 # 2. backward() fills .grad on every tensor that asked for it.
@@ -30,9 +35,7 @@ orig = w.data[i, j]
 vals = []
 for delta in (h, -h):
     w.data[i, j] = orig + delta
-    out = T.mean(T.mul(T.softmax(T.matmul(x, T.transpose(w))),
-                       T.softmax(T.matmul(x, T.transpose(w)))))
-    vals.append(float(out.data))
+    vals.append(float(objective().data))
 w.data[i, j] = orig
 fd = (vals[0] - vals[1]) / (2 * h)
 print(f"autodiff {w.grad[i, j]:+.8f} vs finite difference {fd:+.8f}")
@@ -43,8 +46,8 @@ target = A @ np.array([0.5, -2.0])
 theta = Tensor(np.zeros((2, 1)), requires_grad=True)
 opt = AdamW([("theta", theta)], lr=0.1, weight_decay=0.0)
 for step in range(200):
-    resid = T.subtract(T.matmul(Tensor(A), theta), Tensor(target[:, None]))
-    sq = T.mean(T.mul(resid, resid))
+    resid = T.add(T.matmul(Tensor(A), theta), Tensor(-target[:, None]))
+    sq = T.scale(T.mean(T.matmul(T.transpose(resid), resid)), 1.0 / len(target))
     T.backward(sq)
     opt.step()
     opt.zero_grad()

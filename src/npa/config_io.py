@@ -20,7 +20,6 @@ __all__ = [
     "model_config_to_kv",
     "parse_config_file",
     "parse_kv_text",
-    "serialize_kv",
 ]
 
 _MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
@@ -141,6 +140,3 @@ def model_config_from_kv(text: str) -> ModelConfig:
         kwargs[key] = _typed(key, raw)
     return ModelConfig(**kwargs)
 
-
-def serialize_kv(pairs) -> str:
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"

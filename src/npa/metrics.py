@@ -25,7 +25,6 @@ from .errors import DataError
 
 CUTOFFS = (1, 5, 10, 15, 20)
 NDCG_CUTOFF = 20
-DEFAULT_LIST_LENGTH = 100
 
 POP = "POP"
 CP = "CP"
@@ -36,12 +35,10 @@ __all__ = [
     "CP",
     "CUTOFFS",
     "CountBaseline",
-    "DEFAULT_LIST_LENGTH",
     "ITEM_CF",
     "MetricReport",
     "NDCG_CUTOFF",
     "POP",
-    "baseline_scores",
     "compute_metrics",
     "format_report",
     "report_records",
@@ -170,19 +167,6 @@ class CountBaseline:
         order = np.lexsort((np.arange(s.size), -s))
         order = order[np.isfinite(s[order])]
         return order[:k].tolist()
-
-
-def baseline_scores(kind: str, train_baskets, basket) -> np.ndarray:
-    """One-shot fit-and-score; prefer CountBaseline for repeated queries."""
-    items = []
-    for b in train_baskets:
-        items.extend(b.items if hasattr(b, "items") else b)
-    basket_items = basket.items if hasattr(basket, "items") else basket
-    num_items = int(max(max(items), max(basket_items))) + 1
-    model = CountBaseline(kind, num_items).fit(train_baskets)
-    s = model.scores(basket)
-    s[sorted(set(int(i) for i in basket_items))] = -np.inf
-    return s
 
 
 def format_report(report: MetricReport) -> str:

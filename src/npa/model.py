@@ -164,14 +164,13 @@ class ContextState:
     one per last-layer channel for MC.
     pattern_logprobs aligns with contexts; an entry is the per-step log
     belief of the sampled codebook row, or None when extraction was
-    deterministic. unit_states[layer][channel] keeps every unit's
-    attention tensors for inspection and export.
+    deterministic. unit_states[layer][channel] is that unit's
+    ``vqa.UnitState``, which the attention export reads.
     """
 
     contexts: list
     pattern_logprobs: list
     unit_states: list
-    embedded: Tensor | None = None
 
 
 def init_params(config: ModelConfig, seed: int) -> NpaParams:
@@ -460,5 +459,5 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
             logprobs = [s.pattern_logprob for s in states]
 
     return ContextState(contexts=contexts, pattern_logprobs=logprobs,
-                        unit_states=unit_states, embedded=x)
+                        unit_states=unit_states)
 

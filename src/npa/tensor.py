@@ -14,11 +14,11 @@ code without the leading axis. A weight shared across the batch stays
 2-d, and its gradient is one 2-d product over the flattened rows. ``add``
 broadcasts an operand over leading axes that only the other has.
 
-The primitive set is deliberately small: matrix multiply, transpose, add,
-scale, elementwise multiply, concatenate, row softmax (optionally masked,
-always with max subtraction), log, exp, mean over an axis, sum, masked
-fill, row gather, per-row element gather, cross entropy with logits, and
-inverted dropout. It is enough to express every model in this package.
+The primitive set is exactly what the models of this package build:
+matrix multiply, transpose, add, scale, concatenate, row softmax
+(optionally masked, always with max subtraction), log, mean over an axis,
+masked fill, reshape, row gather, per-row element gather, cross entropy
+with logits, and inverted dropout.
 
 Single-threaded by contract: graph construction and backward are not
 thread safe, but tensors are immutable after the forward pass and may be
@@ -37,21 +37,15 @@ __all__ = [
     "concat",
     "cross_entropy_with_logits",
     "dropout",
-    "exp",
     "gather_rows",
     "log",
     "masked_fill",
     "matmul",
     "mean",
-    "mean_rows_canonical",
-    "mul",
     "reshape",
     "scale",
     "softmax",
-    "subtract",
-    "sum_",
     "take_per_row",
-    "tensor",
     "transpose",
 ]
 
@@ -82,31 +76,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar for the common binary ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Wrap array-like data as a Tensor."""
-    return Tensor(data, requires_grad)
 
 
 def _coerce(x) -> Tensor:
@@ -202,21 +173,6 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), back)
 
 
-def subtract(a, b) -> Tensor:
-    """Elementwise difference of two same-shape tensors."""
-    a, b = _coerce(a), _coerce(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"subtract: shapes {a.data.shape} and {b.data.shape} differ")
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    return _make(a.data - b.data, (a, b), back)
-
-
 def scale(a, s: float) -> Tensor:
     """Multiply a tensor by a python scalar."""
     a = _coerce(a)
@@ -227,21 +183,6 @@ def scale(a, s: float) -> Tensor:
             _accumulate(a, g * s)
 
     return _make(a.data * s, (a,), back)
-
-
-def mul(a, b) -> Tensor:
-    """Elementwise product of two same-shape tensors."""
-    a, b = _coerce(a), _coerce(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), back)
 
 
 def concat(parts, axis: int = 1) -> Tensor:
@@ -316,18 +257,6 @@ def log(a) -> Tensor:
     return _make(np.log(a.data), (a,), back)
 
 
-def exp(a) -> Tensor:
-    """Exponential, elementwise."""
-    a = _coerce(a)
-    out_data = np.exp(a.data)
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), back)
-
-
 def mean(a, axis=None) -> Tensor:
     """Mean over one axis, or over all entries when axis is None."""
     a = _coerce(a)
@@ -345,47 +274,6 @@ def mean(a, axis=None) -> Tensor:
                 _accumulate(a, np.expand_dims(g, axis) * np.ones_like(a.data) / n)
 
     return _make(a.data.mean(axis=axis), (a,), back)
-
-
-def mean_rows_canonical(a, idx) -> Tensor:
-    """Mean of selected rows with order-canonical summation.
-
-    Values are summed per column in sorted order, so any permutation of
-    the selected rows produces a bit-identical result. The gradient of a
-    mean is uniform over the rows, independent of summation order.
-    """
-    a = _coerce(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2 or idx.ndim != 1 or idx.size == 0:
-        raise ShapeError(f"mean_rows_canonical: got data {a.data.shape}, index {idx.shape}")
-    if idx.min() < 0 or idx.max() >= a.data.shape[0]:
-        raise ShapeError(f"mean_rows_canonical: index out of range for {a.data.shape[0]} rows")
-    rows = np.sort(a.data[idx], axis=0)
-    out_data = rows.mean(axis=0)
-
-    def back(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, np.broadcast_to(g / idx.size, (idx.size, a.data.shape[1])))
-            _accumulate(a, acc)
-
-    return _make(out_data, (a,), back)
-
-
-def sum_(a, axis=None) -> Tensor:
-    """Sum over one axis, or over all entries when axis is None."""
-    a = _coerce(a)
-    if axis is not None and axis >= a.data.ndim:
-        raise ShapeError(f"sum: axis {axis} out of range for shape {a.data.shape}")
-
-    def back(g):
-        if a.requires_grad:
-            if axis is None:
-                _accumulate(a, np.full_like(a.data, g))
-            else:
-                _accumulate(a, np.expand_dims(g, axis) * np.ones_like(a.data))
-
-    return _make(a.data.sum(axis=axis), (a,), back)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:

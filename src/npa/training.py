@@ -174,10 +174,10 @@ def _forward_rows(batch, config, params, rng, training, use_positions):
     """
     seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
     if not seqs:
-        raise ConfigError("sequence_scores: empty batch")
-    for seq in seqs:
+        raise ConfigError("empty batch")
+    for i, seq in enumerate(seqs):
         if seq.ndim != 1 or seq.size < 2:
-            raise ConfigError("sequence_scores: need at least two items")
+            raise ConfigError(f"batch sequence {i} has shape {seq.shape}; need two items or more")
     lengths = np.array([seq.size for seq in seqs])
     steps = np.arange(lengths.max())
     ids = np.zeros((len(seqs), steps.size), dtype=np.int64)
@@ -368,10 +368,9 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
     Baskets shorter than two items are dropped; every other basket is
     checked against max_sequence_length and the item-id range before the
     first step, and a failure names its index in ``baskets``. In any_order
-    mode each
-    basket contributes permutations_per_basket fresh orderings per epoch
-    and positions are skipped; temporal mode requires positions. An
-    optimizer may be passed in (e.g. to persist its moments afterwards);
+    mode each basket contributes permutations_per_basket fresh orderings
+    per epoch and positions are skipped; temporal mode requires positions.
+    An optimizer may be passed in (e.g. to persist its moments afterwards);
     by default a fresh AdamW over the model parameters is built.
     """
     if not baskets:

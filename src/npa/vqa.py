@@ -8,17 +8,14 @@ extracted pattern vector into a query over the prefix items and mixes
 their value vectors into a context vector: roughly, what the prefix is
 still missing to complete the pattern.
 
-The module exposes both the step-by-step operations on a single prefix
-(used directly in tests and for attention inspection) and a vectorized
-form that evaluates every causal prefix of a sequence in one pass.
-
-The vectorized form takes one ``(N, d)`` sequence or a ``(B, N, d)`` batch
-padded at the end to its longest sequence. Padded steps come after every
-valid step, so the causal masks already keep them out of every valid row;
-their own rows hold finite values that callers ignore. Random numbers
-(attention-dropout masks, Gumbel uniforms) are not drawn here: the caller
-draws them basket by basket and passes them in, so a batch sees the same
-draws as its baskets run one at a time.
+``unit_forward`` evaluates every causal prefix of a sequence in one pass.
+It takes one ``(N, d)`` sequence or a ``(B, N, d)`` batch padded at the
+end to its longest sequence. Padded steps come after every valid step, so
+the causal masks already keep them out of every valid row; their own rows
+hold finite values that callers ignore. Random numbers (attention-dropout
+masks, Gumbel uniforms) are not drawn here: the caller draws them basket
+by basket and passes them in, so a batch sees the same draws as its
+baskets run one at a time.
 """
 
 from __future__ import annotations
@@ -39,20 +36,14 @@ _KINDS = (GREEDY, WEIGHTED_AVERAGE, SAMPLING)
 __all__ = [
     "Codebook",
     "ExtractionStrategy",
-    "PatternBelief",
     "VqaParams",
     "UnitState",
-    "aggregate_attention",
     "causal_mask",
-    "estimate_context",
-    "extract_pattern",
     "init_vqa_params",
     "pattern_attention",
     "prefix_mean_matrix",
     "project_items",
-    "sample_pattern_index",
     "unit_forward",
-    "unit_forward_prefix",
 ]
 
 
@@ -130,28 +121,18 @@ class VqaParams:
 
 
 @dataclass
-class PatternBelief:
-    """Per-item and aggregated pattern-attention distributions."""
-
-    per_item_attention: Tensor
-    basket_attention: Tensor
-
-
-@dataclass
 class UnitState:
     """Everything a unit produced for one sequence, one row per step.
 
     For a padded batch every field gains the leading batch axis.
-    contexts[t] is the context of the prefix up to and including step t.
-    prefix_attention[t] is the pattern belief of that prefix;
-    item_attention holds the raw per-item distributions it was averaged
-    from, and context_attention[t, :t+1] the in-prefix item weights.
+    contexts[t] is the context of the prefix up to and including step t,
+    prefix_attention[t] the pattern belief of that prefix, and
+    context_attention[t, :t+1] the in-prefix item weights.
     pattern_index/pattern_logprob are set only for index-based extraction
     (greedy records indices; sampling also records log belief values).
     """
 
     contexts: Tensor
-    item_attention: Tensor
     prefix_attention: Tensor
     context_attention: Tensor
     pattern_index: np.ndarray | None = None
@@ -210,82 +191,6 @@ def pattern_attention(q, params: VqaParams, keep_mask=None) -> Tensor:
     d = q.shape[-1]
     logits = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(d))
     return T.softmax(logits, mask=keep_mask)
-
-
-def aggregate_attention(per_item_attention, mask=None) -> Tensor:
-    """Mean of the unmasked per-item distributions."""
-    a = per_item_attention if isinstance(per_item_attention, Tensor) else Tensor(per_item_attention)
-    n = a.shape[0]
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise T.ShapeError(f"aggregate_attention: mask shape {mask.shape} for {n} items")
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("aggregate_attention: empty basket prefix")
-    # Canonical summation: shuffling the rows leaves the mean bit-identical.
-    return T.mean_rows_canonical(a, idx)
-
-
-def sample_pattern_index(belief_values: np.ndarray, temperature: float,
-                         rng: np.random.Generator) -> int:
-    """Gumbel-max draw from a categorical belief; exact at temperature 1."""
-    with np.errstate(divide="ignore"):
-        logp = np.log(belief_values)
-    g = -np.log(-np.log(rng.random(belief_values.shape)))
-    return int(np.argmax(logp / temperature + g))
-
-
-def extract_pattern(belief: PatternBelief, codebook: Codebook,
-                    strategy: ExtractionStrategy,
-                    rng: np.random.Generator | None = None) -> Tensor:
-    """Pull one pattern vector out of the belief, per the strategy."""
-    abar = belief.basket_attention
-    if strategy.kind == WEIGHTED_AVERAGE:
-        row = T.reshape(abar, (1, abar.shape[0]))
-        return T.reshape(T.matmul(row, codebook.entries), (codebook.pattern_dim,))
-    if strategy.kind == GREEDY:
-        i = int(np.argmax(abar.data))
-    else:
-        if rng is None:
-            raise ValueError("sampling extraction needs a random generator")
-        i = sample_pattern_index(abar.data, strategy.gumbel_temperature, rng)
-    return T.reshape(T.gather_rows(codebook.entries, np.array([i])), (codebook.pattern_dim,))
-
-
-def estimate_context(z, keys, values, mask, params: VqaParams) -> Tensor:
-    """Context vector of a prefix given an extracted pattern z.
-
-    The pattern is projected to a query, scored against the unmasked item
-    keys (scaled by sqrt of the query width), and the resulting weights
-    mix the item value rows. Masked items get exactly zero weight.
-    """
-    n = keys.shape[0]
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("estimate_context: empty basket prefix")
-    z_row = T.reshape(z, (1, z.shape[0]))
-    rho = T.matmul(z_row, T.transpose(params.w_context_query))
-    d = rho.shape[1]
-    logits = T.scale(T.matmul(rho, T.transpose(keys)), 1.0 / np.sqrt(d))
-    weights = T.softmax(logits, mask=mask[None, :])
-    ctx = T.matmul(weights, values)
-    return T.reshape(ctx, (values.shape[1],))
-
-
-def unit_forward_prefix(item_vectors, params: VqaParams,
-                        strategy: ExtractionStrategy, mask=None,
-                        rng: np.random.Generator | None = None):
-    """Run one unit over a single prefix; returns (context, belief)."""
-    q, k, v = project_items(item_vectors, params)
-    a = pattern_attention(q, params)
-    abar = aggregate_attention(a, mask)
-    belief = PatternBelief(per_item_attention=a, basket_attention=abar)
-    z = extract_pattern(belief, params.codebook, strategy, rng)
-    return estimate_context(z, k, v, mask, params), belief
 
 
 @functools.lru_cache(maxsize=256)
@@ -351,5 +256,5 @@ def unit_forward(inputs: Tensor, params: VqaParams, strategy: ExtractionStrategy
     logits = T.scale(T.matmul(rho, T.transpose(k)), 1.0 / np.sqrt(d))
     b = T.softmax(logits, mask=causal_mask(n))
     contexts = T.matmul(b, v)
-    return UnitState(contexts=contexts, item_attention=a, prefix_attention=abar,
+    return UnitState(contexts=contexts, prefix_attention=abar,
                      context_attention=b, pattern_index=idx, pattern_logprob=logprob)

@@ -11,9 +11,8 @@ import pytest
 
 from npa.data import Basket
 from npa.errors import DataError
-from npa.metrics import (CP, CUTOFFS, ITEM_CF, POP, CountBaseline,
-                         baseline_scores, compute_metrics, format_report,
-                         report_records)
+from npa.metrics import (CP, CUTOFFS, ITEM_CF, POP, CountBaseline, compute_metrics,
+                         format_report, report_records)
 
 
 def pad(ranking, n=20, start=900):
@@ -158,13 +157,6 @@ def test_unseen_items_tallied_and_score_zero():
     s = cf.scores([4])  # item 4 never seen
     assert cf.unseen_tally == 1
     np.testing.assert_array_equal(s, np.zeros(5))
-
-
-def test_one_shot_baseline_scores_masks_basket():
-    train = [Basket("1", [0, 1]), Basket("2", [1, 2])]
-    s = baseline_scores(CP, train, [1])
-    assert s[1] == -np.inf
-    assert s[0] > 0 and s[2] > 0
 
 
 def test_report_formats():

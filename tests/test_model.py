@@ -90,10 +90,9 @@ def test_forward_degenerate_config_equals_single_unit():
     basket = [3, 1, 2]
     state = forward(basket, cfg, params)
     x = params.item_embeddings.data[basket]
-    strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
-    for t in range(len(basket)):
-        c, _ = vqa.unit_forward_prefix(x[:t + 1], params.layers[0].channels[0], strategy)
-        np.testing.assert_allclose(state.contexts[0].data[t], c.data, atol=1e-12)
+    unit = vqa.unit_forward(Tensor(x), params.layers[0].channels[0],
+                            vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
+    np.testing.assert_allclose(state.contexts[0].data, unit.contexts.data, atol=1e-12)
 
 
 def test_mc_single_head_tiny_temperature_matches_greedy():

@@ -17,12 +17,12 @@ def test_zero_grad_zero_decay_leaves_params():
 
 
 def test_single_step_descends_quadratic():
-    w = Tensor(np.array(1.0), requires_grad=True)
+    w = Tensor([[1.0]], requires_grad=True)
     opt = AdamW([("w", w)], lr=0.05, weight_decay=0.0)
-    loss = T.mul(w, w)
+    loss = T.reshape(T.matmul(w, w), ())
     T.backward(loss)
     opt.step()
-    assert abs(float(w.data)) < 1.0
+    assert abs(w.data.item()) < 1.0
 
 
 def test_least_squares_converges():
@@ -34,8 +34,8 @@ def test_least_squares_converges():
     w = Tensor(np.zeros((2, 1)), requires_grad=True)
     opt = AdamW([("w", w)], lr=0.1, weight_decay=0.0)
     for _ in range(200):
-        r = T.subtract(T.matmul(Tensor(A), w), Tensor(b[:, None]))
-        loss = T.mean(T.mul(r, r))
+        r = T.add(T.matmul(Tensor(A), w), Tensor(-b[:, None]))
+        loss = T.scale(T.mean(T.matmul(T.transpose(r), r)), 1.0 / len(b))
         T.backward(loss)
         opt.step()
         opt.zero_grad()

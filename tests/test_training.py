@@ -111,6 +111,17 @@ def test_loss_ar_rejects_multi_context_model():
         loss_ar([[1, 2]], cfg, params, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("objective", [batch_loss, loss_ar, loss_mc])
+def test_short_sequence_error_names_batch_index_not_another_function(objective):
+    cfg = small_sc_config()
+    params = init_params(cfg, seed=5)
+    for batch, message in (([[1]], "sequence 0 "), ([[1, 2], [1]], "sequence 1 "),
+                           ([], "empty batch")):
+        with pytest.raises(ConfigError, match=message) as err:
+            objective(batch, cfg, params, rng=np.random.default_rng(0))
+        assert "sequence_scores" not in str(err.value)
+
+
 def test_teacher_forcing_uses_only_past_item_features():
     cfg = small_sc_config(use_positions=True)
     params = init_params(cfg, seed=8)

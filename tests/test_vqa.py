@@ -66,116 +66,180 @@ def test_pattern_attention_matches_softmax_oracle():
     np.testing.assert_allclose(a.data, expected, atol=1e-12)
 
 
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def prefix_oracle(x, params, strategy, uniforms=None):
+    """Brute-force unit in plain numpy: every prefix x[:t+1] on its own.
+
+    Returns the per-step contexts, prefix beliefs and pattern indices (None
+    for weighted-average extraction). uniforms[t] are the Gumbel draws of
+    step t for sampling extraction.
+    """
+    codebook = params.codebook.entries.data
+    pattern_keys = codebook @ params.w_pattern_key.data.T
+    contexts, beliefs, indices = [], [], []
+    for t in range(len(x)):
+        prefix = x[:t + 1]
+        q = prefix @ params.w_query.data.T
+        k = prefix @ params.w_key.data.T
+        v = prefix @ params.w_value.data.T
+        belief = _softmax(q @ pattern_keys.T / np.sqrt(q.shape[1])).mean(axis=0)
+        if strategy.kind == vqa.WEIGHTED_AVERAGE:
+            z = belief @ codebook
+        else:
+            if strategy.kind == vqa.GREEDY:
+                index = int(np.argmax(belief))
+            else:
+                gumbel = -np.log(-np.log(uniforms[t]))
+                index = int(np.argmax(np.log(belief) / strategy.gumbel_temperature + gumbel))
+            indices.append(index)
+            z = codebook[index]
+        rho = params.w_context_query.data @ z
+        weights = _softmax(k @ rho / np.sqrt(rho.size))
+        contexts.append(v.T @ weights)
+        beliefs.append(belief)
+    return np.array(contexts), np.array(beliefs), (np.array(indices) if indices else None)
+
+
+def check_against_oracle(contexts, beliefs, index, x, params, strategy, uniforms):
+    """unit_forward's rows for one basket x against the brute-force oracle."""
+    want_contexts, want_beliefs, want_index = prefix_oracle(x, params, strategy, uniforms)
+    np.testing.assert_allclose(contexts, want_contexts, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(beliefs, want_beliefs, rtol=0, atol=1e-12)
+    if want_index is None:
+        assert index is None
+    else:
+        np.testing.assert_array_equal(index, want_index)
+
+
+STRATEGIES = [vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE), vqa.ExtractionStrategy(vqa.GREEDY),
+              vqa.ExtractionStrategy(vqa.SAMPLING, gumbel_temperature=0.7)]
+
+
 def test_aggregate_single_unmasked_row():
-    a = Tensor(np.array([[0.2, 0.8], [0.5, 0.5]]))
-    out = vqa.aggregate_attention(a, np.array([False, True]))
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
+    rng = np.random.default_rng(6)
+    params = make_params(rng)
+    x = rng.normal(size=(3, 6))
+    q, _, _ = vqa.project_items(x, params)
+    state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
+    # A one-item prefix's belief is that item's own distribution.
+    np.testing.assert_array_equal(state.prefix_attention.data[0],
+                                  vqa.pattern_attention(q, params).data[0])
 
 
 def test_aggregate_two_rows_mean():
-    a = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    out = vqa.aggregate_attention(a)
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
-
-
-def test_aggregate_permutation_invariant_bit_exact():
-    rng = np.random.default_rng(6)
-    rows = rng.dirichlet(np.ones(5), size=4)
-    base = vqa.aggregate_attention(Tensor(rows)).data
-    shuffled = vqa.aggregate_attention(Tensor(rows[[2, 0, 3, 1]])).data
-    assert np.array_equal(base, shuffled)
+    rng = np.random.default_rng(19)
+    params = make_params(rng)
+    x = rng.normal(size=(3, 6))
+    q, _, _ = vqa.project_items(x, params)
+    a = vqa.pattern_attention(q, params).data
+    state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
+    np.testing.assert_allclose(state.prefix_attention.data[1], a[:2].mean(axis=0), atol=1e-15)
 
 
 def test_aggregate_all_masked_is_error():
-    with pytest.raises(ValueError, match="empty basket prefix"):
-        vqa.aggregate_attention(Tensor(np.ones((2, 3)) / 3), np.array([False, False]))
+    rng = np.random.default_rng(23)
+    # Every prefix holds its own step, so only an empty basket has a row
+    # with nothing to average.
+    with pytest.raises(ValueError, match="non-empty item matrix"):
+        vqa.unit_forward(Tensor(np.zeros((2, 0, 6))), make_params(rng),
+                         vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
 
 
 def test_extract_one_hot_belief_all_strategies_agree():
     rng = np.random.default_rng(7)
-    params = make_params(rng)
-    belief = vqa.PatternBelief(None, Tensor(np.array([0.0, 0.0, 1.0, 0.0])))
-    z_g = vqa.extract_pattern(belief, params.codebook, vqa.ExtractionStrategy(vqa.GREEDY))
-    z_w = vqa.extract_pattern(belief, params.codebook, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
-    z_s = vqa.extract_pattern(belief, params.codebook, vqa.ExtractionStrategy(vqa.SAMPLING),
-                              rng=np.random.default_rng(0))
-    expected = params.codebook.entries.data[2]
-    np.testing.assert_array_equal(z_g.data, expected)
-    np.testing.assert_allclose(z_w.data, expected, atol=1e-15)
-    np.testing.assert_array_equal(z_s.data, expected)
+    params = make_params(rng, input_dim=4)
+    params.w_query.data = np.eye(4)
+    params.w_pattern_key.data = np.eye(4)
+    params.codebook.entries.data = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
+    # Items aligned with codebook row 2 at a large scale: every softmax
+    # saturates, so every prefix belief is exactly one-hot on row 2.
+    x = Tensor(np.tile(1e4 * params.codebook.entries.data[2], (3, 1)))
+    uniforms = rng.random((3, 4))
+    states = [vqa.unit_forward(x, params, s, uniforms=uniforms) for s in STRATEGIES]
+    np.testing.assert_array_equal(states[0].prefix_attention.data, np.tile(np.eye(4)[2], (3, 1)))
+    np.testing.assert_array_equal(states[1].pattern_index, [2, 2, 2])
+    np.testing.assert_array_equal(states[2].pattern_index, [2, 2, 2])
+    np.testing.assert_array_equal(states[1].contexts.data, states[2].contexts.data)
+    np.testing.assert_allclose(states[0].contexts.data, states[1].contexts.data, atol=1e-15)
 
 
 def test_extract_greedy_argmax():
     rng = np.random.default_rng(8)
     params = make_params(rng, num_patterns=3)
-    belief = vqa.PatternBelief(None, Tensor(np.array([0.1, 0.7, 0.2])))
-    z = vqa.extract_pattern(belief, params.codebook, vqa.ExtractionStrategy(vqa.GREEDY))
-    np.testing.assert_array_equal(z.data, params.codebook.entries.data[1])
+    x = rng.normal(size=(6, 6))
+    state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.GREEDY))
+    np.testing.assert_array_equal(state.pattern_index,
+                                  np.argmax(state.prefix_attention.data, axis=1))
+    assert state.pattern_logprob is None
 
 
 def test_extract_greedy_tie_breaks_low_index():
     rng = np.random.default_rng(9)
-    params = make_params(rng, num_patterns=3)
-    belief = vqa.PatternBelief(None, Tensor(np.array([0.4, 0.4, 0.2])))
-    z = vqa.extract_pattern(belief, params.codebook, vqa.ExtractionStrategy(vqa.GREEDY))
-    np.testing.assert_array_equal(z.data, params.codebook.entries.data[0])
+    params = make_params(rng, num_patterns=2)
+    params.codebook.entries.data[1] = params.codebook.entries.data[0]
+    state = vqa.unit_forward(Tensor(rng.normal(size=(5, 6))), params,
+                             vqa.ExtractionStrategy(vqa.GREEDY))
+    np.testing.assert_array_equal(state.prefix_attention.data, 0.5)
+    np.testing.assert_array_equal(state.pattern_index, np.zeros(5))
 
 
 def test_sampling_frequencies_match_categorical():
     rng = np.random.default_rng(10)
-    belief = np.array([0.5, 0.5])
-    draws = np.array([vqa.sample_pattern_index(belief, 1.0, rng) for _ in range(10_000)])
-    freq = (draws == 0).mean()
-    assert abs(freq - 0.5) < 0.02
+    params = make_params(rng, num_patterns=3)
+    draws = 20_000
+    # One single-item basket per draw, so every row shares one belief.
+    x = np.broadcast_to(rng.normal(size=(1, 1, 6)), (draws, 1, 6))
+    state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.SAMPLING),
+                             uniforms=rng.random((draws, 1, 3)))
+    belief = state.prefix_attention.data[0, 0]
+    freq = np.bincount(state.pattern_index[:, 0], minlength=3) / draws
+    np.testing.assert_allclose(freq, belief, atol=4 * np.sqrt(0.25 / draws))
+    np.testing.assert_allclose(state.pattern_logprob.data[:, 0],
+                               np.log(belief[state.pattern_index[:, 0]]), rtol=1e-15)
 
 
 def test_sampling_deterministic_given_seed():
-    belief = np.array([0.3, 0.3, 0.4])
-    a = [vqa.sample_pattern_index(belief, 1.0, np.random.default_rng(5)) for _ in range(3)]
-    b = [vqa.sample_pattern_index(belief, 1.0, np.random.default_rng(5)) for _ in range(3)]
-    assert a == b
+    rng = np.random.default_rng(20)
+    params = make_params(rng)
+    x = Tensor(rng.normal(size=(4, 6)))
+    strategy = vqa.ExtractionStrategy(vqa.SAMPLING)
+    a, b = (vqa.unit_forward(x, params, strategy,
+                             uniforms=np.random.default_rng(5).random((4, 4)))
+            for _ in range(2))
+    np.testing.assert_array_equal(a.pattern_index, b.pattern_index)
+    assert np.array_equal(a.contexts.data, b.contexts.data)
 
 
-def test_estimate_context_single_unmasked_returns_value_row():
+def test_sampling_needs_uniforms():
+    rng = np.random.default_rng(21)
+    with pytest.raises(ValueError, match="Gumbel uniforms"):
+        vqa.unit_forward(Tensor(rng.normal(size=(2, 6))), make_params(rng),
+                         vqa.ExtractionStrategy(vqa.SAMPLING))
+
+
+def test_first_context_is_first_value_row():
     rng = np.random.default_rng(11)
     params = make_params(rng)
     x = rng.normal(size=(3, 6))
-    _, k, v = vqa.project_items(x, params)
-    z = Tensor(rng.normal(size=4))
-    c = vqa.estimate_context(z, k, v, np.array([False, True, False]), params)
-    np.testing.assert_allclose(c.data, v.data[1], atol=1e-12)
+    _, _, v = vqa.project_items(x, params)
+    state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
+    # Step 0 sees one unmasked item, so all its context weight is on it.
+    np.testing.assert_allclose(state.contexts.data[0], v.data[0], atol=1e-12)
 
 
-def test_estimate_context_identical_keys_averages_values():
+def test_identical_keys_average_values():
     rng = np.random.default_rng(12)
     params = make_params(rng)
-    k = Tensor(np.tile(rng.normal(size=(1, 4)), (2, 1)))
-    v = Tensor(rng.normal(size=(2, 4)))
-    z = Tensor(rng.normal(size=4))
-    c = vqa.estimate_context(z, k, v, None, params)
-    np.testing.assert_allclose(c.data, v.data.mean(axis=0), atol=1e-12)
-
-
-def test_estimate_context_matches_brute_force_oracle():
-    rng = np.random.default_rng(13)
-    params = make_params(rng)
-    x = rng.normal(size=(3, 6))
-    _, k, v = vqa.project_items(x, params)
-    z = rng.normal(size=4)
-    c = vqa.estimate_context(Tensor(z), k, v, None, params)
-    rho = params.w_context_query.data @ z
-    logits = k.data @ rho / np.sqrt(4)
-    b = np.exp(logits - logits.max())
-    b /= b.sum()
-    np.testing.assert_allclose(c.data, v.data.T @ b, atol=1e-12)
-
-
-def test_estimate_context_all_masked_error():
-    rng = np.random.default_rng(14)
-    params = make_params(rng)
-    _, k, v = vqa.project_items(rng.normal(size=(2, 6)), params)
-    with pytest.raises(ValueError, match="empty basket prefix"):
-        vqa.estimate_context(Tensor(np.zeros(4)), k, v, np.array([False, False]), params)
+    params.w_key.data = np.zeros_like(params.w_key.data)
+    x = rng.normal(size=(4, 6))
+    _, _, v = vqa.project_items(x, params)
+    state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
+    means = np.cumsum(v.data, axis=0) / np.arange(1, 5)[:, None]
+    np.testing.assert_allclose(state.contexts.data, means, atol=1e-12)
 
 
 def test_unit_order_invariance_without_positions():
@@ -183,26 +247,28 @@ def test_unit_order_invariance_without_positions():
     params = make_params(rng)
     x = rng.normal(size=(5, 6))
     strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
-    c0, belief0 = vqa.unit_forward_prefix(x, params, strategy)
-    perm = rng.permutation(5)
-    c1, belief1 = vqa.unit_forward_prefix(x[perm], params, strategy)
-    np.testing.assert_allclose(belief0.basket_attention.data,
-                               belief1.basket_attention.data, atol=1e-9)
-    np.testing.assert_allclose(c0.data, c1.data, atol=1e-9)
+    s0 = vqa.unit_forward(Tensor(x), params, strategy)
+    s1 = vqa.unit_forward(Tensor(x[rng.permutation(5)]), params, strategy)
+    # The last row is the whole basket, whatever its order.
+    np.testing.assert_allclose(s0.prefix_attention.data[-1], s1.prefix_attention.data[-1],
+                               atol=1e-9)
+    np.testing.assert_allclose(s0.contexts.data[-1], s1.contexts.data[-1], atol=1e-9)
 
 
 def test_mask_soundness_bit_identical():
     rng = np.random.default_rng(16)
     params = make_params(rng)
-    x = rng.normal(size=(4, 6))
-    mask = np.array([True, True, False, True])
-    strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
-    c0, b0 = vqa.unit_forward_prefix(x, params, strategy, mask=mask)
+    x = rng.normal(size=(5, 6))
     x2 = x.copy()
-    x2[2] = rng.normal(size=6) * 100  # masked item's features
-    c1, b1 = vqa.unit_forward_prefix(x2, params, strategy, mask=mask)
-    assert np.array_equal(c0.data, c1.data)
-    assert np.array_equal(b0.basket_attention.data, b1.basket_attention.data)
+    x2[3] = rng.normal(size=6) * 100  # a later item's features
+    for strategy in STRATEGIES:
+        uniforms = rng.random((5, 4))
+        s0 = vqa.unit_forward(Tensor(x), params, strategy, uniforms=uniforms)
+        s1 = vqa.unit_forward(Tensor(x2), params, strategy, uniforms=uniforms)
+        # The causal masks keep step 3 out of every earlier row.
+        assert np.array_equal(s0.contexts.data[:3], s1.contexts.data[:3])
+        assert np.array_equal(s0.prefix_attention.data[:3], s1.prefix_attention.data[:3])
+        assert np.array_equal(s0.context_attention.data[:3], s1.context_attention.data[:3])
 
 
 def test_scale_stability_large_dims():
@@ -214,21 +280,33 @@ def test_scale_stability_large_dims():
         q, k, v = vqa.project_items(x, params)
         a = vqa.pattern_attention(q, params)
         assert np.isfinite(a.data).all()
-        c, _ = vqa.unit_forward_prefix(x, params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
-        assert np.isfinite(c.data).all()
+        state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
+        assert np.isfinite(state.contexts.data).all()
 
 
 def test_unit_forward_matches_prefix_loop():
     rng = np.random.default_rng(17)
     params = make_params(rng)
     x = rng.normal(size=(5, 6))
-    strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
-    state = vqa.unit_forward(Tensor(x), params, strategy)
-    for t in range(5):
-        c, belief = vqa.unit_forward_prefix(x[:t + 1], params, strategy)
-        np.testing.assert_allclose(state.contexts.data[t], c.data, atol=1e-12)
-        np.testing.assert_allclose(state.prefix_attention.data[t],
-                                   belief.basket_attention.data, atol=1e-12)
+    uniforms = rng.random((5, 4))
+    for strategy in STRATEGIES:
+        state = vqa.unit_forward(Tensor(x), params, strategy, uniforms=uniforms)
+        check_against_oracle(state.contexts.data, state.prefix_attention.data,
+                             state.pattern_index, x, params, strategy, uniforms)
+
+
+def test_unit_forward_padded_batch_matches_prefix_loop():
+    rng = np.random.default_rng(22)
+    params = make_params(rng)
+    lengths = [5, 2, 4, 1]
+    x = rng.normal(size=(len(lengths), 5, 6))  # padded steps hold junk
+    uniforms = rng.random((len(lengths), 5, 4))
+    for strategy in STRATEGIES:
+        batch = vqa.unit_forward(Tensor(x), params, strategy, uniforms=uniforms)
+        for b, n in enumerate(lengths):
+            index = None if batch.pattern_index is None else batch.pattern_index[b, :n]
+            check_against_oracle(batch.contexts.data[b, :n], batch.prefix_attention.data[b, :n],
+                                 index, x[b, :n], params, strategy, uniforms[b, :n])
 
 
 def test_strategy_validation():
