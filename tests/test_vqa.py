@@ -242,6 +242,21 @@ def test_identical_keys_average_values():
     np.testing.assert_allclose(state.contexts.data, means, atol=1e-12)
 
 
+def test_estimate_context_matches_brute_force_oracle():
+    rng = np.random.default_rng(13)
+    params = make_params(rng)
+    x = rng.normal(size=(3, 6))
+    _, k, v = vqa.project_items(x, params)
+    state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.GREEDY))
+    for t, index in enumerate(state.pattern_index):
+        # The context of step t attends over the prefix with the chosen pattern as query.
+        rho = params.w_context_query.data @ params.codebook.entries.data[index]
+        logits = k.data[:t + 1] @ rho / np.sqrt(4)
+        b = np.exp(logits - logits.max())
+        b /= b.sum()
+        np.testing.assert_allclose(state.contexts.data[t], v.data[:t + 1].T @ b, atol=1e-12)
+
+
 def test_unit_order_invariance_without_positions():
     rng = np.random.default_rng(15)
     params = make_params(rng)
