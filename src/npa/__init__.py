@@ -15,7 +15,7 @@ from .model import ContextState, ModelConfig, NpaParams, forward, init_params, n
 from .optim import AdamW
 from .recommend import Recommendation, recommend_topk, score_fesf, score_mean, score_softmax
 from .tensor import Tensor, backward
-from .training import LossReport, TrainConfig, loss_ar, loss_mc, train
+from .training import LossReport, TrainConfig, train
 from .vqa import Codebook, ExtractionStrategy, VqaParams
 
 __version__ = "0.1.0"
@@ -44,8 +44,6 @@ __all__ = [
     "gen_synthetic",
     "init_params",
     "load_baskets",
-    "loss_ar",
-    "loss_mc",
     "make_eval_instances",
     "named_parameters",
     "recommend_topk",

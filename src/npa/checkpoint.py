@@ -33,7 +33,7 @@ import numpy as np
 
 from . import model as npa_model
 from . import recommend as rec
-from .config_io import model_config_from_kv, model_config_to_kv
+from .config_io import config_to_kv, model_config_from_kv
 from .errors import CheckpointError
 from .tensor import Tensor
 
@@ -147,7 +147,7 @@ def _read_container(path):
 
 def save_checkpoint(path, config, params) -> None:
     named = [(n, t.data) for n, t in npa_model.named_parameters(params)]
-    _write_container(path, model_config_to_kv(config), named)
+    _write_container(path, config_to_kv(config), named)
 
 
 def load_checkpoint(path):

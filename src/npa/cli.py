@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 from . import checkpoint as ckpt
 from . import data as data_mod
@@ -20,7 +19,7 @@ from . import metrics as metrics_mod
 from . import model as model_mod
 from . import recommend as rec
 from . import training as training_mod
-from .config_io import format_value, parse_config_file
+from .config_io import config_to_kv, parse_config_file
 from .errors import CheckpointError, ConfigError, DataError
 from .optim import AdamW
 
@@ -35,12 +34,9 @@ def _parse_basket(text: str):
         raise DataError(f"basket must be comma-separated item ids, got {text!r}") from None
 
 
-def _echo_config(config, train_config=None):
-    for f in fields(type(config)):
-        print(f"config {f.name} = {format_value(f.name, getattr(config, f.name))}")
-    if train_config is not None:
-        for f in fields(type(train_config)):
-            print(f"config {f.name} = {format_value(f.name, getattr(train_config, f.name))}")
+def _echo_config(text: str):
+    for line in text.strip().splitlines():
+        print(f"config {line}")
 
 
 def _load_data(args):
@@ -92,7 +88,7 @@ def cmd_train(args) -> int:
         raise ConfigError("config file has no training keys (epochs is required)")
     if args.seed is not None:
         train_config.seed = args.seed
-    _echo_config(config, train_config)
+    _echo_config(config_to_kv(config) + config_to_kv(train_config))
     params = model_mod.init_params(config, seed=train_config.seed)
 
     def log(report):
@@ -142,7 +138,7 @@ def cmd_evaluate(args) -> int:
         if not args.ckpt:
             raise ConfigError("either --ckpt or --baseline is required")
         config, params = ckpt.load_checkpoint(args.ckpt)
-        _echo_config(config)
+        _echo_config(config_to_kv(config))
         model_mod.check_baskets([inst.inputs for inst in instances],
                                 [inst.basket_id for inst in instances], config, "evaluate")
         for i, inst in enumerate(instances):
@@ -187,8 +183,7 @@ def cmd_inspect_attention(args) -> int:
 def cmd_checkpoint_info(args) -> int:
     info = ckpt.checkpoint_info(args.ckpt)
     print(f"magic={ckpt.MAGIC.decode()} version={info['version']}")
-    for line in info["config_text"].strip().splitlines():
-        print(f"config {line}")
+    _echo_config(info["config_text"])
     for name, shape in info["tensors"]:
         dims = "x".join(str(d) for d in shape)
         print(f"tensor name={name} shape={dims}")

@@ -12,7 +12,10 @@ Metric definitions (macro-averaged over instances, binary relevance):
 The baselines are fitted on the training split only: POP ranks by global
 frequency, CP by summed co-occurrence counts with the basket, and item
 CF by summed cosine similarity between co-occurrence vectors. Items
-never seen in training score zero and are counted in a tally.
+never seen in training score zero and are counted in a tally. A
+baseline ranks with ``recommend.rank_items``, the model's own top-k:
+descending score, ties to the lower id, basket members and non-finite
+scores dropped.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .recommend import rank_items
 
 CUTOFFS = (1, 5, 10, 15, 20)
 NDCG_CUTOFF = 20
@@ -161,12 +165,8 @@ class CountBaseline:
 
     def ranked(self, basket, k: int) -> list:
         """Top-k non-members by score, ties toward the lower item id."""
-        items = set(int(i) for i in (basket.items if hasattr(basket, "items") else basket))
-        s = self.scores(basket)
-        s[sorted(items)] = -np.inf
-        order = np.lexsort((np.arange(s.size), -s))
-        order = order[np.isfinite(s[order])]
-        return order[:k].tolist()
+        items = basket.items if hasattr(basket, "items") else basket
+        return rank_items(self.scores(basket), exclude=items, k=k)
 
 
 def format_report(report: MetricReport) -> str:

@@ -262,11 +262,20 @@ def named_parameters(params: NpaParams):
 
 
 def trainable_parameters(params: NpaParams, config: ModelConfig):
-    """named_parameters minus tensors the config keeps out of the graph."""
-    named = named_parameters(params)
-    if config.use_positions:
-        return named
-    return [(n, t) for n, t in named if n != "positional_embeddings"]
+    """named_parameters minus tensors the config keeps out of the graph.
+
+    Those are the positional embeddings when use_positions is false, and,
+    when the SC last layer extracts greedily, that layer's w_query and
+    w_pattern_key: they only feed the pattern argmax, so no gradient
+    reaches them.
+    """
+    frozen = set() if config.use_positions else {"positional_embeddings"}
+    if config.variant == VARIANT_SC and config.sc_last_extraction == vqa.GREEDY:
+        last = config.num_layers - 1
+        frozen.update(f"layers.{last}.channels.{c}.{name}"
+                      for c in range(config.channels_per_layer[last])
+                      for name in ("w_query", "w_pattern_key"))
+    return [(n, t) for n, t in named_parameters(params) if n not in frozen]
 
 
 def output_embeddings(params: NpaParams) -> Tensor:

@@ -51,8 +51,6 @@ __all__ = [
 @dataclass
 class ScoreVector:
     scores: np.ndarray
-    scoring_kind: str
-    fesf_temperature: float = 1.0
 
 
 @dataclass
@@ -83,7 +81,7 @@ def score_softmax(context, embeddings) -> ScoreVector:
     logits -= logits.max()
     p = np.exp(logits)
     p /= p.sum()
-    return ScoreVector(p, SOFTMAX)
+    return ScoreVector(p)
 
 
 def score_mean(contexts, embeddings) -> ScoreVector:
@@ -96,7 +94,7 @@ def score_mean(contexts, embeddings) -> ScoreVector:
     p -= p.max(axis=1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
-    return ScoreVector(p.mean(axis=0), MEAN_AGGREGATE)
+    return ScoreVector(p.mean(axis=0))
 
 
 def score_fesf(contexts, embeddings, temperature: float = 1.0) -> ScoreVector:
@@ -116,7 +114,7 @@ def score_fesf(contexts, embeddings, temperature: float = 1.0) -> ScoreVector:
     scores = logits.sum(axis=0)
     np.log(scores, out=scores)
     scores += m
-    return ScoreVector(scores, FESF, temperature)
+    return ScoreVector(scores)
 
 
 def score_contexts(contexts, embeddings, kind: str, fesf_temperature: float = 1.0) -> ScoreVector:

@@ -13,9 +13,10 @@ one at a time with the same generator. The per-step, per-context score is
 
 where the second term is exactly zero for deterministic extraction and
 the log belief of the sampled codebook row for Gumbel-sampled contexts.
-The single-context loss averages that score over steps; the multi-context
-loss max-pools it over the sampled contexts first, so with one context
-the two losses coincide identically.
+The one objective, batch_loss, max-pools that score over a step's
+contexts and averages the result over steps; with a single context (SC,
+or MC with one head) the max-pool is the identity and the loss is the
+plain autoregressive mean.
 
 The max-pool only selects, so only each step's winning context gets a
 gradient. The winners are chosen on a graph-free score table, ties going
@@ -109,8 +110,6 @@ __all__ = [
     "TEMPORAL",
     "TrainConfig",
     "batch_loss",
-    "loss_ar",
-    "loss_mc",
     "sample_permutation",
     "sequence_scores",
     "train",
@@ -304,13 +303,14 @@ def _stack(tensors) -> Tensor:
     return T.concat([T.reshape(t, (1,) + t.shape) for t in tensors], axis=0)
 
 
-def _pooled_scores(batch, config, params, rng, training, use_positions,
-                   max_pool: bool) -> Tensor:
-    """One score per predicted step; multi-context scores are max-pooled.
+def batch_loss(batch, config, params, rng=None, training=False,
+               use_positions=None):
+    """Mean negative max-pooled score; returns (loss, per-sequence mean NLL floats).
 
-    The max-pool only selects, so each step's best context (ties to the
-    lowest) is chosen on the graph-free score table, and the graph runs
-    the output head and the cross-entropy once, over the winners' rows.
+    Each step is scored by its best context. The max-pool only selects, so
+    with several contexts each step's winner (ties to the lowest) is
+    chosen on the graph-free score table, and the graph runs the output
+    head and the cross-entropy once, over the winners' rows.
     """
     state, rows, targets = _forward_rows(batch, config, params, rng, training,
                                          use_positions)
@@ -318,44 +318,13 @@ def _pooled_scores(batch, config, params, rng, training, use_positions,
     if len(state.contexts) == 1:
         ctx, logprob, at = state.contexts[0], state.pattern_logprobs[0], rows
     else:
-        if not max_pool:
-            raise ConfigError(
-                f"loss_ar expects a single context per step, model yields {len(state.contexts)}")
         head = _winners(state, rows, targets, emb.data)
         ctx, logprob = _stack(state.contexts), _stack(state.pattern_logprobs)
         at = (head,) + rows
     logits = T.matmul(T.gather_rows(ctx, at), T.transpose(emb))
-    score = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
+    scores = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
     if logprob is not None:
-        score = T.add(score, T.gather_rows(logprob, at))
-    return score
-
-
-def loss_ar(batch, config, params, rng=None, training=False,
-            use_positions=None) -> Tensor:
-    """Mean negative per-step score over a batch, single-context models.
-
-    Applies to any model that yields exactly one context per step (SC
-    always, MC when it has a single head).
-    """
-    scores = _pooled_scores(batch, config, params, rng, training, use_positions,
-                            max_pool=False)
-    return T.scale(T.mean(scores), -1.0)
-
-
-def loss_mc(batch, config, params, rng=None, training=False,
-            use_positions=None) -> Tensor:
-    """Multi-context loss: per step, keep only the best-scoring context."""
-    scores = _pooled_scores(batch, config, params, rng, training, use_positions,
-                            max_pool=True)
-    return T.scale(T.mean(scores), -1.0)
-
-
-def batch_loss(batch, config, params, rng=None, training=False,
-               use_positions=None):
-    """Variant dispatch; returns (loss, per-sequence mean NLL floats)."""
-    scores = _pooled_scores(batch, config, params, rng, training, use_positions,
-                            max_pool=config.variant == npa_model.VARIANT_MC)
+        scores = T.add(scores, T.gather_rows(logprob, at))
     ends = np.cumsum([len(seq) - 1 for seq in batch])[:-1]
     details = [-float(np.mean(part)) for part in np.split(scores.data, ends)]
     return T.scale(T.mean(scores), -1.0), details

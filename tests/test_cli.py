@@ -1,11 +1,15 @@
 """CLI subcommands: workflows, determinism, and failure exits."""
 
 import re
+from dataclasses import fields
 
 import pytest
 
 from npa import recommend as rec
+from npa.checkpoint import checkpoint_info
 from npa.cli import main
+from npa.config_io import parse_config_file, parse_kv_text
+from npa.training import TrainConfig
 
 CONFIG_TEXT = """\
 # tiny model for CLI tests
@@ -65,6 +69,34 @@ def test_train_twice_byte_identical_checkpoints(workspace):
     opt_a = (workspace / "one.ckpt.opt").read_bytes()
     opt_b = (workspace / "two.ckpt.opt").read_bytes()
     assert opt_a == opt_b
+
+
+def test_train_echo_is_checkpoint_config_plus_training_keys(workspace, capsys):
+    self_train(workspace)
+    echoed = [ln[len("config "):] for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("config ")]
+    saved = checkpoint_info(workspace / "m.ckpt")["config_text"].splitlines()
+    assert echoed[:len(saved)] == saved
+    training = "\n".join(echoed[len(saved):])
+    assert list(parse_kv_text(training)) == [f.name for f in fields(TrainConfig)]
+    _, train_config = parse_config_file("num_items = 1\nembedding_dim = 1\nnum_layers = 1\n"
+                                        "channels_per_layer = 1\n" + training)
+    assert train_config == TrainConfig(epochs=2, batch_size=8, learning_rate=0.003,
+                                       mode="any_order", seed=7)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_train_greedy_sc_config_exits_zero(workspace, layers):
+    config = workspace / "greedy.cfg"
+    config.write_text(CONFIG_TEXT.replace("num_layers = 2", f"num_layers = {layers}")
+                      .replace("channels_per_layer = 2,2",
+                               "channels_per_layer = " + ",".join(["2"] * layers))
+                      + "sc_last_extraction = greedy\n", encoding="utf-8")
+    rc = main(["train", "--config", str(config),
+               "--data", str(workspace / "data" / "baskets.txt"),
+               "--catalog", str(workspace / "data" / "catalog.tsv"),
+               "--out", str(workspace / "greedy.ckpt")])
+    assert rc == 0
 
 
 def test_recommend_excludes_basket(workspace, capsys):

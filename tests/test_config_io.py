@@ -1,11 +1,15 @@
 """Flat key=value config parsing: typing, rejection, round-trip."""
 
-import pytest
+from dataclasses import MISSING, fields
 
-from npa.config_io import (model_config_from_kv, model_config_to_kv,
-                           parse_config_file, parse_kv_text)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from npa.config_io import config_to_kv, model_config_from_kv, parse_config_file, parse_kv_text
 from npa.errors import ConfigError
 from npa.model import ModelConfig
+from npa.training import TrainConfig
 
 
 def test_parse_comments_and_spacing():
@@ -53,7 +57,7 @@ def test_full_round_trip():
                       mc_last_layer_heads=5, dropout_rate=0.1,
                       max_sequence_length=24, tie_output_embeddings=True,
                       use_positions=False, gumbel_temperature=0.5)
-    text = model_config_to_kv(cfg)
+    text = config_to_kv(cfg)
     assert model_config_from_kv(text) == cfg
 
 
@@ -65,3 +69,51 @@ def test_optional_float_none_round_trip():
     text2 = text.replace("none", "2.5")
     _, train_cfg2 = parse_config_file(text2, num_items=5)
     assert train_cfg2.gradient_clip_norm == 2.5
+
+
+def _floats(**kw):
+    return st.floats(allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def _non_default_configs(draw):
+    """A ModelConfig and a TrainConfig with every defaulted field set off its default."""
+    channels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    model = ModelConfig(
+        num_items=draw(st.integers(1, 10**12)),
+        embedding_dim=12 * draw(st.integers(1, 100)),  # divisible by every channel count
+        num_layers=len(channels), channels_per_layer=channels,
+        num_patterns=draw(st.integers(1, 10**6).filter(lambda v: v != 64)),
+        variant="MC",
+        mc_last_layer_heads=draw(st.integers(1, 100).filter(lambda v: v != 5)),
+        dropout_rate=draw(_floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                                  exclude_max=True)),
+        max_sequence_length=draw(st.integers(1, 10**6).filter(lambda v: v != 64)),
+        tie_output_embeddings=True, use_positions=False, sc_last_extraction="greedy",
+        gumbel_temperature=draw(_floats(min_value=0.0, exclude_min=True)
+                                .filter(lambda v: v != 1.0)))
+    train = TrainConfig(
+        epochs=draw(st.integers(0, 10**6)),
+        batch_size=draw(st.integers(1, 10**6).filter(lambda v: v != 256)),
+        learning_rate=draw(_floats().filter(lambda v: v != 3e-4)),
+        permutations_per_basket=draw(st.integers(2, 100)),
+        mode="any_order",
+        seed=draw(st.integers(-2**63, 2**63).filter(lambda v: v != 0)),
+        gradient_clip_norm=draw(_floats(min_value=0.0, exclude_min=True)),
+        weight_decay=draw(_floats().filter(lambda v: v != 0.01)))
+    return model, train
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs=_non_default_configs(), data=st.data())
+def test_every_field_round_trips(configs, data):
+    model, train = configs
+    for config in configs:
+        for f in fields(config):
+            if f.default is not MISSING:
+                assert getattr(config, f.name) != f.default, f.name
+    lines = (config_to_kv(model) + config_to_kv(train)).splitlines()
+    assert [ln.split(" = ")[0] for ln in lines] == [f.name for c in configs for f in fields(c)]
+    shuffled = "\n".join(data.draw(st.permutations(lines))) + "\n"
+    assert parse_config_file(shuffled) == (model, train)
+    assert model_config_from_kv(config_to_kv(model)) == model

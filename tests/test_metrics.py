@@ -8,6 +8,8 @@ that one-time computation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npa.data import Basket
 from npa.errors import DataError
@@ -149,6 +151,27 @@ def test_baselines_never_recommend_basket_members():
         for _ in range(30):
             basket = rng.choice(30, size=4, replace=False).tolist()
             assert not set(model.ranked(basket, 10)) & set(basket)
+
+
+def _lexsort_ranked(scores, basket, k):
+    """Reference ranking: members to -inf, one lexsort, non-finite dropped."""
+    s = np.array(scores, dtype=np.float64)
+    s[sorted(set(basket))] = -np.inf
+    order = np.lexsort((np.arange(s.size), -s))
+    order = order[np.isfinite(s[order])]
+    return order[:k].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([POP, CP, ITEM_CF]),
+       num_items=st.integers(2, 25))
+def test_ranked_matches_lexsort_oracle(data, kind, num_items):
+    item = st.integers(0, num_items - 1)
+    train = data.draw(st.lists(st.lists(item, min_size=1, max_size=6), max_size=12))
+    model = CountBaseline(kind, num_items).fit(train)
+    basket = data.draw(st.lists(item, min_size=1, max_size=num_items))
+    k = data.draw(st.integers(0, num_items + 2))
+    assert model.ranked(basket, k) == _lexsort_ranked(model.scores(basket), basket, k)
 
 
 def test_unseen_items_tallied_and_score_zero():

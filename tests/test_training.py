@@ -14,7 +14,7 @@ from npa.model import (forward, init_params, named_parameters, output_embeddings
                        trainable_parameters)
 from npa.optim import AdamW, clip_grad_norm
 from npa.training import (ANY_ORDER, TEMPORAL, TrainConfig, _context_scores,
-                          _float32_scores, _winners, batch_loss, loss_ar, loss_mc,
+                          _float32_scores, _winners, batch_loss,
                           sample_permutation, sequence_scores, train)
 
 from conftest import small_mc_config, small_sc_config
@@ -41,7 +41,7 @@ def test_loss_ar_uniform_scorer_is_log_m():
     cfg = small_sc_config()
     params = init_params(cfg, seed=0)
     params.output_embeddings.data = np.zeros_like(params.output_embeddings.data)
-    loss = loss_ar([[3, 1, 2], [5, 6]], cfg, params)
+    loss, _ = batch_loss([[3, 1, 2], [5, 6]], cfg, params)
     np.testing.assert_allclose(float(loss.data), np.log(cfg.num_items), rtol=1e-12)
 
 
@@ -49,7 +49,7 @@ def test_loss_ar_two_item_basket_matches_manual_step():
     cfg = small_sc_config(use_positions=True)
     params = init_params(cfg, seed=1)
     seq = [4, 11]
-    loss = float(loss_ar([seq], cfg, params).data)
+    loss = float(batch_loss([seq], cfg, params)[0].data)
     from npa.model import forward, output_embeddings
     ctx = forward(seq, cfg, params).contexts[0].data[0]
     logits = output_embeddings(params).data @ ctx
@@ -59,20 +59,22 @@ def test_loss_ar_two_item_basket_matches_manual_step():
 
 
 def test_loss_mc_single_head_equals_loss_ar_exactly():
+    # With one head the max-pool is the identity: the loss is the
+    # autoregressive mean of the per-step scores.
     cfg = small_mc_config(mc_last_layer_heads=1)
     params = init_params(cfg, seed=2)
     batch = [[3, 1, 2], [5, 6, 1, 0]]
-    a = loss_ar(batch, cfg, params, rng=np.random.default_rng(9))
-    m = loss_mc(batch, cfg, params, rng=np.random.default_rng(9))
-    assert abs(float(a.data) - float(m.data)) <= 1e-12
+    m, _ = batch_loss(batch, cfg, params, rng=np.random.default_rng(9))
+    (scores,), _ = sequence_scores(batch, cfg, params, rng=np.random.default_rng(9))
+    assert abs(float(m.data) + scores.data.mean()) <= 1e-12
 
 
 def test_loss_mc_matches_enumeration_oracle():
     cfg = small_mc_config(mc_last_layer_heads=3)
     params = init_params(cfg, seed=3)
     batch = [[3, 1, 2, 8], [5, 6, 9]]
-    got = float(loss_mc(batch, cfg, params, rng=np.random.default_rng(4)).data)
-    # Mirror loss_mc's single rng stream across the batch, then max-pool
+    got = float(batch_loss(batch, cfg, params, rng=np.random.default_rng(4))[0].data)
+    # Mirror batch_loss's single rng stream across the batch, then max-pool
     # each sequence's per-step head table by hand.
     rng = np.random.default_rng(4)
     values = []
@@ -96,7 +98,7 @@ def test_loss_mc_dominant_head_defines_loss():
     params.layers[-1].channels[1].w_query.data *= 50.0
     batch = [[3, 1, 2, 8]]
     rng = np.random.default_rng(7)
-    got = float(loss_mc(batch, cfg, params, rng=rng).data)
+    got = float(batch_loss(batch, cfg, params, rng=rng)[0].data)
     rng = np.random.default_rng(7)
     scores, _ = sequence_scores(batch, cfg, params, rng=rng)
     table = np.stack([s.data for s in scores], axis=1)
@@ -104,14 +106,7 @@ def test_loss_mc_dominant_head_defines_loss():
     np.testing.assert_allclose(got, -table[:, 1].mean(), rtol=1e-12)
 
 
-def test_loss_ar_rejects_multi_context_model():
-    cfg = small_mc_config(mc_last_layer_heads=2)
-    params = init_params(cfg, seed=5)
-    with pytest.raises(ConfigError, match="single context"):
-        loss_ar([[1, 2]], cfg, params, rng=np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("objective", [batch_loss, loss_ar, loss_mc])
+@pytest.mark.parametrize("objective", [batch_loss, sequence_scores])
 def test_short_sequence_error_names_batch_index_not_another_function(objective):
     cfg = small_sc_config()
     params = init_params(cfg, seed=5)
@@ -145,6 +140,24 @@ def test_train_zero_epochs_leaves_parameters():
     train([[1, 2, 3], [4, 5]], cfg, params, tc)
     for n, p in named_parameters(params):
         assert np.array_equal(before[n], p.data)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_greedy_sc_trains_without_last_layer_query_and_pattern_key(layers):
+    # Greedy extraction takes an argmax, so no gradient reaches the last
+    # layer's w_query and w_pattern_key; training must leave them out.
+    cfg = small_sc_config(num_layers=layers, channels_per_layer=[2] * layers,
+                          sc_last_extraction="greedy")
+    params = init_params(cfg, seed=3)
+    before = {n: p.data.copy() for n, p in named_parameters(params)}
+    frozen = {f"layers.{layers - 1}.channels.{c}.{name}"
+              for c in range(2) for name in ("w_query", "w_pattern_key")}
+    assert {n for n, _ in trainable_parameters(params, cfg)} == set(before) - frozen
+    baskets = [np.random.default_rng(i).choice(20, size=5, replace=False).tolist()
+               for i in range(16)]
+    train(baskets, cfg, params, TrainConfig(epochs=1, batch_size=8, learning_rate=1e-2))
+    for n, p in named_parameters(params):
+        assert np.array_equal(before[n], p.data) == (n in frozen), n
 
 
 def test_train_seeded_runs_bit_identical():
