@@ -221,7 +221,7 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=0,
         f"num_patterns={config.num_patterns}",
         f"steps={len(items)}",
     ]
-    final = np.stack([ctx.data for ctx in state.contexts])  # (contexts, steps, dim)
+    final = state.values()[0]  # (contexts, steps, dim)
     if scoring_kind is None:
         scoring_kind = rec.SOFTMAX if final.shape[0] == 1 else rec.FESF
     for t in range(len(items)):

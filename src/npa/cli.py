@@ -39,6 +39,15 @@ def _echo_config(text: str):
         print(f"config {line}")
 
 
+def _load_model(args):
+    """Load --ckpt, then reject a --scoring kind its contexts cannot take."""
+    config, params = ckpt.load_checkpoint(args.ckpt)
+    if args.scoring:
+        channels, merges = model_mod.layer_channel_plan(config)[-1]
+        rec.check_scoring(args.scoring, 1 if merges else channels)
+    return config, params
+
+
 def _load_data(args):
     catalog = data_mod.load_catalog(args.catalog) if getattr(args, "catalog", None) else None
     temporal = bool(getattr(args, "temporal", False))
@@ -137,7 +146,7 @@ def cmd_evaluate(args) -> int:
     else:
         if not args.ckpt:
             raise ConfigError("either --ckpt or --baseline is required")
-        config, params = ckpt.load_checkpoint(args.ckpt)
+        config, params = _load_model(args)
         _echo_config(config_to_kv(config))
         model_mod.check_baskets([inst.inputs for inst in instances],
                                 [inst.basket_id for inst in instances], config, "evaluate")
@@ -158,7 +167,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    config, params = ckpt.load_checkpoint(args.ckpt)
+    config, params = _load_model(args)
     basket = _parse_basket(args.basket)
     out = rec.recommend_topk(basket, config, params, args.k,
                              scoring_kind=args.scoring or None,
@@ -170,7 +179,7 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_inspect_attention(args) -> int:
-    config, params = ckpt.load_checkpoint(args.ckpt)
+    config, params = _load_model(args)
     basket = _parse_basket(args.basket)
     ckpt.export_attention(basket, config, params, args.out, k=args.k,
                           rng_seed=args.seed,

@@ -152,15 +152,16 @@ class CountBaseline:
             return self.frequency.copy()
         if self.kind == CP:
             return self.cooccurrence[items].sum(axis=0)
+        seen = [i for i in items if self._norms[i] != 0]  # unseen: a zero vector
+        # One product for the whole basket; the counts are integers, so
+        # every dot product is exact and equals the symmetric matrix's
+        # column product.
+        dots = self.cooccurrence[seen] @ self.cooccurrence
         sims = np.zeros(self.num_items)
-        for i in items:
-            ni = self._norms[i]
-            if ni == 0:
-                continue  # unseen item: zero vector, contributes nothing
-            dots = self.cooccurrence @ self.cooccurrence[i]
-            denom = self._norms * ni
+        for i, row in zip(seen, dots):
+            denom = self._norms * self._norms[i]
             good = denom > 0
-            sims[good] += dots[good] / denom[good]
+            sims[good] += row[good] / denom[good]
         return sims
 
     def ranked(self, basket, k: int) -> list:

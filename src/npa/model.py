@@ -11,10 +11,13 @@ weighted average so they act as information filters.
 Two variants differ only in the last layer. The squashed-context (SC)
 variant merges its last-layer channels like any other layer and emits
 one context per step. The multi-context (MC) variant gives every
-last-layer channel the full embedding width, shares a single codebook
-across those channels, samples a pattern per channel by Gumbel-max, and
-emits one context per channel per step, with the log belief of each
-sampled pattern retained for the training objective.
+last-layer channel (head) the full embedding width, shares a single
+codebook across those heads, samples a pattern per head by Gumbel-max,
+and emits one context per head per step, with the log belief of each
+sampled pattern retained for the training objective. The heads run as
+one stacked unit (``vqa.unit_forward`` over weights stacked on a leading
+heads axis), so the MC contexts and log beliefs come out heads-first in
+one tensor each; merging layers run one unit per channel.
 
 A forward pass takes one basket, giving ``(steps, d)`` tensors, or a batch
 of baskets padded at the end to the longest one, giving ``(B, N, d)``
@@ -27,6 +30,7 @@ a basket's draws do not depend on the batch it runs in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,43 +138,78 @@ class NpaParams:
 
 @dataclass
 class LayerNoise:
-    """The random numbers one layer consumes, shaped like its rows.
+    """The random numbers one layer consumes, channels first.
 
-    keep_masks[c] is channel c's attention-dropout keep mask over codebook
-    entries and uniforms[c] its Gumbel uniforms, each (..., N, num_patterns)
-    or None when unused; merge_uniforms are the dropout draws of the merged
-    output, (..., N, embedding_dim), or None.
+    keep_masks holds the attention-dropout keep masks over codebook entries
+    and uniforms the Gumbel uniforms (MC last layer), each
+    (channels, ..., N, num_patterns) with channel c's at [c], or None when
+    unused; merge_uniforms are the dropout draws of the merged output,
+    (..., N, embedding_dim), or None.
     """
 
     dropout_rate: float
-    keep_masks: list
-    uniforms: list
+    keep_masks: np.ndarray | None = None
+    uniforms: np.ndarray | None = None
     merge_uniforms: np.ndarray | None = None
 
     def basket(self, b: int) -> "LayerNoise":
         """The draws of batch row b alone, without the batch axis."""
         def row(m):
-            return None if m is None else m[b]
-        return LayerNoise(self.dropout_rate, [row(m) for m in self.keep_masks],
-                          [row(u) for u in self.uniforms], row(self.merge_uniforms))
+            return None if m is None else m[:, b]
+        return LayerNoise(self.dropout_rate, row(self.keep_masks), row(self.uniforms),
+                          None if self.merge_uniforms is None else self.merge_uniforms[b])
 
 
 @dataclass
 class ContextState:
     """Per-step outputs of a forward pass over one basket or a padded batch.
 
-    contexts holds one (steps x embedding_dim) tensor per prediction
-    context, (B x N x embedding_dim) for a batch: a single entry for SC,
-    one per last-layer channel for MC.
-    pattern_logprobs aligns with contexts; an entry is the per-step log
-    belief of the sampled codebook row, or None when extraction was
-    deterministic. unit_states[layer][channel] is that unit's
-    ``vqa.UnitState``, which the attention export reads.
+    context holds the prediction contexts. SC has one, the last layer's
+    merged (steps x embedding_dim) output, (B x N x embedding_dim) for a
+    batch. MC has one per last-layer head, stacked heads-first as
+    (heads x ... x embedding_dim), with stacked True, and logprob holds the
+    (heads x ... x steps) log belief of each head's sampled pattern (None
+    for SC). layer_states[layer] is the per-channel list of that layer's
+    ``vqa.UnitState``; for the MC last layer it is the one stacked state.
+
+    contexts, pattern_logprobs and unit_states are per-context and
+    per-channel views, built on first access for inspection and export:
+    contexts[h] and pattern_logprobs[h] (None for deterministic
+    extraction) belong to context h, and unit_states[layer][channel] is
+    that unit's state.
     """
 
-    contexts: list
-    pattern_logprobs: list
-    unit_states: list
+    context: Tensor
+    logprob: Tensor | None
+    layer_states: list
+    stacked: bool = False
+
+    def values(self):
+        """(contexts, logprobs) as arrays with a leading contexts axis:
+        (contexts, ..., steps, embedding_dim) and (contexts, ..., steps), or
+        None for SC."""
+        if self.stacked:
+            return self.context.data, self.logprob.data
+        return self.context.data[None], None
+
+    @functools.cached_property
+    def unit_states(self) -> list:
+        if not self.stacked:
+            return self.layer_states
+        heads = self.layer_states[-1]
+        return self.layer_states[:-1] + [[heads.head(h) for h in range(self.context.shape[0])]]
+
+    @functools.cached_property
+    def contexts(self) -> list:
+        if not self.stacked:
+            return [self.context]
+        return [s.contexts for s in self.unit_states[-1]]
+
+    @functools.cached_property
+    def pattern_logprobs(self) -> list:
+        if not self.stacked:
+            return [None]
+        return [s.pattern_logprob for s in self.unit_states[-1]]
 
 
 def init_params(config: ModelConfig, seed: int) -> NpaParams:
@@ -352,7 +391,8 @@ def draw_noise(lengths, config: ModelConfig, rng: np.random.Generator,
     and then its Gumbel uniforms (MC last layer); the layer's merge-dropout
     mask comes last. That is the order of running the baskets one at a
     time, so a basket's draws do not depend on its batch. The arrays are
-    (B, N, width) with N = max(lengths); padded rows keep every entry.
+    channels first, (channels, B, N, width) with N = max(lengths); padded
+    rows keep every entry.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     shape = (lengths.size, int(lengths.max()))
@@ -360,16 +400,13 @@ def draw_noise(lengths, config: ModelConfig, rng: np.random.Generator,
     layers = []
     order = []  # the arrays in per-basket draw order
     for li, (channels, merges) in enumerate(layer_channel_plan(config)):
-        sampling = li == config.num_layers - 1 and config.variant == VARIANT_MC
-        noise = LayerNoise(dropout_rate, keep_masks=[None] * channels,
-                           uniforms=[None] * channels)
+        noise = LayerNoise(dropout_rate)
+        if dropout_rate > 0:
+            noise.keep_masks = np.ones((channels,) + shape + (p,))
+        if li == config.num_layers - 1 and config.variant == VARIANT_MC:
+            noise.uniforms = np.full((channels,) + shape + (p,), 0.5)
         for c in range(channels):
-            if dropout_rate > 0:
-                noise.keep_masks[c] = np.ones(shape + (p,))
-                order.append(noise.keep_masks[c])
-            if sampling:
-                noise.uniforms[c] = np.full(shape + (p,), 0.5)
-                order.append(noise.uniforms[c])
+            order += [m[c] for m in (noise.keep_masks, noise.uniforms) if m is not None]
         if merges and dropout_rate > 0:
             noise.merge_uniforms = np.ones(shape + (d,))
             order.append(noise.merge_uniforms)
@@ -378,11 +415,10 @@ def draw_noise(lengths, config: ModelConfig, rng: np.random.Generator,
         for draws in order:
             rng.random(out=draws[b, :n])
     for noise in layers:
-        for c, draws in enumerate(noise.keep_masks):
-            if draws is not None:
-                keep = draws >= dropout_rate
-                keep[~keep.any(axis=-1)] = True  # never empty a row
-                noise.keep_masks[c] = keep
+        if noise.keep_masks is not None:
+            keep = noise.keep_masks >= dropout_rate
+            keep[~keep.any(axis=-1)] = True  # never empty a row
+            noise.keep_masks = keep
     return layers
 
 
@@ -392,12 +428,13 @@ def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionSt
 
     Returns the merged (..., steps, embedding_dim) output and the
     per-channel unit states. noise, when given, holds the layer's dropout
-    masks and Gumbel uniforms. Only meaningful for layers that merge; MC
-    last-layer channels are run individually by forward().
+    masks. Only meaningful for layers that merge; forward() runs the MC
+    last layer's heads as one stacked unit.
     """
     if noise is None:
-        noise = LayerNoise(0.0, [None] * len(layer.channels), [None] * len(layer.channels))
-    states = [vqa.unit_forward(inputs, unit, strategy, noise.keep_masks[c], noise.uniforms[c])
+        noise = LayerNoise(0.0)
+    keep = noise.keep_masks
+    states = [vqa.unit_forward(inputs, unit, strategy, None if keep is None else keep[c])
               for c, unit in enumerate(layer.channels)]
     stacked = states[0].contexts if len(states) == 1 else T.concat([s.contexts for s in states], axis=-1)
     merged = T.matmul(stacked, T.transpose(layer.merge))
@@ -435,10 +472,9 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
         noise = [layer_noise.basket(0) for layer_noise in noise]
     prev_raw = x  # raw output of layer l-1; layer 0 is the embedding
     current_input = x
-    unit_states = []
-    plan = layer_channel_plan(config)
+    layer_states = []
 
-    for li, (channels, merges) in enumerate(plan):
+    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
         last = li == config.num_layers - 1
         if not last:
             strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
@@ -449,24 +485,16 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
             strategy = vqa.ExtractionStrategy(vqa.SAMPLING, config.gumbel_temperature)
 
         layer = params.layers[li]
-        if merges:
-            merged, states = forward_layer(current_input, layer, strategy, noise[li])
-            unit_states.append(states)
-            if not last:
-                # Residual feed: the next layer consumes C(l) + C(l-1).
-                current_input = T.add(merged, prev_raw)
-                prev_raw = merged
-            else:
-                contexts = [merged]
-                logprobs = [None]
-        else:
-            states = [vqa.unit_forward(current_input, unit, strategy,
-                                       noise[li].keep_masks[c], noise[li].uniforms[c])
-                      for c, unit in enumerate(layer.channels)]
-            unit_states.append(states)
-            contexts = [s.contexts for s in states]
-            logprobs = [s.pattern_logprob for s in states]
-
-    return ContextState(contexts=contexts, pattern_logprobs=logprobs,
-                        unit_states=unit_states)
-
+        if not merges:
+            heads = vqa.unit_forward(current_input, layer.channels, strategy,
+                                     noise[li].keep_masks, noise[li].uniforms)
+            layer_states.append(heads)
+            return ContextState(heads.contexts, heads.pattern_logprob, layer_states,
+                                stacked=True)
+        merged, states = forward_layer(current_input, layer, strategy, noise[li])
+        layer_states.append(states)
+        if not last:
+            # Residual feed: the next layer consumes C(l) + C(l-1).
+            current_input = T.add(merged, prev_raw)
+            prev_raw = merged
+    return ContextState(merged, None, layer_states)

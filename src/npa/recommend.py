@@ -39,6 +39,7 @@ __all__ = [
     "Recommendation",
     "SOFTMAX",
     "ScoreVector",
+    "check_scoring",
     "rank_items",
     "recommend_topk",
     "score_contexts",
@@ -117,14 +118,20 @@ def score_fesf(contexts, embeddings, temperature: float = 1.0) -> ScoreVector:
     return ScoreVector(scores)
 
 
-def score_contexts(contexts, embeddings, kind: str, fesf_temperature: float = 1.0) -> ScoreVector:
-    """Dispatch one of the scoring kinds over a stack of contexts."""
+def check_scoring(kind: str, contexts: int) -> None:
+    """Reject an unknown scoring kind, or one that cannot score ``contexts``
+    contexts per step."""
     if kind not in _KINDS:
         raise ConfigError(f"unknown scoring kind {kind!r}")
+    if kind == SOFTMAX and contexts != 1:
+        raise ConfigError("softmax scoring expects exactly one context")
+
+
+def score_contexts(contexts, embeddings, kind: str, fesf_temperature: float = 1.0) -> ScoreVector:
+    """Dispatch one of the scoring kinds over a stack of contexts."""
     c = _context_matrix(contexts)
+    check_scoring(kind, c.shape[0])
     if kind == SOFTMAX:
-        if c.shape[0] != 1:
-            raise ConfigError("softmax scoring expects exactly one context")
         return score_softmax(c[0], embeddings)
     if kind == MEAN_AGGREGATE:
         return score_mean(c, embeddings)
@@ -172,7 +179,7 @@ def recommend_topk(basket, config, params, k: int,
         raise ConfigError(
             f"k must be in [1, {config.num_items - len(members)}], got {k}")
     state = npa_model.forward(items, config, params, rng_seed=rng_seed)
-    final = np.stack([ctx.data[-1] for ctx in state.contexts])
+    final = state.values()[0][:, -1]  # (contexts, embedding_dim)
     if scoring_kind is None:
         scoring_kind = SOFTMAX if final.shape[0] == 1 else FESF
     emb = npa_model.output_embeddings(params).data

@@ -10,12 +10,15 @@ tensor that requires gradients, accumulating additively across uses.
 Matrix multiply, transpose, softmax, concatenate, row gather and per-row
 pick take optional leading batch axes, so a batch of padded sequences is
 one ``(B, N, d)`` tensor in one graph, and a single sequence runs the same
-code without the leading axis. A weight shared across the batch stays
-2-d, and its gradient is one 2-d product over the flattened rows. ``add``
-broadcasts an operand over leading axes that only the other has.
+code without the leading axis. Matrix multiply broadcasts leading axes as
+numpy does: stacked heads' weights ``(H, 1, k, m)`` meet a ``(B, N, k)``
+batch in one product. A weight shared across the batch stays 2-d (or one
+matrix per head), and its gradient is one product over the flattened
+rows. ``add`` broadcasts an operand over leading axes that only the other
+has.
 
 The primitive set is exactly what the models of this package build:
-matrix multiply, transpose, add, scale, concatenate, row softmax
+matrix multiply, transpose, add, scale, concatenate, stack, row softmax
 (optionally masked, always with max subtraction), log, mean over an axis,
 masked fill, reshape, row gather, per-row element gather, cross entropy
 with logits, and inverted dropout.
@@ -45,6 +48,7 @@ __all__ = [
     "reshape",
     "scale",
     "softmax",
+    "stack",
     "take_per_row",
     "transpose",
 ]
@@ -107,30 +111,63 @@ def _accumulate(t: Tensor, g, fresh: bool = False):
         t.grad += g
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes.
+def _lead(shape, axes: int):
+    """The leading axes of ``shape``, padded with 1s on the left to ``axes``."""
+    return (1,) * (axes + 2 - len(shape)) + tuple(shape[:-2])
 
-    ``a`` is ``(..., n, k)``. ``b`` is either ``(k, m)``, one matrix shared
-    by every leading index of ``a``, or ``(..., k, m)`` with exactly the
-    leading axes of ``a``.
+
+def _reduce(full, shape):
+    """Sum a gradient over the axes an operand of ``shape`` was broadcast
+    on, then view it in that shape."""
+    lead = _lead(shape, full.ndim - 2)
+    axes = tuple(i for i, n in enumerate(lead) if n == 1 and full.shape[i] != 1)
+    return (full.sum(axis=axes, keepdims=True) if axes else full).reshape(shape)
+
+
+def _right_grad(x, g, shape):
+    """Gradient of y, the right operand of x @ y, of ``shape``, given the
+    product's gradient g.
+
+    The last leading axes that y was broadcast on and x was not fold into
+    the rows of one product: a matrix shared by a batch gets one product
+    over the batch's flattened rows, per head of a stack. Any other axis y
+    was broadcast on is summed after the product.
+    """
+    if shape[:-2] == g.shape[:-2]:
+        return x.swapaxes(-1, -2) @ g
+    if len(shape) == 2 and x.shape[:-2] == g.shape[:-2]:  # the fold below, in one step
+        return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    j = g.ndim - 2
+    xl, yl = _lead(x.shape, j), _lead(shape, j)
+    while j and yl[j - 1] == 1 and xl[j - 1] == g.shape[j - 1]:
+        j -= 1
+    rows = x.reshape(xl[:j] + (-1, x.shape[-1]))
+    full = rows.swapaxes(-1, -2) @ g.reshape(g.shape[:j] + (-1, g.shape[-1]))
+    return _reduce(full, yl[:j] + shape[-2:]).reshape(shape)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast as in numpy.
+
+    ``a`` is ``(..., n, k)`` and ``b`` ``(..., k, m)``. Backward sums each
+    gradient over the axes its operand was broadcast on; a weight shared
+    by a batch gets one product over the batch's flattened rows.
     """
     a, b = _coerce(a), _coerce(b)
     x, y = a.data, b.data
-    if (x.ndim < 2 or y.ndim < 2 or x.shape[-1] != y.shape[-2]
-            or (y.ndim > 2 and y.shape[:-2] != x.shape[:-2])):
-        raise ShapeError(f"matmul: shapes {x.shape} and {y.shape} not conformable")
-    out_data = x @ y
+    try:
+        if x.ndim < 2 or y.ndim < 2:
+            raise ValueError("matmul needs two or more axes")  # numpy would take vectors
+        out_data = x @ y
+    except ValueError:
+        raise ShapeError(f"matmul: shapes {x.shape} and {y.shape} not conformable") from None
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, g @ y.swapaxes(-1, -2), fresh=True)
+            ga = g @ y.swapaxes(-1, -2)
+            _accumulate(a, ga if ga.shape == x.shape else _reduce(ga, x.shape), fresh=True)
         if b.requires_grad:
-            if y.ndim == 2:
-                # A shared matrix: one product over every row of the batch.
-                _accumulate(b, x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
-                            fresh=True)
-            else:
-                _accumulate(b, x.swapaxes(-1, -2) @ g, fresh=True)
+            _accumulate(b, _right_grad(x, g, y.shape), fresh=True)
 
     return _make(out_data, (a, b), back)
 
@@ -208,6 +245,21 @@ def concat(parts, axis: int = 1) -> Tensor:
                 _accumulate(p, g[(slice(None),) * axis + (slice(lo, hi),)])
 
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
+
+
+def stack(parts) -> Tensor:
+    """Same-shape tensors stacked along a new leading axis."""
+    parts = [_coerce(p) for p in parts]
+    if not parts or len({p.data.shape for p in parts}) != 1:
+        raise ShapeError(f"stack: need one or more same-shape operands, got "
+                         f"{[p.data.shape for p in parts]}")
+
+    def back(g):
+        for p, part in zip(parts, g):
+            if p.requires_grad:
+                _accumulate(p, part)
+
+    return _make(np.array([p.data for p in parts]), tuple(parts), back)
 
 
 def softmax(a, mask=None) -> Tensor:

@@ -21,11 +21,12 @@ plain autoregressive mean.
 The max-pool only selects, so only each step's winning context gets a
 gradient. The winners are chosen on a graph-free score table, ties going
 to the lowest context, and the graph then runs the output head and its
-cross-entropy once, over the winners' rows. The loss is bit-identical to
-a graph over every context; the gradients agree to rounding. On the
-benchmark's MC workload (5 heads, 2,000 items, 2 vCPUs, one BLAS thread)
-this took the median training step from 273 ms to 189 ms and peak memory
-from 386 MB to 212 MB.
+cross-entropy once, over the winners' rows, gathered by (head, sequence,
+step) straight from the forward pass's heads-first MC contexts. The loss
+is bit-identical to a graph over every context; the gradients agree to
+rounding. On the benchmark's MC workload (5 heads, 2,000 items, 2 vCPUs,
+one BLAS thread) this took the median training step from 273 ms to
+189 ms and peak memory from 386 MB to 212 MB.
 
 The winners are those of the float64 table of _context_scores, which has
 the arithmetic of the graph's cross-entropy, but most are found in
@@ -187,35 +188,37 @@ def _forward_rows(batch, config, params, rng, training, use_positions):
     return state, rows, ids[rows[0], rows[1] + 1]
 
 
-def _context_scores(state, rows, targets, emb) -> np.ndarray:
+def _context_scores(contexts, logprobs, rows, targets, emb) -> np.ndarray:
     """(contexts, steps) table of per-step scores, in plain numpy.
 
-    Entry [h, i] is log p(targets[i] | context h) plus the log belief of
-    context h's sampled pattern. The arithmetic is that of
+    contexts is the (contexts, ..., N, d) array of ContextState.values()
+    and logprobs its (contexts, ..., N) log beliefs or None. Entry [h, i]
+    is log p(targets[i] | context h) plus the log belief of context h's
+    sampled pattern at rows[i]. The arithmetic is that of
     T.cross_entropy_with_logits, so every entry equals the score a graph
     would compute, bit for bit; one (steps x items) buffer serves every
     context.
     """
     steps = np.arange(targets.size)
     logits = np.empty((targets.size, emb.shape[0]))
-    table = np.empty((len(state.contexts), targets.size))
-    for h, (ctx, logprob) in enumerate(zip(state.contexts, state.pattern_logprobs)):
-        np.matmul(ctx.data[rows], emb.T, out=logits)
+    table = np.empty((len(contexts), targets.size))
+    for h, ctx in enumerate(contexts):
+        np.matmul(ctx[rows], emb.T, out=logits)
         picked = logits[steps, targets]
         m = logits.max(axis=1, keepdims=True)
         np.subtract(logits, m, out=logits)
         np.exp(logits, out=logits)
         lse = np.log(logits.sum(axis=1)) + m[:, 0]
         np.subtract(picked, lse, out=table[h])
-        if logprob is not None:
-            table[h] += logprob.data[rows]
+        if logprobs is not None:
+            table[h] += logprobs[h][rows]
     return table
 
 
 _U32 = 2.0 ** -24  # unit roundoff of float32
 
 
-def _float32_scores(state, rows, targets, emb):
+def _float32_scores(contexts, logprobs, rows, targets, emb):
     """_context_scores' table computed in float32, with a rounding bound.
 
     Returns (table, bound), both (contexts, steps) float64, such that
@@ -232,11 +235,11 @@ def _float32_scores(state, rows, targets, emb):
     emb32 = emb.astype(np.float32)
     emax = np.sqrt(np.einsum("ij,ij->i", emb, emb).max())
     logits = np.empty((targets.size, n), dtype=np.float32)
-    table = np.empty((len(state.contexts), targets.size))
+    table = np.empty((len(contexts), targets.size))
     bound = np.empty_like(table)
     with np.errstate(over="ignore", invalid="ignore"):
-        for h, (ctx, logprob) in enumerate(zip(state.contexts, state.pattern_logprobs)):
-            c = ctx.data[rows]
+        for h, ctx in enumerate(contexts):
+            c = ctx[rows]
             np.matmul(c.astype(np.float32), emb32.T, out=logits)
             picked = logits[steps, targets]
             m = logits.max(axis=1, keepdims=True)
@@ -244,8 +247,8 @@ def _float32_scores(state, rows, targets, emb):
             np.exp(logits, out=logits)
             lse = np.log(logits.sum(axis=1)) + m[:, 0]
             np.subtract(picked, lse, out=table[h], dtype=np.float64)
-            if logprob is not None:
-                table[h] += logprob.data[rows]
+            if logprobs is not None:
+                table[h] += logprobs[h][rows]
             a = np.sqrt(np.einsum("ij,ij->i", c, c)) * emax
             size = np.abs(m[:, 0], dtype=np.float64) + np.abs(picked, dtype=np.float64)
             delta = (1.0 + 2.0 ** -20) * (
@@ -257,7 +260,7 @@ def _float32_scores(state, rows, targets, emb):
     return table, bound
 
 
-def _winners(state, rows, targets, emb) -> np.ndarray:
+def _winners(contexts, logprobs, rows, targets, emb) -> np.ndarray:
     """Each step's best context, ties to the lowest: the float64 argmax.
 
     Picked on the float32 table. A step whose best float32 score does not
@@ -265,7 +268,7 @@ def _winners(state, rows, targets, emb) -> np.ndarray:
     recomputed by _context_scores: exact ties (gap 0), nan gaps and
     infinite bounds included.
     """
-    table, bound = _float32_scores(state, rows, targets, emb)
+    table, bound = _float32_scores(contexts, logprobs, rows, targets, emb)
     top = np.sort(table, axis=0)
     refine = ~(top[-1] - top[-2] > 2.0 * bound.max(axis=0))
     if refine.sum() == 1 and refine.size > 1:
@@ -276,7 +279,8 @@ def _winners(state, rows, targets, emb) -> np.ndarray:
     head = np.argmax(table, axis=0)
     if refine.any():
         sub = tuple(r[refine] for r in rows)
-        head[refine] = np.argmax(_context_scores(state, sub, targets[refine], emb), axis=0)
+        head[refine] = np.argmax(
+            _context_scores(contexts, logprobs, sub, targets[refine], emb), axis=0)
     return head
 
 
@@ -293,14 +297,9 @@ def sequence_scores(batch, config, params, rng=None, training=False,
     """
     state, rows, targets = _forward_rows(batch, config, params, rng, training,
                                          use_positions)
-    table = _context_scores(state, rows, targets,
+    table = _context_scores(*state.values(), rows, targets,
                             npa_model.output_embeddings(params).data)
     return [Tensor(s) for s in table], state
-
-
-def _stack(tensors) -> Tensor:
-    """Same-shape tensors stacked along a new leading axis."""
-    return T.concat([T.reshape(t, (1,) + t.shape) for t in tensors], axis=0)
 
 
 def batch_loss(batch, config, params, rng=None, training=False,
@@ -310,21 +309,22 @@ def batch_loss(batch, config, params, rng=None, training=False,
     Each step is scored by its best context. The max-pool only selects, so
     with several contexts each step's winner (ties to the lowest) is
     chosen on the graph-free score table, and the graph runs the output
-    head and the cross-entropy once, over the winners' rows.
+    head and the cross-entropy once, over the winners' rows of the stacked
+    contexts.
     """
     state, rows, targets = _forward_rows(batch, config, params, rng, training,
                                          use_positions)
     emb = npa_model.output_embeddings(params)
-    if len(state.contexts) == 1:
-        ctx, logprob, at = state.contexts[0], state.pattern_logprobs[0], rows
-    else:
-        head = _winners(state, rows, targets, emb.data)
-        ctx, logprob = _stack(state.contexts), _stack(state.pattern_logprobs)
+    at = rows
+    if state.stacked:
+        head = np.zeros(targets.size, dtype=np.int64)
+        if state.context.shape[0] > 1:
+            head = _winners(*state.values(), rows, targets, emb.data)
         at = (head,) + rows
-    logits = T.matmul(T.gather_rows(ctx, at), T.transpose(emb))
+    logits = T.matmul(T.gather_rows(state.context, at), T.transpose(emb))
     scores = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
-    if logprob is not None:
-        scores = T.add(scores, T.gather_rows(logprob, at))
+    if state.logprob is not None:
+        scores = T.add(scores, T.gather_rows(state.logprob, at))
     ends = np.cumsum([len(seq) - 1 for seq in batch])[:-1]
     details = [-float(np.mean(part)) for part in np.split(scores.data, ends)]
     return T.scale(T.mean(scores), -1.0), details

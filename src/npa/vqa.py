@@ -12,7 +12,11 @@ still missing to complete the pattern.
 It takes one ``(N, d)`` sequence or a ``(B, N, d)`` batch padded at the
 end to its longest sequence. Padded steps come after every valid step, so
 the causal masks already keep them out of every valid row; their own rows
-hold finite values that callers ignore. Random numbers (attention-dropout
+hold finite values that callers ignore. It also takes a list of
+equal-shaped heads sharing one codebook in place of one unit's
+parameters: their weights are stacked on a leading heads axis, and every
+output gains that axis in front, one graph for all heads whose per-head
+values are those of each head run alone. Random numbers (attention-dropout
 masks, Gumbel uniforms) are not drawn here: the caller draws them basket
 by basket and passes them in, so a batch sees the same draws as its
 baskets run one at a time.
@@ -124,7 +128,8 @@ class VqaParams:
 class UnitState:
     """Everything a unit produced for one sequence, one row per step.
 
-    For a padded batch every field gains the leading batch axis.
+    For a padded batch every field gains the leading batch axis, and for
+    stacked heads a heads axis before it; ``head(h)`` is head h's state.
     contexts[t] is the context of the prefix up to and including step t,
     prefix_attention[t] the pattern belief of that prefix, and
     context_attention[t, :t+1] the in-prefix item weights.
@@ -137,6 +142,15 @@ class UnitState:
     context_attention: Tensor
     pattern_index: np.ndarray | None = None
     pattern_logprob: Tensor | None = None
+
+    def head(self, h: int) -> "UnitState":
+        """Head h of a stacked heads' state, as that head alone gives it."""
+        def pick(t):
+            return None if t is None else T.gather_rows(t, h)
+        return UnitState(pick(self.contexts), pick(self.prefix_attention),
+                         pick(self.context_attention),
+                         None if self.pattern_index is None else self.pattern_index[h],
+                         pick(self.pattern_logprob))
 
 
 def init_vqa_params(rng: np.random.Generator, input_dim: int, attn_dim: int,
@@ -163,31 +177,56 @@ def init_vqa_params(rng: np.random.Generator, input_dim: int, attn_dim: int,
     )
 
 
-def project_items(item_vectors, params: VqaParams):
+def _weight(params, name: str, batch: int) -> Tensor:
+    """A projection of one unit, or the heads' projections stacked heads-first.
+
+    A stack gets ``batch`` unit axes after the heads axis, so it broadcasts
+    against operands with that many batch axes; every head's weight still
+    receives its own gradient.
+    """
+    if isinstance(params, VqaParams):
+        return getattr(params, name)
+    w = T.stack([getattr(p, name) for p in params])
+    return T.reshape(w, w.shape[:1] + (1,) * batch + w.shape[1:]) if batch else w
+
+
+def _codebook(params) -> Tensor:
+    if isinstance(params, VqaParams):
+        return params.codebook.entries
+    if any(p.codebook.entries is not params[0].codebook.entries for p in params):
+        raise ValueError("stacked heads must share one codebook")
+    return params[0].codebook.entries
+
+
+def project_items(item_vectors, params):
     """Per-item query, key, and value rows: X W_q^T, X W_k^T, X W_v^T.
 
-    X is an ``(N, d)`` item matrix or a ``(B, N, d)`` batch of them.
+    X is an ``(N, d)`` item matrix or a ``(B, N, d)`` batch of them; params
+    is one unit's VqaParams or a list of heads, whose rows come out
+    heads-first.
     """
     x = item_vectors if isinstance(item_vectors, Tensor) else Tensor(item_vectors)
     if x.data.ndim not in (2, 3) or x.shape[-2] == 0:
         raise T.ShapeError(f"project_items: expected non-empty item matrix, got {x.data.shape}")
-    q = T.matmul(x, T.transpose(params.w_query))
-    k = T.matmul(x, T.transpose(params.w_key))
-    v = T.matmul(x, T.transpose(params.w_value))
-    return q, k, v
+    batch = x.data.ndim - 2
+    return tuple(T.matmul(x, T.transpose(_weight(params, name, batch)))
+                 for name in ("w_query", "w_key", "w_value"))
 
 
-def pattern_attention(q, params: VqaParams, keep_mask=None) -> Tensor:
+def pattern_attention(q, params, keep_mask=None) -> Tensor:
     """Distribution over codebook entries for every item row of q (any
-    leading axes).
+    leading axes; heads-first when params is a list of heads).
 
     keep_mask, when given, drops codebook entries out of each row's
     softmax (the renormalizing form of attention dropout), so the output
     rows remain proper distributions.
     """
-    if params.codebook.num_patterns == 0:
+    codebook = _codebook(params)
+    if codebook.shape[0] == 0:
         raise T.ShapeError("pattern_attention: empty codebook")
-    keys = T.matmul(params.codebook.entries, T.transpose(params.w_pattern_key))
+    # Heads' q is (H, ..., N, d): its batch axes are all but the first and last two.
+    w = _weight(params, "w_pattern_key", q.data.ndim - 3)
+    keys = T.matmul(codebook, T.transpose(w))
     d = q.shape[-1]
     logits = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(d))
     return T.softmax(logits, mask=keep_mask)
@@ -209,35 +248,37 @@ def causal_mask(n: int) -> np.ndarray:
     return m
 
 
-def unit_forward(inputs: Tensor, params: VqaParams, strategy: ExtractionStrategy,
+def unit_forward(inputs: Tensor, params, strategy: ExtractionStrategy,
                  keep_mask: np.ndarray | None = None,
                  uniforms: np.ndarray | None = None) -> UnitState:
     """Evaluate the unit on every causal prefix of a sequence at once.
 
-    inputs is ``(N, d)`` or a padded ``(B, N, d)`` batch. Row t of every
-    output concerns the prefix of steps 0..t. The prefix pattern belief is
-    the running mean of the per-item distributions; the context attention
-    row t is masked to items <= t.
+    inputs is ``(N, d)`` or a padded ``(B, N, d)`` batch. params is one
+    unit's VqaParams, or a list of equal-shaped heads sharing one codebook,
+    which run as one stacked unit: every output then has a leading heads
+    axis, and head h's slice equals what head h alone gives. Row t of
+    every output concerns the prefix of steps 0..t. The prefix pattern
+    belief is the running mean of the per-item distributions; the context
+    attention row t is masked to items <= t.
 
-    keep_mask, shaped ``(..., N, num_patterns)``, is the attention dropout
-    of training: False drops a codebook entry out of that item's softmax,
-    and the rows renormalize so beliefs stay distributions. uniforms, of
-    the same shape, are the draws in (0, 1) that sampling extraction turns
-    into Gumbel noise; sampling needs them.
+    keep_mask, shaped like the pattern beliefs, ``([H,] ..., N,
+    num_patterns)``, is the attention dropout of training: False drops a
+    codebook entry out of that item's softmax, and the rows renormalize so
+    beliefs stay distributions. uniforms, of the same shape, are the draws
+    in (0, 1) that sampling extraction turns into Gumbel noise; sampling
+    needs them.
     """
     n = inputs.shape[-2]
-    lead = inputs.shape[:-2]
+    batch = len(inputs.shape) - 2
     q, k, v = project_items(inputs, params)
     a = pattern_attention(q, params, keep_mask=keep_mask)
-    means = prefix_mean_matrix(n)
-    if lead:
-        means = np.broadcast_to(means, lead + (n, n))
-    abar = T.matmul(Tensor(means), a)
+    abar = T.matmul(Tensor(prefix_mean_matrix(n)), a)
+    codebook = _codebook(params)
 
     idx = None
     logprob = None
     if strategy.kind == WEIGHTED_AVERAGE:
-        z = T.matmul(abar, params.codebook.entries)
+        z = T.matmul(abar, codebook)
     else:
         if strategy.kind == GREEDY:
             idx = np.argmax(abar.data, axis=-1)
@@ -249,9 +290,9 @@ def unit_forward(inputs: Tensor, params: VqaParams, strategy: ExtractionStrategy
             g = -np.log(-np.log(uniforms))
             idx = np.argmax(logp / strategy.gumbel_temperature + g, axis=-1)
             logprob = T.log(T.take_per_row(abar, idx))
-        z = T.gather_rows(params.codebook.entries, idx)
+        z = T.gather_rows(codebook, idx)
 
-    rho = T.matmul(z, T.transpose(params.w_context_query))
+    rho = T.matmul(z, T.transpose(_weight(params, "w_context_query", batch)))
     d = rho.shape[-1]
     logits = T.scale(T.matmul(rho, T.transpose(k)), 1.0 / np.sqrt(d))
     b = T.softmax(logits, mask=causal_mask(n))

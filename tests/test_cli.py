@@ -5,10 +5,12 @@ from dataclasses import fields
 
 import pytest
 
+from npa import model as model_mod
 from npa import recommend as rec
-from npa.checkpoint import checkpoint_info
+from npa.checkpoint import checkpoint_info, save_checkpoint
 from npa.cli import main
 from npa.config_io import parse_config_file, parse_kv_text
+from npa.model import ModelConfig, init_params
 from npa.training import TrainConfig
 
 CONFIG_TEXT = """\
@@ -210,6 +212,30 @@ def test_evaluate_rejects_bad_instance_before_any_query(workspace, capsys, monke
     assert rc == 1
     assert re.search(f"evaluate: basket bad7: {message}", capsys.readouterr().err)
     assert not calls
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend", "inspect-attention"])
+def test_softmax_on_multi_context_checkpoint_fails_before_work(workspace, capsys,
+                                                               monkeypatch, command):
+    config = ModelConfig(num_items=32, embedding_dim=8, num_layers=2, channels_per_layer=[2, 2],
+                         num_patterns=8, variant="MC", mc_last_layer_heads=3,
+                         max_sequence_length=12)
+    path = workspace / "mc.ckpt"
+    save_checkpoint(path, config, init_params(config, seed=1))
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("model.forward ran")
+
+    monkeypatch.setattr(model_mod, "forward", no_forward)
+    args = {"evaluate": ["--data", str(workspace / "data" / "baskets.txt"), "--k", "20"],
+            "recommend": ["--basket", "1,2"],
+            "inspect-attention": ["--basket", "1,2", "--out", str(workspace / "att.txt")]}
+    rc = main([command, "--ckpt", str(path), "--scoring", "softmax"] + args[command])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: softmax scoring expects exactly one context\n"
+    assert "config" not in captured.out
+    assert not (workspace / "att.txt").exists()
 
 
 def test_evaluate_rejects_duplicate_item_with_file_and_line(workspace, capsys):

@@ -174,6 +174,32 @@ def test_ranked_matches_lexsort_oracle(data, kind, num_items):
     assert model.ranked(basket, k) == _lexsort_ranked(model.scores(basket), basket, k)
 
 
+def _itemcf_per_item(model, basket):
+    """ItemCF scores the way the baseline once computed them: one
+    (items x items) by items product per basket item."""
+    co = model.cooccurrence
+    norms = np.sqrt((co * co).sum(axis=1))
+    sims = np.zeros(model.num_items)
+    for i in basket:
+        if norms[i] == 0:
+            continue
+        dots = co @ co[i]
+        denom = norms * norms[i]
+        good = denom > 0
+        sims[good] += dots[good] / denom[good]
+    return sims
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), num_items=st.integers(1, 40))
+def test_itemcf_scores_equal_per_item_loop(data, num_items):
+    item = st.integers(0, num_items - 1)
+    train = data.draw(st.lists(st.lists(item, min_size=1, max_size=8), max_size=40))
+    model = CountBaseline(ITEM_CF, num_items).fit(train)
+    basket = data.draw(st.lists(item, max_size=num_items))
+    assert np.array_equal(model.scores(basket), _itemcf_per_item(model, basket))
+
+
 def test_unseen_items_tallied_and_score_zero():
     train = [Basket("1", [0, 1]), Basket("2", [0, 1])]
     cf = CountBaseline(ITEM_CF, 5).fit(train)

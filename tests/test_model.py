@@ -1,13 +1,15 @@
 """Model composition: embedding, layers, variants, causality, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from npa import tensor as T
 from npa import vqa
 from npa.errors import ConfigError
-from npa.model import (embed_inputs, forward, forward_layer,
-                       init_params, named_parameters, trainable_parameters)
+from npa.model import (draw_noise, embed_inputs, forward, forward_layer, init_params,
+                       layer_channel_plan, named_parameters, trainable_parameters)
 from npa.tensor import Tensor
 from npa.training import batch_loss
 
@@ -219,3 +221,113 @@ def test_tied_output_embeddings_share_table():
     # Gradient reaches the single table through both the input and the
     # scoring path.
     assert np.abs(params.item_embeddings.grad).sum() > 0
+
+
+def _heads(rng, count, d=8, patterns=6):
+    """count equal-shaped units sharing the first one's codebook."""
+    first = vqa.init_vqa_params(rng, d, d, d, patterns)
+    return [first] + [dataclasses.replace(vqa.init_vqa_params(rng, d, d, d, patterns),
+                                          codebook=first.codebook)
+                      for _ in range(count - 1)]
+
+
+def _head_loss(state):
+    """A scalar whose upstream gradient differs entry by entry."""
+    return T.add(T.mean(T.log(T.softmax(state.contexts))), T.mean(state.pattern_logprob))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 5])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["basket", "batch"])
+@pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
+def test_stacked_heads_equal_per_head_units(heads, lead, dropout):
+    rng = np.random.default_rng(heads)
+    units = _heads(rng, heads)
+    x = Tensor(rng.normal(size=lead + (5, 8)), requires_grad=True)
+    uniforms = rng.random((heads,) + lead + (5, 6))
+    keep = None
+    if dropout:
+        keep = rng.random(uniforms.shape) >= 0.4
+        keep[..., 0] = True
+    strategy = vqa.ExtractionStrategy(vqa.SAMPLING, 0.7)
+    stacked = vqa.unit_forward(x, units, strategy, keep, uniforms)
+    T.backward(_head_loss(stacked))
+    stacked_grads = [x.grad] + [t.grad for u in units for _, t in u.named("u")]
+    for t in [x] + [t for u in units for _, t in u.named("u")]:
+        t.grad = None
+
+    total = None
+    for h, unit in enumerate(units):
+        alone = vqa.unit_forward(x, unit, strategy, None if keep is None else keep[h],
+                                 uniforms[h])
+        view = stacked.head(h)
+        for got in (stacked.contexts.data[h], view.contexts.data):
+            assert np.array_equal(got, alone.contexts.data)
+        assert np.array_equal(view.prefix_attention.data, alone.prefix_attention.data)
+        assert np.array_equal(view.context_attention.data, alone.context_attention.data)
+        assert np.array_equal(view.pattern_index, alone.pattern_index)
+        assert np.array_equal(view.pattern_logprob.data, alone.pattern_logprob.data)
+        loss = T.scale(_head_loss(alone), 1.0 / heads)
+        total = loss if total is None else T.add(total, loss)
+    T.backward(total)
+    # Head by head, the same sum in another order: equal up to rounding.
+    loop_grads = [x.grad] + [t.grad for u in units for _, t in u.named("u")]
+    for got, want in zip(stacked_grads, loop_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stacked_heads_need_one_codebook():
+    rng = np.random.default_rng(0)
+    units = [vqa.init_vqa_params(rng, 8, 8, 8, 6) for _ in range(2)]
+    with pytest.raises(ValueError, match="share one codebook"):
+        vqa.unit_forward(Tensor(rng.normal(size=(3, 8))), units,
+                         vqa.ExtractionStrategy(vqa.SAMPLING), uniforms=rng.random((2, 3, 6)))
+
+
+def _draws_channel_by_channel(lengths, config, rng, rate):
+    """draw_noise's draws made channel by channel into separate arrays.
+
+    Returns one (keep masks, uniforms, merge draws) per layer, the first two
+    a list per channel, each entry None when the layer does not draw it.
+    """
+    batch, n = len(lengths), max(lengths)
+    p, d = config.num_patterns, config.embedding_dim
+    layers = []
+    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+        sampling = li == config.num_layers - 1 and config.variant == "MC"
+        layers.append(([np.ones((batch, n, p)) if rate > 0 else None for _ in range(channels)],
+                       [np.full((batch, n, p), 0.5) if sampling else None
+                        for _ in range(channels)],
+                       np.ones((batch, n, d)) if merges and rate > 0 else None))
+    for b, steps in enumerate(lengths):
+        for keeps, uniforms, merge in layers:
+            for keep, uniform in zip(keeps, uniforms):
+                for draws, width in ((keep, p), (uniform, p)):
+                    if draws is not None:
+                        draws[b, :steps] = rng.random((steps, width))
+            if merge is not None:
+                merge[b, :steps] = rng.random((steps, d))
+    for keeps, _, _ in layers:
+        for c, draws in enumerate(keeps):
+            if draws is not None:
+                keeps[c] = draws >= rate
+                keeps[c][~keeps[c].any(axis=-1)] = True
+    return layers
+
+
+@pytest.mark.parametrize("variant, rate", [("MC", 0.0), ("MC", 0.5), ("SC", 0.5)])
+def test_draw_noise_equals_channel_by_channel_draws(variant, rate):
+    cfg = (small_mc_config if variant == "MC" else small_sc_config)(
+        mc_last_layer_heads=5, channels_per_layer=[4, 2])
+    lengths = [3, 7, 1, 5]
+    noise = draw_noise(lengths, cfg, np.random.default_rng(9), rate)
+    want = _draws_channel_by_channel(lengths, cfg, np.random.default_rng(9), rate)
+    for layer, (keeps, uniforms, merge) in zip(noise, want):
+        for c, (keep, uniform) in enumerate(zip(keeps, uniforms)):
+            for got, expected in ((layer.keep_masks, keep), (layer.uniforms, uniform)):
+                assert (got is None) == (expected is None)
+                if expected is not None:
+                    assert np.array_equal(got[c], expected)
+        assert (layer.merge_uniforms is None) == (merge is None)
+        if merge is not None:
+            assert np.array_equal(layer.merge_uniforms, merge)
+

@@ -139,6 +139,57 @@ def test_grad_matmul():
     check_grad(lambda: head(T.matmul(a3, b3)), b3)
 
 
+def test_grad_matmul_broadcast_over_heads_and_batch():
+    rng = np.random.default_rng(21)
+    # A (B, n, k) batch against heads of a (H, 1, k, m) stack: the batch is
+    # broadcast over the heads axis, the stacked weight over the batch axis.
+    x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 1, 5, 3)), requires_grad=True)
+    check_grad(lambda: head(T.matmul(x, w)), x)
+    check_grad(lambda: head(T.matmul(x, w)), w)
+    # One matrix on the left against stacked heads, then a weight broadcast
+    # over a batch axis that is not the last leading one.
+    c = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    w3 = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+    check_grad(lambda: head(T.matmul(c, w3)), c)
+    check_grad(lambda: head(T.matmul(c, w3)), w3)
+    y = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    v = Tensor(rng.normal(size=(1, 3, 5, 2)), requires_grad=True)
+    check_grad(lambda: head(T.matmul(y, v)), y)
+    check_grad(lambda: head(T.matmul(y, v)), v)
+
+
+def test_stacked_weight_grad_is_each_heads_shared_weight_grad():
+    # Per head, a stack's gradient is the one product over the batch's
+    # flattened rows that the head's own 2-d weight gets. Four heads make
+    # the stacked mean's upstream gradient exactly a quarter of each head's.
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.normal(size=(3, 4, 5)))
+    heads = [Tensor(rng.normal(size=(5, 2)), requires_grad=True) for _ in range(4)]
+    T.backward(head(T.matmul(x, T.reshape(T.stack(heads), (4, 1, 5, 2)))))
+    for w in heads:
+        alone = Tensor(w.data, requires_grad=True)
+        T.backward(head(T.matmul(x, alone)))
+        assert np.array_equal(w.grad * 4, alone.grad)
+
+
+def test_grad_stack():
+    rng = np.random.default_rng(23)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    check_grad(lambda: head(T.stack([a, b, a])), a)
+    check_grad(lambda: head(T.stack([a, b, a])), b)
+    with pytest.raises(ShapeError, match="stack"):
+        T.stack([a, Tensor(np.ones((4, 3)))])
+
+
+def test_matmul_rejects_leading_axes_that_do_not_broadcast():
+    with pytest.raises(ShapeError, match="matmul"):
+        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ShapeError, match="matmul"):
+        T.matmul(Tensor(np.ones(4)), Tensor(np.ones((4, 5))))
+
+
 def test_grad_transpose_add_scale():
     rng = np.random.default_rng(3)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

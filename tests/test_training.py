@@ -1,6 +1,5 @@
 """Objectives and training loop: permutations, losses, determinism, dynamics."""
 
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -502,17 +501,14 @@ def test_float32_winners_equal_float64_argmax_on_near_ties(n, steps, extra_heads
     v = rng.normal(size=(steps, d))
     ctxs = [c0, c0 + eps * v] + [rng.normal(size=(steps, d)) for _ in range(extra_heads)]
     rows, targets = (np.arange(steps),), rng.integers(0, n, size=steps)
-    bare = SimpleNamespace(contexts=[T.Tensor(c) for c in ctxs],
-                           pattern_logprobs=[None] * len(ctxs))
-    base = _context_scores(bare, rows, targets, emb)
+    contexts = np.stack(ctxs)
+    base = _context_scores(contexts, None, rows, targets, emb)
     beliefs = -rng.exponential(size=(len(ctxs), steps))
     beliefs[1] = beliefs[0] + (base[0] - base[1]) + slack * rng.normal(size=steps)
-    state = SimpleNamespace(contexts=bare.contexts,
-                            pattern_logprobs=[T.Tensor(b) for b in beliefs])
-    exact = _context_scores(state, rows, targets, emb)
-    table, bound = _float32_scores(state, rows, targets, emb)
+    exact = _context_scores(contexts, beliefs, rows, targets, emb)
+    table, bound = _float32_scores(contexts, beliefs, rows, targets, emb)
     assert (np.abs(table - exact) <= bound).all()
-    np.testing.assert_array_equal(_winners(state, rows, targets, emb),
+    np.testing.assert_array_equal(_winners(contexts, beliefs, rows, targets, emb),
                                   np.argmax(exact, axis=0))
 
 
@@ -524,10 +520,9 @@ def test_float32_overflow_steps_fall_back_to_float64():
     ctxs = [rng.normal(size=(6, 8)) for _ in range(3)]
     ctxs[1][[1, 4]] *= 1e40
     ctxs[2][2] *= 1e36  # float32 logits overflow, the cast does not
-    state = SimpleNamespace(contexts=[T.Tensor(c) for c in ctxs],
-                            pattern_logprobs=[None] * 3)
+    contexts = np.stack(ctxs)
     rows, targets = (np.arange(6),), rng.integers(0, 30, size=6)
-    exact = _context_scores(state, rows, targets, emb)
+    exact = _context_scores(contexts, None, rows, targets, emb)
     assert np.isfinite(exact).all()
-    np.testing.assert_array_equal(_winners(state, rows, targets, emb),
+    np.testing.assert_array_equal(_winners(contexts, None, rows, targets, emb),
                                   np.argmax(exact, axis=0))
