@@ -15,6 +15,7 @@ harness checks models against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +103,14 @@ class SynthSpec:
             raise DataError("need at least one pattern and one item per pattern")
         lo, hi = self.patterns_per_basket
         if not 1 <= lo <= hi <= self.num_patterns:
-            raise DataError(f"patterns_per_basket range {self.patterns_per_basket} invalid")
+            raise DataError(f"patterns_per_basket range {self.patterns_per_basket} invalid: "
+                            f"need 1 <= low <= high <= num_patterns ({self.num_patterns})")
         if not 0.0 <= self.noise_probability <= 1.0:
             raise DataError("noise_probability must be in [0, 1]")
         llo, lhi = self.basket_length
         if not 1 <= llo <= lhi:
-            raise DataError(f"basket_length range {self.basket_length} invalid")
+            raise DataError(f"basket_length range {self.basket_length} invalid: "
+                            "need 1 <= low <= high")
         if self.num_baskets < 1:
             raise DataError("num_baskets must be >= 1")
         if not 0.0 <= self.within_pool_decay < 1.0:
@@ -286,13 +289,22 @@ def gen_synthetic(spec: SynthSpec):
     basket pattern (or, with noise_probability, from the whole catalog),
     which interleaves the patterns in random order. Items never repeat
     within a basket.
+
+    A pool item is ``bisect_right(cdf, rng.random())`` on the within-pool
+    CDF, built once per call: ``rng.choice(ipp, p=weights)`` draws the same
+    one double and searches the same CDF, but rebuilds it on every call.
+    With one pattern per basket the pattern draw is skipped, since
+    ``rng.integers(0, 1)`` consumes no bits. So the random stream and every
+    output are those of the per-slot ``choice`` and ``integers`` calls.
     """
     rng = np.random.default_rng(spec.seed)
     ipp = spec.items_per_pattern
     num_items = spec.num_patterns * ipp
     pools = [list(range(p * ipp, (p + 1) * ipp)) for p in range(spec.num_patterns)]
     item_pattern = np.arange(num_items) // ipp
-    weights = spec.pool_weights()
+    cdf = spec.pool_weights().cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
     baskets = []
     basket_patterns = []
@@ -312,8 +324,8 @@ def gen_synthetic(spec: SynthSpec):
                     item = int(rng.integers(0, num_items))
                     source = -1
                 else:
-                    p = chosen[int(rng.integers(0, k))]
-                    item = p * ipp + int(rng.choice(ipp, p=weights))
+                    p = chosen[int(rng.integers(0, k))] if k > 1 else chosen[0]
+                    item = p * ipp + bisect_right(cdf, rng.random())
                     source = p
                 if item not in seen:
                     break

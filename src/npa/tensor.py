@@ -467,6 +467,9 @@ def backward(loss: Tensor) -> None:
 
     Populates ``.grad`` on every tensor with ``requires_grad`` reachable
     from ``loss``. Gradients add across multiple uses of the same tensor.
+    Leaves (tensors without a backward closure) keep accumulating across
+    sweeps; an inner node's ``.grad`` is cleared first, so a second sweep
+    through a shared subgraph does not re-add the previous sweep's.
     """
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         got = loss.data.shape if isinstance(loss, Tensor) else type(loss)
@@ -493,6 +496,9 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
+    for node in order:
+        if node._backward is not None:
+            node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:

@@ -1,14 +1,19 @@
 """Dataset loading, splitting, evaluation instances, and the generator."""
 
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from npa.data import (MAX_INFERRED_ITEMS, Basket, Catalog, SynthSpec, gen_synthetic,
                       load_baskets, load_catalog, make_eval_instances, save_baskets,
                       save_catalog, split_dataset)
 from npa.errors import DataError
+
+from conftest import EXPERIMENT
 
 
 def test_load_single_line(tmp_path):
@@ -225,6 +230,131 @@ def test_gen_profile_weights_sum_to_one():
     w = spec.pool_weights()
     np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
     assert (np.diff(w) <= 0).all()  # non-increasing popularity profile
+
+
+def _oracle_synthetic(spec):
+    """gen_synthetic's loop drawing each pool item with rng.choice(ipp, p=weights)
+    and each slot's pattern with rng.integers(0, k), also when k is 1."""
+    rng = np.random.default_rng(spec.seed)
+    ipp = spec.items_per_pattern
+    num_items = spec.num_patterns * ipp
+    weights = spec.pool_weights()
+    baskets, basket_patterns, provenance = [], [], []
+    for _ in range(spec.num_baskets):
+        k = int(rng.integers(spec.patterns_per_basket[0], spec.patterns_per_basket[1] + 1))
+        chosen = sorted(int(p) for p in rng.choice(spec.num_patterns, size=k, replace=False))
+        length = int(rng.integers(spec.basket_length[0], spec.basket_length[1] + 1))
+        items, prov = [], []
+        for _ in range(length):
+            for _attempt in range(20):
+                if rng.random() < spec.noise_probability:
+                    item, source = int(rng.integers(0, num_items)), -1
+                else:
+                    source = chosen[int(rng.integers(0, k))]
+                    item = source * ipp + int(rng.choice(ipp, p=weights))
+                if item not in items:
+                    items.append(item)
+                    prov.append(source)
+                    break
+        assert items  # the first slot always lands, so no basket is empty
+        baskets.append(items)
+        basket_patterns.append(chosen)
+        provenance.append(prov)
+    names = [f"p{i // ipp}_item_{i}" for i in range(num_items)]
+    pools = [list(range(p * ipp, (p + 1) * ipp)) for p in range(spec.num_patterns)]
+    return names, baskets, pools, basket_patterns, provenance
+
+
+def _assert_matches_oracle(spec):
+    catalog, baskets, truth = gen_synthetic(spec)
+    names, items, pools, basket_patterns, provenance = _oracle_synthetic(spec)
+    assert catalog.names == names
+    assert [b.basket_id for b in baskets] == [f"s{i}" for i in range(spec.num_baskets)]
+    assert [b.items for b in baskets] == items
+    assert truth.pools == pools
+    assert truth.basket_patterns == basket_patterns
+    assert truth.provenance == provenance
+
+
+@st.composite
+def _specs(draw):
+    num_patterns = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        patterns = (1, 1)
+    else:
+        hi = draw(st.integers(1, num_patterns))
+        patterns = (draw(st.integers(1, hi)), hi)
+    low = draw(st.integers(1, 6))
+    return SynthSpec(
+        num_patterns=num_patterns,
+        items_per_pattern=draw(st.integers(1, 12)),  # 1-3 items saturate a pool
+        patterns_per_basket=patterns,
+        noise_probability=draw(st.sampled_from([0.0, 0.02, 1.0])),
+        basket_length=(low, low + draw(st.integers(0, 8))),
+        num_baskets=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        within_pool_decay=draw(st.sampled_from([0.0, 0.72])),
+        within_pool_floor=draw(st.sampled_from([0.0, 0.18, 1.0])))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_specs())
+@example(spec=SynthSpec(num_patterns=1, items_per_pattern=2, patterns_per_basket=(1, 1),
+                        noise_probability=0.0, basket_length=(4, 9), num_baskets=30, seed=1))
+@example(spec=SynthSpec(num_patterns=3, items_per_pattern=1, patterns_per_basket=(2, 3),
+                        noise_probability=0.0, basket_length=(5, 6), num_baskets=30, seed=2,
+                        within_pool_decay=0.72))
+def test_gen_equals_per_draw_oracle(spec):
+    # The first two examples ask for more items than their pools hold, so
+    # slots are dropped after 20 attempts.
+    _assert_matches_oracle(spec)
+
+
+def test_gen_equals_per_draw_oracle_on_experiment_spec():
+    _assert_matches_oracle(SynthSpec(**EXPERIMENT["spec"]))
+
+
+@pytest.mark.parametrize("spec", [SynthSpec(), SynthSpec(**EXPERIMENT["spec"]),
+                                  SynthSpec(items_per_pattern=1)],
+                         ids=["uniform", "experiment", "one_item"])
+def test_numpy_stream_facts_the_generator_relies_on(spec):
+    # gen_synthetic draws a pool item as bisect_right(cdf, rng.random()) in
+    # place of rng.choice(ipp, p=weights), and skips rng.integers(0, 1).
+    # Both keep the random stream only while numpy's Generator behaves so.
+    w = spec.pool_weights()
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    for seed in range(20):
+        via_choice, via_cdf = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            got = int(via_choice.choice(len(w), p=w))
+            want = bisect_right(cdf, via_cdf.random())
+            assert got == want, (
+                f"numpy {np.__version__}: Generator.choice(n, p=w) returned {got}, not "
+                f"searchsorted(cdf, random(), 'right') = {want}; gen_synthetic's pool "
+                "draw no longer reproduces its stream")
+        assert via_choice.bit_generator.state == via_cdf.bit_generator.state, (
+            f"numpy {np.__version__}: Generator.choice(n, p=w) no longer consumes exactly "
+            "one random() double; gen_synthetic's stream would shift")
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert rng.integers(0, 1) == 0 and rng.bit_generator.state == before, (
+        f"numpy {np.__version__}: Generator.integers(0, 1) now consumes random bits; "
+        "gen_synthetic skips that call for one-pattern baskets, so its stream would shift")
+
+
+def test_spec_range_messages_state_rule_and_bound():
+    with pytest.raises(DataError, match=r"^patterns_per_basket range \(1, 3\) invalid: "
+                                        r"need 1 <= low <= high <= num_patterns \(2\)$"):
+        SynthSpec(num_patterns=2)
+    with pytest.raises(DataError, match=r"^patterns_per_basket range \(3, 2\) invalid: "
+                                        r"need 1 <= low <= high <= num_patterns \(8\)$"):
+        SynthSpec(patterns_per_basket=(3, 2))
+    for bad in ((0, 3), (5, 4)):
+        with pytest.raises(DataError, match=rf"^basket_length range \({bad[0]}, {bad[1]}\) "
+                                            r"invalid: need 1 <= low <= high$"):
+            SynthSpec(basket_length=bad)
 
 
 def test_spec_validation():

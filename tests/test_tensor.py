@@ -124,6 +124,33 @@ def test_gradients_accumulate_across_uses():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+def test_second_backward_through_same_graph_is_fresh():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    loss = T.mean(T.scale(x, 3.0))
+    T.backward(loss)
+    np.testing.assert_array_equal(x.grad, [1.5, 1.5])
+    x.grad = None
+    T.backward(loss)  # the inner node's grad from the first sweep is not re-added
+    np.testing.assert_array_equal(x.grad, [1.5, 1.5])
+
+
+def test_second_loss_sharing_a_subgraph_is_fresh():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = T.scale(x, 3.0)
+    T.backward(T.mean(y))
+    x.grad = None
+    T.backward(T.mean(T.add(y, y)))
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+def test_leaf_grads_accumulate_across_sweeps():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = T.scale(x, 3.0)
+    T.backward(T.mean(y))
+    T.backward(T.mean(T.add(y, y)))
+    np.testing.assert_array_equal(x.grad, [4.5, 4.5])
+
+
 def test_grad_matmul():
     rng = np.random.default_rng(2)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

@@ -131,6 +131,25 @@ def test_teacher_forcing_uses_only_past_item_features():
     np.testing.assert_array_equal(base, step_logits())
 
 
+@pytest.mark.parametrize("make_config", [small_sc_config, small_mc_config])
+def test_second_backward_through_a_batch_reproduces_gradients(make_config):
+    # Inner gradients start fresh in every sweep, and no backward closure
+    # overwrites an array it saved, so a re-run gives the same gradients.
+    cfg = make_config(dropout_rate=0.2)
+    params = init_params(cfg, seed=2)
+    loss, _ = batch_loss([[3, 1, 2, 7], [5, 6], [9, 4, 8]], cfg, params,
+                         rng=np.random.default_rng(1), training=True)
+    T.backward(loss)
+    first = {n: p.grad.copy() for n, p in named_parameters(params) if p.grad is not None}
+    for _, p in named_parameters(params):
+        p.grad = None
+    T.backward(loss)
+    again = {n: p.grad for n, p in named_parameters(params) if p.grad is not None}
+    assert first.keys() == again.keys()
+    for n, g in first.items():
+        np.testing.assert_array_equal(again[n], g, err_msg=n)
+
+
 def test_train_zero_epochs_leaves_parameters():
     cfg = small_sc_config(use_positions=False)
     params = init_params(cfg, seed=9)
