@@ -35,7 +35,7 @@ from . import model as npa_model
 from . import recommend as rec
 from .config_io import config_to_kv, model_config_from_kv
 from .errors import CheckpointError
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 MAGIC = b"NPA1"
 VERSION = 1
@@ -206,9 +206,11 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=0,
     One block per prefix step: the prefix, every layer/channel's pattern
     belief, the context-attention weights over the prefix items, and the
     step's top-k recommendations (k is clipped to the candidate count).
+    The forward pass runs inside ``tensor.no_grad``.
     """
     items = [int(i) for i in basket]
-    state = npa_model.forward(items, config, params, rng_seed=rng_seed)
+    with no_grad():
+        state = npa_model.forward(items, config, params, rng_seed=rng_seed)
     emb = npa_model.output_embeddings(params).data
     plan = npa_model.layer_channel_plan(config)
 

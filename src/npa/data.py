@@ -334,10 +334,6 @@ def gen_synthetic(spec: SynthSpec):
             seen.add(item)
             items.append(item)
             prov.append(source)
-        if not items:
-            # Degenerate spec (tiny pools); fall back to one pool item.
-            item = pools[chosen[0]][0]
-            items, prov = [item], [chosen[0]]
         baskets.append(Basket(f"s{bi}", items))
         basket_patterns.append(chosen)
         provenance.append(prov)

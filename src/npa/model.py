@@ -326,13 +326,18 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
 
     baskets are id sequences and names[j] identifies baskets[j] in the
     message. Raises ConfigError for the first basket longer than
-    max_sequence_length or holding an id outside [0, num_items).
+    max_sequence_length, holding an id outside [0, num_items), or
+    repeating an id (the first id seen twice is named).
     """
     baskets = [np.asarray(b, dtype=np.int64) for b in baskets]
+    sizes = [b.size for b in baskets]
     flat = np.concatenate(baskets)
-    if (max(b.size for b in baskets) <= config.max_sequence_length
+    if (max(sizes) <= config.max_sequence_length
             and flat.min() >= 0 and flat.max() < config.num_items):
-        return
+        # One key per (basket, id): a repeat within a basket is an equal pair.
+        keys = np.sort(np.repeat(np.arange(len(baskets)), sizes) * config.num_items + flat)
+        if not (keys[1:] == keys[:-1]).any():
+            return
     for name, items in zip(names, baskets):
         if items.size > config.max_sequence_length:
             raise ConfigError(
@@ -342,6 +347,11 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
         if bad.size:
             raise ConfigError(f"{caller}: basket {name}: item id {bad[0]} out of range "
                               f"[0, {config.num_items})")
+        seen = set()
+        for item in items.tolist():
+            if item in seen:
+                raise ConfigError(f"{caller}: basket {name}: item id {item} repeats")
+            seen.add(item)
 
 
 def embed_inputs(item_ids, config: ModelConfig, params: NpaParams,

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import model as npa_model
 from .errors import ConfigError
+from .tensor import no_grad
 
 SOFTMAX = "softmax"
 MEAN_AGGREGATE = "mean_aggregate"
@@ -165,11 +166,13 @@ def recommend_topk(basket, config, params, k: int,
                    rng_seed=None) -> Recommendation:
     """Top-k completion of a basket; basket members never appear.
 
-    The full basket is run forward, the final-step context(s) are scored
-    (softmax for a single context, fesf for multi-context models unless
-    overridden), and the best k non-members are returned, ties broken
-    toward the lower item id. rng_seed drives MC pattern sampling; None
-    means the fixed seed 0, so unseeded calls repeat.
+    The full basket is run forward inside ``tensor.no_grad``, so no
+    autodiff graph is built and the values are those of a recording pass;
+    the final-step context(s) are scored (softmax for a single context,
+    fesf for multi-context models unless overridden), and the best k
+    non-members are returned, ties broken toward the lower item id.
+    rng_seed drives MC pattern sampling; None means the fixed seed 0, so
+    unseeded calls repeat.
     """
     items = [int(i) for i in basket]
     if not items:
@@ -178,7 +181,8 @@ def recommend_topk(basket, config, params, k: int,
     if k < 1 or k > config.num_items - len(members):
         raise ConfigError(
             f"k must be in [1, {config.num_items - len(members)}], got {k}")
-    state = npa_model.forward(items, config, params, rng_seed=rng_seed)
+    with no_grad():
+        state = npa_model.forward(items, config, params, rng_seed=rng_seed)
     final = state.values()[0][:, -1]  # (contexts, embedding_dim)
     if scoring_kind is None:
         scoring_kind = SOFTMAX if final.shape[0] == 1 else FESF

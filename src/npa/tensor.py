@@ -23,12 +23,23 @@ matrix multiply, transpose, add, scale, concatenate, stack, row softmax
 masked fill, reshape, row gather, per-row element gather, cross entropy
 with logits, and inverted dropout.
 
+Inside the :func:`no_grad` context nothing is recorded: every primitive
+returns a plain tensor with no parents and no backward closure, whatever
+its operands' ``requires_grad``. The same numpy operations run, so every
+value is bit-identical to a recording pass. Inference uses it (top-k
+recommendation, evaluation, attention export); :func:`backward` and
+training refuse to run inside it.
+
 Single-threaded by contract: graph construction and backward are not
 thread safe, but tensors are immutable after the forward pass and may be
-shared read-only.
+shared read-only. The graph-free mode is one module-wide flag, not a
+per-thread one, so a thread inside ``no_grad`` turns recording off for
+every other thread too.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -45,6 +56,7 @@ __all__ = [
     "masked_fill",
     "matmul",
     "mean",
+    "no_grad",
     "reshape",
     "scale",
     "softmax",
@@ -88,8 +100,31 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# False inside no_grad(): primitives then record no graph.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run the enclosed block without recording a graph.
+
+    Re-entrant; on exit, normal or by exception, the mode that held before
+    entry is restored.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, parents, backward_fn) -> Tensor:
-    """Build an op result, recording the graph only when a parent needs it."""
+    """Build an op result, recording the graph only when a parent needs it
+    and no_grad is not in force."""
+    if not _grad_enabled:
+        return Tensor(data)
     needs = any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
@@ -471,6 +506,8 @@ def backward(loss: Tensor) -> None:
     sweeps; an inner node's ``.grad`` is cleared first, so a second sweep
     through a shared subgraph does not re-add the previous sweep's.
     """
+    if not _grad_enabled:
+        raise RuntimeError("backward: called inside no_grad, which records no graph")
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:
         got = loss.data.shape if isinstance(loss, Tensor) else type(loss)
         raise ShapeError(f"backward: loss must be a scalar tensor, got {got}")

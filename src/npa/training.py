@@ -170,7 +170,8 @@ def _forward_rows(batch, config, params, rng, training, use_positions):
 
     rows is the (sequence, step) index pair of every predicted step,
     sequence after sequence in batch order, and targets[i] the item that
-    step i predicts.
+    step i predicts. A sequence that repeats an item id is rejected before
+    the forward pass, with check_baskets' message.
     """
     seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
     if not seqs:
@@ -180,8 +181,16 @@ def _forward_rows(batch, config, params, rng, training, use_positions):
             raise ConfigError(f"batch sequence {i} has shape {seq.shape}; need two items or more")
     lengths = np.array([seq.size for seq in seqs])
     steps = np.arange(lengths.max())
+    valid = steps < lengths[:, None]
     ids = np.zeros((len(seqs), steps.size), dtype=np.int64)
-    ids[steps < lengths[:, None]] = np.concatenate(seqs)
+    ids[valid] = np.concatenate(seqs)
+    # Padding gets distinct negative marks, so only a repeated id makes
+    # two equal neighbours in a sorted row.
+    marked = np.sort(np.where(valid, ids, -1 - steps), axis=1)
+    repeats = (marked[:, 1:] == marked[:, :-1]).any(axis=1)
+    if repeats.any():
+        b = int(np.argmax(repeats))
+        npa_model.check_baskets([seqs[b]], [b], config, "batch_loss")
     state = npa_model.forward(ids, config, params, rng_seed=rng, training=training,
                               use_positions=use_positions, lengths=lengths)
     rows = np.nonzero(steps < lengths[:, None] - 1)
@@ -335,13 +344,17 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
     """Seeded training loop; returns (params, list of LossReport).
 
     Baskets shorter than two items are dropped; every other basket is
-    checked against max_sequence_length and the item-id range before the
-    first step, and a failure names its index in ``baskets``. In any_order
-    mode each basket contributes permutations_per_basket fresh orderings
-    per epoch and positions are skipped; temporal mode requires positions.
+    checked against max_sequence_length, the item-id range and repeated
+    ids before the first step, and a failure names its index in
+    ``baskets``. Training records a graph, so it refuses to start inside
+    ``tensor.no_grad``. In any_order mode each basket contributes
+    permutations_per_basket fresh orderings per epoch and positions are
+    skipped; temporal mode requires positions.
     An optimizer may be passed in (e.g. to persist its moments afterwards);
     by default a fresh AdamW over the model parameters is built.
     """
+    if not T._grad_enabled:
+        raise RuntimeError("train: called inside tensor.no_grad, which records no graph")
     if not baskets:
         raise ConfigError("train: empty dataset")
     if train_config.mode == TEMPORAL and not config.use_positions:

@@ -58,10 +58,6 @@ class Codebook:
     entries: Tensor
 
     @property
-    def num_patterns(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def pattern_dim(self) -> int:
         return self.entries.shape[1]
 

@@ -7,6 +7,7 @@ import pytest
 
 from npa import model as model_mod
 from npa import recommend as rec
+from npa import training as training_mod
 from npa.checkpoint import checkpoint_info, save_checkpoint
 from npa.cli import main
 from npa.config_io import parse_config_file, parse_kv_text
@@ -185,6 +186,34 @@ def test_cli_error_exits(workspace, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"num_items": "0"}, "num_items must be >= 1"),
+    ({"num_layers": "0"}, "num_layers must be >= 1"),
+    ({"channels_per_layer": "2,0"}, "every channel count must be >= 1"),
+    ({"variant": "MC", "mc_last_layer_heads": "0"}, "mc_last_layer_heads must be >= 1"),
+    ({"dropout_rate": "1.0"}, "dropout_rate must be in [0, 1)"),
+    ({"gumbel_temperature": "0.0"}, "gumbel_temperature must be positive"),
+    ({"max_sequence_length": "0"}, "max_sequence_length must be >= 1"),
+    ({"epochs": "-1"}, "epochs must be >= 0"),
+    ({"batch_size": "0"}, "batch_size must be >= 1"),
+    ({"permutations_per_basket": "0"}, "permutations_per_basket must be >= 1 in any_order mode"),
+    ({"gradient_clip_norm": "0.0"}, "gradient_clip_norm must be positive when set"),
+], ids=lambda v: "-".join(v) if isinstance(v, dict) else None)
+def test_train_config_out_of_range_exits_before_training(workspace, capsys, monkeypatch,
+                                                          overrides, message):
+    monkeypatch.setattr(training_mod, "train", lambda *a, **kw: pytest.fail("training ran"))
+    values = dict(parse_kv_text(CONFIG_TEXT), **overrides)
+    config = workspace / "range.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    out = workspace / "range.ckpt"
+    rc = main(["train", "--config", str(config),
+               "--data", str(workspace / "data" / "baskets.txt"),
+               "--catalog", str(workspace / "data" / "catalog.tsv"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_evaluate_requires_model_or_baseline(workspace, capsys):

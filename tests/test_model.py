@@ -8,8 +8,9 @@ import pytest
 from npa import tensor as T
 from npa import vqa
 from npa.errors import ConfigError
-from npa.model import (draw_noise, embed_inputs, forward, forward_layer, init_params,
-                       layer_channel_plan, named_parameters, trainable_parameters)
+from npa.model import (check_baskets, draw_noise, embed_inputs, forward, forward_layer,
+                       init_params, layer_channel_plan, named_parameters,
+                       trainable_parameters)
 from npa.tensor import Tensor
 from npa.training import batch_loss
 
@@ -47,6 +48,16 @@ def test_embed_errors():
         embed_inputs([25], cfg, params)
     with pytest.raises(ConfigError, match="max_sequence_length"):
         embed_inputs(list(range(9)) + [0] * 4, cfg, params)
+
+
+def test_check_baskets_names_first_basket_and_id_that_repeat():
+    cfg = small_sc_config()
+    names = ["a", "b", "c", "d"]
+    check_baskets([[1, 2], [3, 4, 5], [6], [7, 8]], names, cfg, "evaluate")
+    with pytest.raises(ConfigError, match="^evaluate: basket b: item id 4 repeats$"):
+        check_baskets([[1, 2], [3, 4, 5, 4, 3], [6], [7, 7]], names, cfg, "evaluate")
+    # The same id in two different baskets is no repeat.
+    check_baskets([[1, 2], [2, 1]], names[:2], cfg, "evaluate")
 
 
 def test_forward_layer_single_channel_identity_merge():

@@ -3,7 +3,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from npa import tensor as T
@@ -273,7 +273,8 @@ def test_mc_training_nll_nonnegative_with_dropout():
 @pytest.mark.parametrize("bad, message", [
     ([1, 2, 3, 4, 5, 6, 7, 8, 9], "basket 5: sequence of 9 items exceeds max_sequence_length 8"),
     ([1, 2, 20], r"basket 5: item id 20 out of range \[0, 20\)"),
-], ids=["too_long", "id_out_of_range"])
+    ([1, 3, 2, 3, 1], "basket 5: item id 3 repeats"),
+], ids=["too_long", "id_out_of_range", "repeated_id"])
 def test_train_rejects_bad_basket_before_any_step(bad, message):
     cfg = small_sc_config(use_positions=True)
     params = init_params(cfg, seed=21)
@@ -312,16 +313,38 @@ def _grads(loss, params, cfg):
     return out
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _first_repeat(batch):
+    """(index, id) of the first sequence that repeats an id and the first
+    id it repeats; None when no sequence does."""
+    for b, seq in enumerate(batch):
+        seen = set()
+        for item in seq:
+            if item in seen:
+                return b, item
+            seen.add(item)
+    return None
+
+
+# Most drawn batches repeat an id and are only checked for the rejection;
+# 200 examples still compare about 30 repeat-free batches.
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(batch=st.lists(st.lists(st.integers(0, 19), min_size=2, max_size=8),
                       min_size=1, max_size=8),
        variant=st.sampled_from(["SC", "MC"]), training=st.booleans(),
        use_positions=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(batch=[[0, 0], [0, 0, 0, 0]], variant="SC", training=False, use_positions=False, seed=0)
 def test_padded_batch_matches_sequences_run_alone(batch, variant, training,
                                                   use_positions, seed):
     factory = small_mc_config if variant == "MC" else small_sc_config
     cfg = factory(dropout_rate=0.3, use_positions=use_positions)
     params = init_params(cfg, seed=23)
+    repeat = _first_repeat(batch)
+    if repeat is not None:
+        # A basket never repeats an id, so the batch is rejected up front.
+        with pytest.raises(ConfigError, match=rf"^batch_loss: basket {repeat[0]}: "
+                                              rf"item id {repeat[1]} repeats$"):
+            batch_loss(batch, cfg, params, rng=np.random.default_rng(seed), training=training)
+        return
     loss, details = batch_loss(batch, cfg, params, rng=np.random.default_rng(seed),
                                training=training)
     grads = _grads(loss, params, cfg)
@@ -404,7 +427,7 @@ def _assert_matches_all_heads(batch, cfg, params, seed, training):
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(batch=st.lists(st.lists(st.integers(0, 19), min_size=2, max_size=8),
+@given(batch=st.lists(st.lists(st.integers(0, 19), min_size=2, max_size=8, unique=True),
                       min_size=1, max_size=8),
        heads=st.sampled_from([1, 2, 5]), dropout=st.sampled_from([0.0, 0.3]),
        training=st.booleans(), seed=st.integers(0, 2**32 - 1))
