@@ -16,7 +16,7 @@ from .optim import AdamW
 from .recommend import Recommendation, recommend_topk, score_fesf, score_mean, score_softmax
 from .tensor import Tensor, backward
 from .training import LossReport, TrainConfig, train
-from .vqa import Codebook, ExtractionStrategy, VqaParams
+from .vqa import ExtractionStrategy, VqaParams
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "AdamW",
     "Basket",
     "Catalog",
-    "Codebook",
     "ContextState",
     "CountBaseline",
     "EvalInstance",

@@ -34,7 +34,7 @@ import numpy as np
 from . import model as npa_model
 from . import recommend as rec
 from .config_io import config_to_kv, model_config_from_kv
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .tensor import Tensor, no_grad
 
 MAGIC = b"NPA1"
@@ -87,26 +87,18 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self):
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
+    def uint(self, size: int) -> int:
+        """The next ``size`` bytes as a little-endian unsigned integer."""
+        return int.from_bytes(self.take(size), "little")
 
 
 def _unpack_tensors(r: _Reader):
-    count = r.u32()
+    count = r.uint(4)
     named = []
     for _ in range(count):
-        name = r.take(r.u16()).decode("utf-8")
-        ndim = r.u8()
-        shape = tuple(r.u32() for _ in range(ndim))
+        name = r.take(r.uint(2)).decode("utf-8")
+        ndim = r.uint(1)
+        shape = tuple(r.uint(4) for _ in range(ndim))
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = r.take(4 * size)
         arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
@@ -135,10 +127,10 @@ def _read_container(path):
     if _checksum64(payload) != stored:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt")
     r = _Reader(payload)
-    version = r.u32()
+    version = r.uint(4)
     if version != VERSION:
         raise CheckpointError(f"{path}: format version {version}, expected {VERSION}")
-    config_text = r.take(r.u32()).decode("utf-8")
+    config_text = r.take(r.uint(4)).decode("utf-8")
     named = _unpack_tensors(r)
     if r.pos != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - r.pos} trailing bytes")
@@ -182,9 +174,9 @@ def checkpoint_info(path) -> dict:
 def save_optimizer_sidecar(path, optimizer) -> None:
     hyper = "\n".join([
         f"lr = {optimizer.lr!r}",
-        f"beta1 = {optimizer.beta1!r}",
-        f"beta2 = {optimizer.beta2!r}",
-        f"eps = {optimizer.eps!r}",
+        f"beta1 = {optimizer.BETA1!r}",
+        f"beta2 = {optimizer.BETA2!r}",
+        f"eps = {optimizer.EPS!r}",
         f"weight_decay = {optimizer.weight_decay!r}",
     ]) + "\n"
     _write_container(path, hyper, optimizer.state_tensors())
@@ -205,10 +197,16 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=0,
 
     One block per prefix step: the prefix, every layer/channel's pattern
     belief, the context-attention weights over the prefix items, and the
-    step's top-k recommendations (k is clipped to the candidate count).
-    The forward pass runs inside ``tensor.no_grad``.
+    step's top-k recommendations (k >= 1, clipped to the candidate count).
+    The basket is checked as ``recommend_topk`` checks it, and the forward
+    pass runs inside ``tensor.no_grad``.
     """
     items = [int(i) for i in basket]
+    if not items:
+        raise ConfigError("export_attention: empty basket")
+    npa_model.check_baskets([items], [",".join(map(str, items))], config, "export_attention")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     with no_grad():
         state = npa_model.forward(items, config, params, rng_seed=rng_seed)
     emb = npa_model.output_embeddings(params).data
@@ -224,8 +222,6 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=0,
         f"steps={len(items)}",
     ]
     final = state.values()[0]  # (contexts, steps, dim)
-    if scoring_kind is None:
-        scoring_kind = rec.SOFTMAX if final.shape[0] == 1 else rec.FESF
     for t in range(len(items)):
         prefix = items[:t + 1]
         lines.append(f"step={t} prefix={','.join(str(i) for i in prefix)}")
@@ -235,10 +231,9 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=0,
                 lines.append(f"pattern step={t} layer={li} channel={ci} probs={_fmt(abar)}")
                 b_row = unit_state.context_attention.data[t, :t + 1]
                 lines.append(f"context step={t} layer={li} channel={ci} weights={_fmt(b_row)}")
-        candidates = config.num_items - len(set(prefix))
-        kk = min(k, candidates)
         vec = rec.score_contexts(final[:, t, :], emb, scoring_kind, fesf_temperature)
-        ranked = rec.rank_items(vec.scores, exclude=set(prefix), k=kk)
+        # The prefix holds t + 1 distinct items, so as many candidates drop out.
+        ranked = rec.rank_items(vec.scores, exclude=prefix, k=min(k, config.num_items - t - 1))
         lines.append(
             f"topk step={t} items={','.join(str(i) for i in ranked)}"
             f" scores={_fmt([vec.scores[i] for i in ranked])}")

@@ -49,9 +49,8 @@ def _load_model(args):
 
 
 def _load_data(args):
-    catalog = data_mod.load_catalog(args.catalog) if getattr(args, "catalog", None) else None
-    temporal = bool(getattr(args, "temporal", False))
-    return data_mod.load_baskets(args.data, catalog=catalog, has_temporal_order=temporal)
+    catalog = data_mod.load_catalog(args.catalog) if args.catalog else None
+    return data_mod.load_baskets(args.data, catalog=catalog)
 
 
 def cmd_gen_synth(args) -> int:
@@ -277,10 +276,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, CheckpointError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, DataError, CheckpointError, FloatingPointError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

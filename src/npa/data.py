@@ -47,7 +47,6 @@ __all__ = [
 class Basket:
     basket_id: str
     items: list
-    has_temporal_order: bool = False
 
     def __post_init__(self):
         if len(self.items) < 1:
@@ -64,9 +63,6 @@ class Catalog:
     @property
     def num_items(self) -> int:
         return len(self.names)
-
-    def name(self, item_id: int) -> str:
-        return self.names[item_id]
 
 
 @dataclass
@@ -170,8 +166,7 @@ def save_catalog(path, catalog: Catalog):
             fh.write(f"{i}\t{name}\n")
 
 
-def load_baskets(path, catalog: Catalog | None = None,
-                 has_temporal_order: bool = False):
+def load_baskets(path, catalog: Catalog | None = None):
     """Parse a basket file; returns (catalog, baskets).
 
     Malformed lines, including a basket that repeats an item, are reported
@@ -210,7 +205,7 @@ def load_baskets(path, catalog: Catalog | None = None,
                     raise DataError(f"{path}:{ln}: duplicate item id {i}")
                 seen.add(i)
             max_id = max(max_id, max(items))
-            baskets.append(Basket(parts[0], items, has_temporal_order))
+            baskets.append(Basket(parts[0], items))
     if not baskets:
         raise DataError(f"{path}: empty basket file")
     if catalog is None:

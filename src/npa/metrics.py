@@ -183,14 +183,14 @@ def format_report(report: MetricReport) -> str:
     return "\n".join(lines)
 
 
-def report_records(report: MetricReport, prefix: str = "metric") -> list:
+def report_records(report: MetricReport) -> list:
     """Line-delimited key=value records for machine diffing."""
     recs = []
     for k in CUTOFFS:
-        recs.append(f"{prefix} name=P@{k} value={report.precision[k]:.6f}")
+        recs.append(f"metric name=P@{k} value={report.precision[k]:.6f}")
     for k in CUTOFFS:
-        recs.append(f"{prefix} name=R@{k} value={report.recall[k]:.6f}")
-    recs.append(f"{prefix} name=R-Precision value={report.r_precision:.6f}")
-    recs.append(f"{prefix} name=NDCG value={report.ndcg:.6f}")
-    recs.append(f"{prefix} name=instances value={report.instance_count}")
+        recs.append(f"metric name=R@{k} value={report.recall[k]:.6f}")
+    recs.append(f"metric name=R-Precision value={report.r_precision:.6f}")
+    recs.append(f"metric name=NDCG value={report.ndcg:.6f}")
+    recs.append(f"metric name=instances value={report.instance_count}")
     return recs

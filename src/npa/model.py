@@ -31,7 +31,7 @@ a basket's draws do not depend on the batch it runs in.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -237,7 +237,7 @@ def init_params(config: ModelConfig, seed: int) -> NpaParams:
     return params_from_tensors(config, tensors)
 
 
-_UNIT_TENSORS = ("w_query", "w_key", "w_value", "w_pattern_key", "w_context_query")
+_UNIT_TENSORS = [f.name for f in fields(vqa.VqaParams)]
 
 
 def parameter_shapes(config: ModelConfig):
@@ -249,12 +249,12 @@ def parameter_shapes(config: ModelConfig):
     shapes.append(("positional_embeddings", (config.max_sequence_length, d)))
     for li, (channels, merges) in enumerate(layer_channel_plan(config)):
         width = d // channels if merges else d
+        unit = list(zip(_UNIT_TENSORS, [(width, d)] * 3 + [(width, width)] * 2
+                        + [(config.num_patterns, width)]))
         for ci in range(channels):
-            prefix = f"layers.{li}.channels.{ci}"
-            shapes += zip((f"{prefix}.{name}" for name in _UNIT_TENSORS),
-                          [(width, d)] * 3 + [(width, width)] * 2)
-            if merges or ci == 0:  # the MC last layer's heads share channel 0's codebook
-                shapes.append((f"{prefix}.codebook", (config.num_patterns, width)))
+            # The MC last layer's heads share channel 0's codebook.
+            shapes += [(f"layers.{li}.channels.{ci}.{name}", shape) for name, shape in unit
+                       if name != "codebook" or merges or ci == 0]
         if merges:
             shapes.append((f"layers.{li}.merge", (d, d)))
     return shapes
@@ -269,11 +269,11 @@ def params_from_tensors(config: ModelConfig, tensors) -> NpaParams:
     for li, (channels, merges) in enumerate(layer_channel_plan(config)):
         units = []
         for ci in range(channels):
-            prefix = f"layers.{li}.channels.{ci}"
-            codebook = (units[0].codebook if units and not merges
-                        else vqa.Codebook(tensors[f"{prefix}.codebook"]))
-            units.append(vqa.VqaParams(*(tensors[f"{prefix}.{name}"] for name in _UNIT_TENSORS),
-                                       codebook=codebook))
+            unit = {name: tensors.get(f"layers.{li}.channels.{ci}.{name}")
+                    for name in _UNIT_TENSORS}
+            if units and not merges:
+                unit["codebook"] = units[0].codebook
+            units.append(vqa.VqaParams(**unit))
         layers.append(LayerParams(channels=units,
                                   merge=tensors[f"layers.{li}.merge"] if merges else None))
     return NpaParams(item_embeddings=tensors["item_embeddings"],
@@ -446,7 +446,7 @@ def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionSt
     keep = noise.keep_masks
     states = [vqa.unit_forward(inputs, unit, strategy, None if keep is None else keep[c])
               for c, unit in enumerate(layer.channels)]
-    stacked = states[0].contexts if len(states) == 1 else T.concat([s.contexts for s in states], axis=-1)
+    stacked = states[0].contexts if len(states) == 1 else T.concat([s.contexts for s in states])
     merged = T.matmul(stacked, T.transpose(layer.merge))
     if noise.merge_uniforms is not None:
         merged = T.dropout(merged, noise.dropout_rate, noise.merge_uniforms)

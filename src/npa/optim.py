@@ -20,20 +20,19 @@ class AdamW:
         m = b1*m + (1-b1)*g
         v = b2*v + (1-b2)*g^2
         w = w - lr * ( m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps) + wd * w )
+
+    The betas and eps are fixed at Adam's usual values.
     """
 
-    def __init__(self, params, lr: float = 3e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr: float = 3e-4, weight_decay: float = 0.01):
         self.params = [(name, p) for name, p in params]
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"invalid betas ({beta1}, {beta2})")
-        if lr < 0 or eps <= 0 or weight_decay < 0:
-            raise ValueError("lr and weight_decay must be >= 0, eps > 0")
+        if lr < 0 or weight_decay < 0:
+            raise ValueError("lr and weight_decay must be >= 0")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.first_moment = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -46,17 +45,17 @@ class AdamW:
             raise MissingGradError(f"no gradient for parameters: {', '.join(missing)}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - self.BETA1 ** t
+        bc2 = 1.0 - self.BETA2 ** t
         for name, p in self.params:
             g = p.grad
             m = self.first_moment[name]
             v = self.second_moment[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update

@@ -61,7 +61,6 @@ class Recommendation:
 
     item_ids: list
     scores: list
-    k: int
 
 
 def _context_matrix(contexts) -> np.ndarray:
@@ -128,9 +127,13 @@ def check_scoring(kind: str, contexts: int) -> None:
         raise ConfigError("softmax scoring expects exactly one context")
 
 
-def score_contexts(contexts, embeddings, kind: str, fesf_temperature: float = 1.0) -> ScoreVector:
-    """Dispatch one of the scoring kinds over a stack of contexts."""
+def score_contexts(contexts, embeddings, kind: str | None = None,
+                   fesf_temperature: float = 1.0) -> ScoreVector:
+    """Dispatch one of the scoring kinds over a stack of contexts; kind None
+    means softmax for a single context and fesf for several."""
     c = _context_matrix(contexts)
+    if kind is None:
+        kind = SOFTMAX if c.shape[0] == 1 else FESF
     check_scoring(kind, c.shape[0])
     if kind == SOFTMAX:
         return score_softmax(c[0], embeddings)
@@ -144,6 +147,8 @@ def rank_items(scores: np.ndarray, exclude=(), k: int | None = None):
 
     Non-finite scores are dropped; k=None returns every finite item.
     """
+    if k is not None and k < 0:
+        raise ConfigError(f"rank_items: k must be >= 0, got {k}")
     neg = -np.asarray(scores, dtype=np.float64)
     neg[~np.isfinite(neg)] = np.inf
     neg[np.asarray([int(i) for i in exclude], dtype=np.int64)] = np.inf
@@ -166,9 +171,10 @@ def recommend_topk(basket, config, params, k: int,
                    rng_seed=None) -> Recommendation:
     """Top-k completion of a basket; basket members never appear.
 
-    The full basket is run forward inside ``tensor.no_grad``, so no
-    autodiff graph is built and the values are those of a recording pass;
-    the final-step context(s) are scored (softmax for a single context,
+    The basket is checked as training and evaluation check theirs (length,
+    id range, no repeated id), then run forward inside ``tensor.no_grad``,
+    so no autodiff graph is built and the values are those of a recording
+    pass; the final-step context(s) are scored (softmax for a single context,
     fesf for multi-context models unless overridden), and the best k
     non-members are returned, ties broken toward the lower item id.
     rng_seed drives MC pattern sampling; None means the fixed seed 0, so
@@ -177,16 +183,13 @@ def recommend_topk(basket, config, params, k: int,
     items = [int(i) for i in basket]
     if not items:
         raise ConfigError("recommend_topk: empty basket (cold start is out of scope)")
-    members = set(items)
-    if k < 1 or k > config.num_items - len(members):
-        raise ConfigError(
-            f"k must be in [1, {config.num_items - len(members)}], got {k}")
+    npa_model.check_baskets([items], [",".join(map(str, items))], config, "recommend_topk")
+    if k < 1 or k > config.num_items - len(items):
+        raise ConfigError(f"k must be in [1, {config.num_items - len(items)}], got {k}")
     with no_grad():
         state = npa_model.forward(items, config, params, rng_seed=rng_seed)
     final = state.values()[0][:, -1]  # (contexts, embedding_dim)
-    if scoring_kind is None:
-        scoring_kind = SOFTMAX if final.shape[0] == 1 else FESF
     emb = npa_model.output_embeddings(params).data
     vec = score_contexts(final, emb, scoring_kind, fesf_temperature)
-    ranked = rank_items(vec.scores, exclude=members, k=k)
-    return Recommendation(item_ids=ranked, scores=vec.scores[ranked].tolist(), k=k)
+    ranked = rank_items(vec.scores, exclude=items, k=k)
+    return Recommendation(item_ids=ranked, scores=vec.scores[ranked].tolist())

@@ -18,10 +18,10 @@ rows. ``add`` broadcasts an operand over leading axes that only the other
 has.
 
 The primitive set is exactly what the models of this package build:
-matrix multiply, transpose, add, scale, concatenate, stack, row softmax
-(optionally masked, always with max subtraction), log, mean over an axis,
-masked fill, reshape, row gather, per-row element gather, cross entropy
-with logits, and inverted dropout.
+matrix multiply, transpose, add, scale, concatenate along the last axis,
+stack, row softmax (optionally masked, always with max subtraction), log,
+mean over all entries, masked fill, reshape, row gather, per-row element
+gather, cross entropy with logits, and inverted dropout.
 
 Inside the :func:`no_grad` context nothing is recorded: every primitive
 returns a plain tensor with no parents and no backward closure, whatever
@@ -257,29 +257,23 @@ def scale(a, s: float) -> Tensor:
     return _make(a.data * s, (a,), back)
 
 
-def concat(parts, axis: int = 1) -> Tensor:
-    """Concatenate same-rank tensors along the given axis (negative counts
-    from the end); every other axis must agree."""
+def concat(parts) -> Tensor:
+    """Concatenate same-rank tensors along the last axis; every other axis
+    must agree."""
     parts = [_coerce(p) for p in parts]
     if not parts:
         raise ShapeError("concat: no operands")
-    ndim = parts[0].data.ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for shape {parts[0].data.shape}")
-    axis %= ndim
-    others = {p.data.shape[:axis] + p.data.shape[axis + 1:] for p in parts}
-    if len(others) != 1 or any(p.data.ndim != ndim for p in parts):
+    if len({p.data.shape[:-1] for p in parts}) != 1 or any(p.data.ndim == 0 for p in parts):
         raise ShapeError(f"concat: mismatched shapes {[p.data.shape for p in parts]} "
-                         f"off axis {axis}")
-    widths = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + widths)
+                         "off the last axis")
+    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
     def back(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accumulate(p, g[(slice(None),) * axis + (slice(lo, hi),)])
+                _accumulate(p, g[..., lo:hi])
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
+    return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
 
 
 def stack(parts) -> Tensor:
@@ -344,23 +338,18 @@ def log(a) -> Tensor:
     return _make(np.log(a.data), (a,), back)
 
 
-def mean(a, axis=None) -> Tensor:
-    """Mean over one axis, or over all entries when axis is None."""
+def mean(a) -> Tensor:
+    """Mean over all entries."""
     a = _coerce(a)
-    if axis is not None and axis >= a.data.ndim:
-        raise ShapeError(f"mean: axis {axis} out of range for shape {a.data.shape}")
-    n = a.data.size if axis is None else a.data.shape[axis]
+    n = a.data.size
     if n == 0:
         raise ShapeError("mean: empty reduction")
 
     def back(g):
         if a.requires_grad:
-            if axis is None:
-                _accumulate(a, np.full_like(a.data, g / n))
-            else:
-                _accumulate(a, np.expand_dims(g, axis) * np.ones_like(a.data) / n)
+            _accumulate(a, np.full_like(a.data, g / n))
 
-    return _make(a.data.mean(axis=axis), (a,), back)
+    return _make(a.data.mean(), (a,), back)
 
 
 def masked_fill(a, mask, value: float) -> Tensor:

@@ -170,8 +170,8 @@ def _forward_rows(batch, config, params, rng, training, use_positions):
 
     rows is the (sequence, step) index pair of every predicted step,
     sequence after sequence in batch order, and targets[i] the item that
-    step i predicts. A sequence that repeats an item id is rejected before
-    the forward pass, with check_baskets' message.
+    step i predicts. The batch is checked by check_baskets before the
+    forward pass, so a failure names the sequence's index in the batch.
     """
     seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
     if not seqs:
@@ -179,18 +179,12 @@ def _forward_rows(batch, config, params, rng, training, use_positions):
     for i, seq in enumerate(seqs):
         if seq.ndim != 1 or seq.size < 2:
             raise ConfigError(f"batch sequence {i} has shape {seq.shape}; need two items or more")
+    npa_model.check_baskets(seqs, range(len(seqs)), config, "batch_loss")
     lengths = np.array([seq.size for seq in seqs])
     steps = np.arange(lengths.max())
     valid = steps < lengths[:, None]
     ids = np.zeros((len(seqs), steps.size), dtype=np.int64)
     ids[valid] = np.concatenate(seqs)
-    # Padding gets distinct negative marks, so only a repeated id makes
-    # two equal neighbours in a sorted row.
-    marked = np.sort(np.where(valid, ids, -1 - steps), axis=1)
-    repeats = (marked[:, 1:] == marked[:, :-1]).any(axis=1)
-    if repeats.any():
-        b = int(np.argmax(repeats))
-        npa_model.check_baskets([seqs[b]], [b], config, "batch_loss")
     state = npa_model.forward(ids, config, params, rng_seed=rng, training=training,
                               use_positions=use_positions, lengths=lengths)
     rows = np.nonzero(steps < lengths[:, None] - 1)

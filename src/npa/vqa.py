@@ -25,7 +25,7 @@ baskets run one at a time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,7 +38,6 @@ SAMPLING = "sampling"
 _KINDS = (GREEDY, WEIGHTED_AVERAGE, SAMPLING)
 
 __all__ = [
-    "Codebook",
     "ExtractionStrategy",
     "VqaParams",
     "UnitState",
@@ -49,17 +48,6 @@ __all__ = [
     "project_items",
     "unit_forward",
 ]
-
-
-@dataclass
-class Codebook:
-    """Trainable combination-pattern embeddings, one row per pattern."""
-
-    entries: Tensor
-
-    @property
-    def pattern_dim(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass
@@ -89,7 +77,9 @@ class VqaParams:
     w_query/w_key/w_value project item vectors; w_pattern_key projects
     codebook rows to the key space matched against item queries;
     w_context_query projects an extracted pattern to the query used to
-    highlight prefix items.
+    highlight prefix items. codebook is the trainable table of
+    combination-pattern vectors, one row per pattern; stacked heads hold
+    one shared codebook tensor.
     """
 
     w_query: Tensor
@@ -97,7 +87,7 @@ class VqaParams:
     w_value: Tensor
     w_pattern_key: Tensor
     w_context_query: Tensor
-    codebook: Codebook
+    codebook: Tensor
 
     def __post_init__(self):
         d_q = self.w_query.shape[0]
@@ -107,17 +97,14 @@ class VqaParams:
         if self.w_context_query.shape[0] != self.w_key.shape[0]:
             raise ValueError(
                 f"context-query dim {self.w_context_query.shape[0]} != key dim {self.w_key.shape[0]}")
-        p = self.codebook.pattern_dim
+        p = self.codebook.shape[1]
         if self.w_pattern_key.shape[1] != p or self.w_context_query.shape[1] != p:
             raise ValueError("pattern projections do not match codebook width")
 
     def named(self, prefix: str):
-        yield f"{prefix}.w_query", self.w_query
-        yield f"{prefix}.w_key", self.w_key
-        yield f"{prefix}.w_value", self.w_value
-        yield f"{prefix}.w_pattern_key", self.w_pattern_key
-        yield f"{prefix}.w_context_query", self.w_context_query
-        yield f"{prefix}.codebook", self.codebook.entries
+        """(name, tensor) per field, in declaration order."""
+        for f in fields(self):
+            yield f"{prefix}.{f.name}", getattr(self, f.name)
 
 
 @dataclass
@@ -150,25 +137,21 @@ class UnitState:
 
 
 def init_vqa_params(rng: np.random.Generator, input_dim: int, attn_dim: int,
-                    value_dim: int, num_patterns: int,
-                    pattern_dim: int | None = None) -> VqaParams:
-    """Fresh unit parameters; projections use std 1/sqrt(fan_in)."""
-    if pattern_dim is None:
-        pattern_dim = attn_dim
+                    value_dim: int, num_patterns: int) -> VqaParams:
+    """Fresh unit parameters; projections use std 1/sqrt(fan_in), and
+    codebook rows have the attention width."""
 
     def proj(rows, cols):
         return Tensor(rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols)),
                       requires_grad=True)
 
-    codebook = Codebook(Tensor(
-        rng.normal(0.0, 1.0 / np.sqrt(pattern_dim), size=(num_patterns, pattern_dim)),
-        requires_grad=True))
+    codebook = proj(num_patterns, attn_dim)  # drawn before the projections
     return VqaParams(
         w_query=proj(attn_dim, input_dim),
         w_key=proj(attn_dim, input_dim),
         w_value=proj(value_dim, input_dim),
-        w_pattern_key=proj(attn_dim, pattern_dim),
-        w_context_query=proj(attn_dim, pattern_dim),
+        w_pattern_key=proj(attn_dim, attn_dim),
+        w_context_query=proj(attn_dim, attn_dim),
         codebook=codebook,
     )
 
@@ -188,10 +171,10 @@ def _weight(params, name: str, batch: int) -> Tensor:
 
 def _codebook(params) -> Tensor:
     if isinstance(params, VqaParams):
-        return params.codebook.entries
-    if any(p.codebook.entries is not params[0].codebook.entries for p in params):
+        return params.codebook
+    if any(p.codebook is not params[0].codebook for p in params):
         raise ValueError("stacked heads must share one codebook")
-    return params[0].codebook.entries
+    return params[0].codebook
 
 
 def project_items(item_vectors, params):

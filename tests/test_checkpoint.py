@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from npa.checkpoint import (checkpoint_info, export_attention, load_checkpoint,
                             load_optimizer_sidecar, save_checkpoint,
                             save_optimizer_sidecar)
-from npa.errors import CheckpointError
+from npa.errors import CheckpointError, ConfigError
 import npa.model
 from npa.model import (ModelConfig, init_params, named_parameters, parameter_shapes,
                        trainable_parameters)
@@ -147,6 +147,19 @@ def test_export_topk_excludes_prefix(tmp_path):
             assert len(items) == 6
 
 
+@pytest.mark.parametrize("basket, k, message", [
+    ([], 3, "export_attention: empty basket"),
+    ([4, 2, 4], 3, "export_attention: basket 4,2,4: item id 4 repeats"),
+    ([4, 2], 0, "k must be >= 1, got 0"),
+], ids=["empty", "repeat", "k_zero"])
+def test_export_rejects_bad_request_before_writing(tmp_path, basket, k, message):
+    cfg = small_sc_config()
+    path = tmp_path / "att.txt"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        export_attention(basket, cfg, init_params(cfg, seed=9), path, k=k)
+    assert not path.exists()
+
+
 def test_export_is_deterministic(tmp_path):
     cfg = small_mc_config()
     params = init_params(cfg, seed=10)
@@ -226,5 +239,5 @@ def test_loaded_mc_heads_share_one_codebook(tmp_path):
     save_checkpoint(tmp_path / "m.ckpt", cfg, init_params(cfg, seed=12))
     _, loaded = load_checkpoint(tmp_path / "m.ckpt")
     heads = loaded.layers[-1].channels
-    assert all(h.codebook.entries is heads[0].codebook.entries for h in heads)
-    assert heads[0].codebook.entries is not loaded.layers[0].channels[0].codebook.entries
+    assert all(h.codebook is heads[0].codebook for h in heads)
+    assert heads[0].codebook is not loaded.layers[0].channels[0].codebook

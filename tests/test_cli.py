@@ -8,10 +8,10 @@ import pytest
 from npa import model as model_mod
 from npa import recommend as rec
 from npa import training as training_mod
-from npa.checkpoint import checkpoint_info, save_checkpoint
+from npa.checkpoint import _write_container, checkpoint_info, save_checkpoint
 from npa.cli import main
-from npa.config_io import parse_config_file, parse_kv_text
-from npa.model import ModelConfig, init_params
+from npa.config_io import config_to_kv, parse_config_file, parse_kv_text
+from npa.model import ModelConfig, init_params, named_parameters
 from npa.training import TrainConfig
 
 CONFIG_TEXT = """\
@@ -290,3 +290,77 @@ def self_train(workspace):
                "--catalog", str(workspace / "data" / "catalog.tsv"),
                "--out", str(ckpt), "--seed", "7"])
     assert rc == 0
+
+
+def _untrained_checkpoint(workspace):
+    """An untrained SC checkpoint over the workspace's 32 items."""
+    path = workspace / "fresh.ckpt"
+    config = ModelConfig(num_items=32, embedding_dim=8, num_layers=1, channels_per_layer=[2],
+                         num_patterns=4, max_sequence_length=12)
+    save_checkpoint(path, config, init_params(config, seed=1))
+    return path
+
+
+@pytest.mark.parametrize("command, basket, k, message", [
+    ("recommend", "3,3,1", "2", "recommend_topk: basket 3,3,1: item id 3 repeats"),
+    ("inspect-attention", "3,3", "2", "export_attention: basket 3,3: item id 3 repeats"),
+    ("recommend", "3,32", "2", "recommend_topk: basket 3,32: item id 32 out of range [0, 32)"),
+    ("inspect-attention", "1,2", "-3", "k must be >= 1, got -3"),
+], ids=["recommend_repeat", "inspect_repeat", "recommend_out_of_range", "inspect_negative_k"])
+def test_serving_rejects_bad_request(workspace, capsys, command, basket, k, message):
+    out = workspace / "att.txt"
+    args = ["--out", str(out)] if command == "inspect-attention" else []
+    rc = main([command, "--ckpt", str(_untrained_checkpoint(workspace)),
+               "--basket", basket, "--k", k] + args)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not captured.out
+    assert not out.exists()
+
+
+def test_recommend_rejects_zero_fesf_temperature(workspace, capsys):
+    rc = main(["recommend", "--ckpt", str(_untrained_checkpoint(workspace)), "--basket", "1,2",
+               "--scoring", "fesf", "--fesf-temperature", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: fesf temperature must be positive\n"
+
+
+@pytest.mark.parametrize("stored, message", [
+    ({"num_items": 12}, "tensor item_embeddings has shape (12, 8), expected (13, 8)"),
+    ({"tie_output_embeddings": False},
+     "tensor names do not match config (missing [], extra ['output_embeddings'])"),
+], ids=["shape", "names"])
+def test_recommend_rejects_checkpoint_whose_config_disagrees(workspace, capsys, stored, message):
+    base = dict(num_items=13, embedding_dim=8, num_layers=1, channels_per_layer=[2],
+                num_patterns=4, tie_output_embeddings=True)
+    tensors = init_params(ModelConfig(**dict(base, **stored)), seed=1)
+    path = workspace / "bad.ckpt"
+    _write_container(path, config_to_kv(ModelConfig(**base)),
+                     [(n, t.data) for n, t in named_parameters(tensors)])
+    rc = main(["recommend", "--ckpt", str(path), "--basket", "1,2"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--catalog", "0\ta\nabc\n", ":2: expected 'id<TAB>name', got 'abc'"),
+    ("--catalog", "0\ta\nx\tb\n", ":2: non-integer item id 'x'"),
+    ("--catalog", "0\ta\n1\tb\n0\tc\n", ":3: duplicate item id 0"),
+    ("--catalog", "\n", ": empty catalog"),
+    ("--data", "b0,1,2\nb1\n", ":2: expected 'basket_id,item,...', got 'b1'"),
+    ("--data", "b0,1,2\nb1,3,-4\n", ":2: negative item id"),
+], ids=["catalog_fields", "catalog_id", "catalog_duplicate", "catalog_empty",
+        "baskets_fields", "baskets_negative"])
+def test_bad_input_file_exits_with_file_and_line(workspace, capsys, flag, text, message):
+    bad = workspace / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    baskets = str(workspace / "data" / "baskets.txt")
+    files = {"--data": baskets, "--catalog": str(workspace / "data" / "catalog.tsv"),
+             flag: str(bad)}
+    rc = main(["evaluate", "--baseline", "pop", "--train-data", baskets, "--k", "20",
+               "--data", files["--data"], "--catalog", files["--catalog"]])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}{message}\n"
+    assert not captured.out

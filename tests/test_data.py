@@ -142,8 +142,8 @@ def test_eval_instance_two_item_basket():
 
 def test_eval_temporal_inputs_contiguous():
     rng = np.random.default_rng(1)
-    baskets = [Basket(str(i), rng.choice(100, size=8, replace=False).tolist(),
-                      has_temporal_order=True) for i in range(250)]
+    baskets = [Basket(str(i), rng.choice(100, size=8, replace=False).tolist())
+               for i in range(250)]
     instances, _ = make_eval_instances(baskets, 0.5, seed=2, temporal=True,
                                        instances_per_basket=4)
     assert len(instances) == 1000

@@ -190,7 +190,7 @@ def test_gradient_reaches_every_group_over_suite():
 def test_mc_shared_codebook_is_single_tensor():
     cfg = small_mc_config(mc_last_layer_heads=3)
     params = init_params(cfg, seed=17)
-    books = {id(u.codebook.entries) for u in params.layers[-1].channels}
+    books = {id(u.codebook) for u in params.layers[-1].channels}
     assert len(books) == 1
     names = [n for n, _ in named_parameters(params)]
     assert len(names) == len(set(names))

@@ -81,7 +81,7 @@ def test_decoupled_weight_decay_shrinks_without_gradient_signal():
 
 def test_update_matches_manual_adamw_formula():
     w = Tensor([2.0], requires_grad=True)
-    opt = AdamW([("w", w)], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+    opt = AdamW([("w", w)], lr=0.1, weight_decay=0.01)
     g = np.array([0.3])
     w.grad = g.copy()
     opt.step()

@@ -155,6 +155,13 @@ _score_values = st.one_of(
 )
 
 
+def test_rank_items_k_zero_is_empty_and_negative_k_fails():
+    scores = np.array([1.0, 3.0, 2.0])
+    assert rank_items(scores, k=0) == []
+    with pytest.raises(ConfigError, match=r"^rank_items: k must be >= 0, got -1$"):
+        rank_items(scores, k=-1)
+
+
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_rank_items_matches_full_sort(data):
@@ -243,6 +250,38 @@ def test_recommend_k_validation_and_empty_basket():
         recommend_topk([], cfg, params, 3)
     with pytest.raises(ConfigError, match="k must be"):
         recommend_topk([1, 2], cfg, params, 19)
+
+
+def test_recommend_rejects_repeated_id():
+    cfg = small_sc_config()
+    params = init_params(cfg, seed=4)
+    with pytest.raises(ConfigError, match=r"^recommend_topk: basket 3,3,1: item id 3 repeats$"):
+        recommend_topk([3, 3, 1], cfg, params, 3)
+
+
+def test_score_contexts_default_kind():
+    rng = np.random.default_rng(12)
+    e = rng.normal(size=(7, 4))
+    one, two = rng.normal(size=(1, 4)), rng.normal(size=(2, 4))
+    np.testing.assert_array_equal(score_contexts(one, e).scores, score_softmax(one[0], e).scores)
+    np.testing.assert_array_equal(score_contexts(two, e).scores, score_fesf(two, e).scores)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda e: score_softmax(np.zeros(3), e),
+     r"score_softmax: embeddings \(7, 4\) vs context \(3,\)"),
+    (lambda e: score_mean(np.zeros((2, 3)), e),
+     r"score_mean: embeddings \(7, 4\) vs contexts \(2, 3\)"),
+    (lambda e: score_fesf(np.zeros((2, 3)), e),
+     r"score_fesf: embeddings \(7, 4\) vs contexts \(2, 3\)"),
+    (lambda e: score_contexts(np.zeros((2, 1, 4)), e),
+     r"expected one or more context vectors, got shape \(2, 1, 4\)"),
+    (lambda e: score_contexts(np.zeros((0, 4)), e),
+     r"expected one or more context vectors, got shape \(0, 4\)"),
+], ids=["softmax", "mean", "fesf", "contexts_rank", "no_contexts"])
+def test_score_shape_errors(call, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        call(np.zeros((7, 4)))
 
 
 def test_recommend_mc_defaults_to_fesf():

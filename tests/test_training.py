@@ -293,6 +293,18 @@ def test_train_rejects_bad_basket_before_any_step(bad, message):
         assert np.array_equal(before[n], p.data), n
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([1, 2, 3, 4, 5, 6, 7, 8, 9], "sequence of 9 items exceeds max_sequence_length 8"),
+    ([1, 2, 20], r"item id 20 out of range \[0, 20\)"),
+    ([1, 3, 2, 3, 1], "item id 3 repeats"),
+], ids=["too_long", "id_out_of_range", "repeated_id"])
+def test_batch_loss_names_the_bad_sequence(bad, message):
+    cfg = small_sc_config(use_positions=True)
+    params = init_params(cfg, seed=21)
+    with pytest.raises(ConfigError, match=f"^batch_loss: basket 1: {message}$"):
+        batch_loss([[1, 2], bad, [3, 4]], cfg, params, rng=np.random.default_rng(0))
+
+
 def test_unseeded_mc_batch_loss_repeats():
     # No generator means the fixed seed 0, so unseeded MC losses repeat.
     cfg = small_mc_config(mc_last_layer_heads=3)
@@ -406,7 +418,7 @@ def _all_heads_loss(batch, cfg, params, rng, training):
         if logprob is not None:
             score = T.add(score, T.gather_rows(logprob, rows))
         columns.append(T.reshape(score, (score.shape[0], 1)))
-    table = T.concat(columns, axis=1)
+    table = T.concat(columns)
     pooled = T.take_per_row(table, np.argmax(table.data, axis=1))
     details = [-float(np.mean(part)) for part in np.split(pooled.data, np.cumsum(lengths - 1)[:-1])]
     return T.scale(T.mean(pooled), -1.0), details
@@ -445,7 +457,7 @@ def test_mc_exact_tie_goes_to_head_zero():
         getattr(head1, attr).data = getattr(head0, attr).data.copy()
     # Identical rows make every sampled pattern the same vector with the same
     # belief, so the two heads score every step identically.
-    head0.codebook.entries.data[:] = head0.codebook.entries.data[0]
+    head0.codebook.data[:] = head0.codebook.data[0]
     batch = [[3, 1, 2, 8, 4], [5, 6], [9, 7, 3]]
     scores, _ = sequence_scores(batch, cfg, params, rng=np.random.default_rng(1))
     np.testing.assert_array_equal(scores[0].data, scores[1].data)

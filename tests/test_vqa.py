@@ -59,7 +59,7 @@ def test_pattern_attention_matches_softmax_oracle():
     x = rng.normal(size=(2, 6))
     q, _, _ = vqa.project_items(x, params)
     a = vqa.pattern_attention(q, params)
-    keys = params.codebook.entries.data @ params.w_pattern_key.data.T
+    keys = params.codebook.data @ params.w_pattern_key.data.T
     logits = q.data @ keys.T / np.sqrt(4)
     expected = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
@@ -78,7 +78,7 @@ def prefix_oracle(x, params, strategy, uniforms=None):
     for weighted-average extraction). uniforms[t] are the Gumbel draws of
     step t for sampling extraction.
     """
-    codebook = params.codebook.entries.data
+    codebook = params.codebook.data
     pattern_keys = codebook @ params.w_pattern_key.data.T
     contexts, beliefs, indices = [], [], []
     for t in range(len(x)):
@@ -154,10 +154,10 @@ def test_extract_one_hot_belief_all_strategies_agree():
     params = make_params(rng, input_dim=4)
     params.w_query.data = np.eye(4)
     params.w_pattern_key.data = np.eye(4)
-    params.codebook.entries.data = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
+    params.codebook.data = np.eye(4) + 0.1 * rng.normal(size=(4, 4))
     # Items aligned with codebook row 2 at a large scale: every softmax
     # saturates, so every prefix belief is exactly one-hot on row 2.
-    x = Tensor(np.tile(1e4 * params.codebook.entries.data[2], (3, 1)))
+    x = Tensor(np.tile(1e4 * params.codebook.data[2], (3, 1)))
     uniforms = rng.random((3, 4))
     states = [vqa.unit_forward(x, params, s, uniforms=uniforms) for s in STRATEGIES]
     np.testing.assert_array_equal(states[0].prefix_attention.data, np.tile(np.eye(4)[2], (3, 1)))
@@ -180,7 +180,7 @@ def test_extract_greedy_argmax():
 def test_extract_greedy_tie_breaks_low_index():
     rng = np.random.default_rng(9)
     params = make_params(rng, num_patterns=2)
-    params.codebook.entries.data[1] = params.codebook.entries.data[0]
+    params.codebook.data[1] = params.codebook.data[0]
     state = vqa.unit_forward(Tensor(rng.normal(size=(5, 6))), params,
                              vqa.ExtractionStrategy(vqa.GREEDY))
     np.testing.assert_array_equal(state.prefix_attention.data, 0.5)
@@ -250,7 +250,7 @@ def test_estimate_context_matches_brute_force_oracle():
     state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.GREEDY))
     for t, index in enumerate(state.pattern_index):
         # The context of step t attends over the prefix with the chosen pattern as query.
-        rho = params.w_context_query.data @ params.codebook.entries.data[index]
+        rho = params.w_context_query.data @ params.codebook.data[index]
         logits = k.data[:t + 1] @ rho / np.sqrt(4)
         b = np.exp(logits - logits.max())
         b /= b.sum()
