@@ -35,7 +35,7 @@ mstate = forward(basket, mc, mc_params, rng_seed=42)
 print("MC contexts:", len(mstate.contexts), "each", mstate.contexts[0].shape)
 for h, unit_state in enumerate(mstate.unit_states[-1]):
     print(f"  head {h}: sampled codebook rows per step {unit_state.pattern_index.tolist()}"
-          f"  log-beliefs {np.round(mstate.pattern_logprobs[h].data, 2)}")
+          f"  log-beliefs {np.round(unit_state.pattern_logprob.data, 2)}")
 
 # Same seed, same draw: the forward pass is deterministic.
 again = forward(basket, mc, mc_params, rng_seed=42)

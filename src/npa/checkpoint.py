@@ -217,11 +217,11 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=0,
         f"basket={','.join(str(i) for i in items)}",
         f"variant={config.variant}",
         f"num_layers={config.num_layers}",
-        f"channels={','.join(str(c) for c, _ in plan)}",
+        f"channels={','.join(str(c) for c, _, _ in plan)}",
         f"num_patterns={config.num_patterns}",
         f"steps={len(items)}",
     ]
-    final = state.values()[0]  # (contexts, steps, dim)
+    final = state.context.data  # (contexts, steps, dim)
     for t in range(len(items)):
         prefix = items[:t + 1]
         lines.append(f"step={t} prefix={','.join(str(i) for i in prefix)}")

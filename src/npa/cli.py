@@ -43,7 +43,7 @@ def _load_model(args):
     """Load --ckpt, then reject a --scoring kind its contexts cannot take."""
     config, params = ckpt.load_checkpoint(args.ckpt)
     if args.scoring:
-        channels, merges = model_mod.layer_channel_plan(config)[-1]
+        channels, merges, _ = model_mod.layer_channel_plan(config)[-1]
         rec.check_scoring(args.scoring, 1 if merges else channels)
     return config, params
 

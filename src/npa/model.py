@@ -9,15 +9,17 @@ that stabilizes training. Non-last layers always extract patterns by
 weighted average so they act as information filters.
 
 Two variants differ only in the last layer. The squashed-context (SC)
-variant merges its last-layer channels like any other layer and emits
-one context per step. The multi-context (MC) variant gives every
-last-layer channel (head) the full embedding width, shares a single
-codebook across those heads, samples a pattern per head by Gumbel-max,
-and emits one context per head per step, with the log belief of each
-sampled pattern retained for the training objective. The heads run as
-one stacked unit (``vqa.unit_forward`` over weights stacked on a leading
-heads axis), so the MC contexts and log beliefs come out heads-first in
-one tensor each; merging layers run one unit per channel.
+variant merges its last-layer channels like any other layer, extracting
+by ``sc_last_extraction``, and emits one context per step. The
+multi-context (MC) variant gives every last-layer channel (head) the full
+embedding width, shares a single codebook across those heads, samples a
+pattern per head by Gumbel-max, and emits one context per head per step,
+with the log belief of each sampled pattern retained for the training
+objective. The heads run as one stacked unit (``vqa.unit_forward`` over
+weights stacked on a leading heads axis); merging layers run one unit per
+channel. ``layer_channel_plan`` is the one place that decides each
+layer's role, and both variants give their contexts heads-first in one
+tensor, SC's with a contexts axis of 1.
 
 A forward pass takes one basket, giving ``(steps, d)`` tensors, or a batch
 of baskets padded at the end to the longest one, giving ``(B, N, d)``
@@ -103,22 +105,30 @@ class ModelConfig:
             raise ConfigError("gumbel_temperature must be positive")
         if self.max_sequence_length < 1:
             raise ConfigError("max_sequence_length must be >= 1")
+        if self.embedding_dim < 1:
+            raise ConfigError("embedding_dim must be >= 1")
+        if self.num_patterns < 1:
+            raise ConfigError("num_patterns must be >= 1")
         # Channel outputs of merging layers concatenate back to embedding_dim.
-        for layer, (channels, merges) in enumerate(layer_channel_plan(self)):
+        for layer, (channels, merges, _) in enumerate(layer_channel_plan(self)):
             if merges and self.embedding_dim % channels:
                 raise ConfigError(
                     f"embedding_dim {self.embedding_dim} not divisible by {channels} channels in layer {layer}")
 
 
 def layer_channel_plan(config: ModelConfig):
-    """(channel_count, merges) per layer; the MC last layer never merges."""
-    plan = []
-    for layer in range(config.num_layers):
-        last = layer == config.num_layers - 1
-        if last and config.variant == VARIANT_MC:
-            plan.append((config.mc_last_layer_heads, False))
-        else:
-            plan.append((config.channels_per_layer[layer], True))
+    """(channel_count, merges, extraction_kind) per layer.
+
+    Layers before the last merge their channels and extract by weighted
+    average. The SC last layer merges too and extracts by
+    sc_last_extraction; the MC last layer is its heads, which sample and
+    never merge.
+    """
+    plan = [(c, True, vqa.WEIGHTED_AVERAGE) for c in config.channels_per_layer[:-1]]
+    if config.variant == VARIANT_MC:
+        plan.append((config.mc_last_layer_heads, False, vqa.SAMPLING))
+    else:
+        plan.append((config.channels_per_layer[-1], True, config.sc_last_extraction))
     return plan
 
 
@@ -141,7 +151,7 @@ class LayerNoise:
     """The random numbers one layer consumes, channels first.
 
     keep_masks holds the attention-dropout keep masks over codebook entries
-    and uniforms the Gumbel uniforms (MC last layer), each
+    and uniforms the Gumbel uniforms (sampling layers), each
     (channels, ..., N, num_patterns) with channel c's at [c], or None when
     unused; merge_uniforms are the dropout draws of the merged output,
     (..., N, embedding_dim), or None.
@@ -164,52 +174,35 @@ class LayerNoise:
 class ContextState:
     """Per-step outputs of a forward pass over one basket or a padded batch.
 
-    context holds the prediction contexts. SC has one, the last layer's
-    merged (steps x embedding_dim) output, (B x N x embedding_dim) for a
-    batch. MC has one per last-layer head, stacked heads-first as
-    (heads x ... x embedding_dim), with stacked True, and logprob holds the
-    (heads x ... x steps) log belief of each head's sampled pattern (None
-    for SC). layer_states[layer] is the per-channel list of that layer's
-    ``vqa.UnitState``; for the MC last layer it is the one stacked state.
+    context holds the prediction contexts heads-first, (contexts x steps x
+    embedding_dim), (contexts x B x N x embedding_dim) for a batch: SC has
+    one, the last layer's merged output, and MC one per last-layer head.
+    logprob holds the (contexts x ... x steps) log belief of each head's
+    sampled pattern, or None for SC. layer_states[layer] is the per-channel
+    list of that layer's ``vqa.UnitState``, or for the MC heads the one
+    stacked state.
 
-    contexts, pattern_logprobs and unit_states are per-context and
-    per-channel views, built on first access for inspection and export:
-    contexts[h] and pattern_logprobs[h] (None for deterministic
-    extraction) belong to context h, and unit_states[layer][channel] is
-    that unit's state.
+    contexts and unit_states are per-context and per-channel views, built
+    on first access for inspection and export: contexts[h] belongs to
+    context h, and unit_states[layer][channel] is that unit's state.
     """
 
     context: Tensor
     logprob: Tensor | None
     layer_states: list
-    stacked: bool = False
 
     def values(self):
-        """(contexts, logprobs) as arrays with a leading contexts axis:
-        (contexts, ..., steps, embedding_dim) and (contexts, ..., steps), or
-        None for SC."""
-        if self.stacked:
-            return self.context.data, self.logprob.data
-        return self.context.data[None], None
+        """(context, logprob) as arrays, logprob None for SC."""
+        return self.context.data, None if self.logprob is None else self.logprob.data
 
     @functools.cached_property
     def unit_states(self) -> list:
-        if not self.stacked:
-            return self.layer_states
-        heads = self.layer_states[-1]
-        return self.layer_states[:-1] + [[heads.head(h) for h in range(self.context.shape[0])]]
+        return [s if isinstance(s, list) else [s.head(h) for h in range(s.contexts.shape[0])]
+                for s in self.layer_states]
 
     @functools.cached_property
     def contexts(self) -> list:
-        if not self.stacked:
-            return [self.context]
-        return [s.contexts for s in self.unit_states[-1]]
-
-    @functools.cached_property
-    def pattern_logprobs(self) -> list:
-        if not self.stacked:
-            return [None]
-        return [s.pattern_logprob for s in self.unit_states[-1]]
+        return [T.gather_rows(self.context, h) for h in range(self.context.shape[0])]
 
 
 def init_params(config: ModelConfig, seed: int) -> NpaParams:
@@ -227,7 +220,7 @@ def init_params(config: ModelConfig, seed: int) -> NpaParams:
     if not config.tie_output_embeddings:
         tensors["output_embeddings"] = table(config.num_items, d, 1.0 / np.sqrt(d))
     tensors["positional_embeddings"] = table(config.max_sequence_length, d, 0.02)
-    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+    for li, (channels, merges, _) in enumerate(layer_channel_plan(config)):
         width = d // channels if merges else d
         for ci in range(channels):
             unit = vqa.init_vqa_params(rng, d, width, width, config.num_patterns)
@@ -247,7 +240,7 @@ def parameter_shapes(config: ModelConfig):
     if not config.tie_output_embeddings:
         shapes.append(("output_embeddings", (config.num_items, d)))
     shapes.append(("positional_embeddings", (config.max_sequence_length, d)))
-    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+    for li, (channels, merges, _) in enumerate(layer_channel_plan(config)):
         width = d // channels if merges else d
         unit = list(zip(_UNIT_TENSORS, [(width, d)] * 3 + [(width, width)] * 2
                         + [(config.num_patterns, width)]))
@@ -266,7 +259,7 @@ def params_from_tensors(config: ModelConfig, tensors) -> NpaParams:
     Every head of the MC last layer holds channel 0's codebook.
     """
     layers = []
-    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+    for li, (channels, merges, _) in enumerate(layer_channel_plan(config)):
         units = []
         for ci in range(channels):
             unit = {name: tensors.get(f"layers.{li}.channels.{ci}.{name}")
@@ -303,17 +296,15 @@ def named_parameters(params: NpaParams):
 def trainable_parameters(params: NpaParams, config: ModelConfig):
     """named_parameters minus tensors the config keeps out of the graph.
 
-    Those are the positional embeddings when use_positions is false, and,
-    when the SC last layer extracts greedily, that layer's w_query and
-    w_pattern_key: they only feed the pattern argmax, so no gradient
-    reaches them.
+    Those are the positional embeddings when use_positions is false, and
+    w_query and w_pattern_key of every layer that extracts greedily: they
+    only feed the pattern argmax, so no gradient reaches them.
     """
     frozen = set() if config.use_positions else {"positional_embeddings"}
-    if config.variant == VARIANT_SC and config.sc_last_extraction == vqa.GREEDY:
-        last = config.num_layers - 1
-        frozen.update(f"layers.{last}.channels.{c}.{name}"
-                      for c in range(config.channels_per_layer[last])
-                      for name in ("w_query", "w_pattern_key"))
+    for li, (channels, _, kind) in enumerate(layer_channel_plan(config)):
+        if kind == vqa.GREEDY:
+            frozen.update(f"layers.{li}.channels.{c}.{name}" for c in range(channels)
+                          for name in ("w_query", "w_pattern_key"))
     return [(n, t) for n, t in named_parameters(params) if n not in frozen]
 
 
@@ -325,20 +316,25 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
     """Reject, before any model work, a basket the model cannot take.
 
     baskets are id sequences and names[j] identifies baskets[j] in the
-    message. Raises ConfigError for the first basket longer than
-    max_sequence_length, holding an id outside [0, num_items), or
-    repeating an id (the first id seen twice is named).
+    message. Raises ConfigError when there is no basket, and for the first
+    basket that is empty, longer than max_sequence_length, holds an id
+    outside [0, num_items), or repeats an id (the first id seen twice is
+    named).
     """
     baskets = [np.asarray(b, dtype=np.int64) for b in baskets]
+    if not baskets:
+        raise ConfigError(f"{caller}: no baskets")
     sizes = [b.size for b in baskets]
     flat = np.concatenate(baskets)
-    if (max(sizes) <= config.max_sequence_length
+    if (0 < min(sizes) and max(sizes) <= config.max_sequence_length
             and flat.min() >= 0 and flat.max() < config.num_items):
         # One key per (basket, id): a repeat within a basket is an equal pair.
         keys = np.sort(np.repeat(np.arange(len(baskets)), sizes) * config.num_items + flat)
         if not (keys[1:] == keys[:-1]).any():
             return
     for name, items in zip(names, baskets):
+        if not items.size:
+            raise ConfigError(f"{caller}: basket {name}: empty")
         if items.size > config.max_sequence_length:
             raise ConfigError(
                 f"{caller}: basket {name}: sequence of {items.size} items exceeds "
@@ -398,7 +394,7 @@ def draw_noise(lengths, config: ModelConfig, rng: np.random.Generator,
 
     Baskets draw in batch order. Within a basket, layer by layer, each
     channel draws its attention-dropout keep mask (when dropout_rate > 0)
-    and then its Gumbel uniforms (MC last layer); the layer's merge-dropout
+    and then its Gumbel uniforms (sampling layers); the layer's merge-dropout
     mask comes last. That is the order of running the baskets one at a
     time, so a basket's draws do not depend on its batch. The arrays are
     channels first, (channels, B, N, width) with N = max(lengths); padded
@@ -409,11 +405,11 @@ def draw_noise(lengths, config: ModelConfig, rng: np.random.Generator,
     p, d = config.num_patterns, config.embedding_dim
     layers = []
     order = []  # the arrays in per-basket draw order
-    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
+    for channels, merges, kind in layer_channel_plan(config):
         noise = LayerNoise(dropout_rate)
         if dropout_rate > 0:
             noise.keep_masks = np.ones((channels,) + shape + (p,))
-        if li == config.num_layers - 1 and config.variant == VARIANT_MC:
+        if kind == vqa.SAMPLING:
             noise.uniforms = np.full((channels,) + shape + (p,), 0.5)
         for c in range(channels):
             order += [m[c] for m in (noise.keep_masks, noise.uniforms) if m is not None]
@@ -438,8 +434,8 @@ def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionSt
 
     Returns the merged (..., steps, embedding_dim) output and the
     per-channel unit states. noise, when given, holds the layer's dropout
-    masks. Only meaningful for layers that merge; forward() runs the MC
-    last layer's heads as one stacked unit.
+    masks. Only meaningful for layers that merge; forward() runs the
+    non-merging heads as one stacked unit.
     """
     if noise is None:
         noise = LayerNoise(0.0)
@@ -484,27 +480,18 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
     current_input = x
     layer_states = []
 
-    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
-        last = li == config.num_layers - 1
-        if not last:
-            strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
-        elif config.variant == VARIANT_SC:
-            strategy = vqa.ExtractionStrategy(config.sc_last_extraction,
-                                              config.gumbel_temperature)
-        else:
-            strategy = vqa.ExtractionStrategy(vqa.SAMPLING, config.gumbel_temperature)
-
+    for li, (_, merges, kind) in enumerate(layer_channel_plan(config)):
+        strategy = vqa.ExtractionStrategy(kind, config.gumbel_temperature)
         layer = params.layers[li]
         if not merges:
             heads = vqa.unit_forward(current_input, layer.channels, strategy,
                                      noise[li].keep_masks, noise[li].uniforms)
             layer_states.append(heads)
-            return ContextState(heads.contexts, heads.pattern_logprob, layer_states,
-                                stacked=True)
+            return ContextState(heads.contexts, heads.pattern_logprob, layer_states)
         merged, states = forward_layer(current_input, layer, strategy, noise[li])
         layer_states.append(states)
-        if not last:
+        if li < config.num_layers - 1:
             # Residual feed: the next layer consumes C(l) + C(l-1).
             current_input = T.add(merged, prev_raw)
             prev_raw = merged
-    return ContextState(merged, None, layer_states)
+    return ContextState(T.reshape(merged, (1,) + merged.shape), None, layer_states)

@@ -188,7 +188,7 @@ def recommend_topk(basket, config, params, k: int,
         raise ConfigError(f"k must be in [1, {config.num_items - len(items)}], got {k}")
     with no_grad():
         state = npa_model.forward(items, config, params, rng_seed=rng_seed)
-    final = state.values()[0][:, -1]  # (contexts, embedding_dim)
+    final = state.context.data[:, -1]  # (contexts, embedding_dim)
     emb = npa_model.output_embeddings(params).data
     vec = score_contexts(final, emb, scoring_kind, fesf_temperature)
     ranked = rank_items(vec.scores, exclude=items, k=k)

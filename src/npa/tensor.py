@@ -170,8 +170,6 @@ def _right_grad(x, g, shape):
     """
     if shape[:-2] == g.shape[:-2]:
         return x.swapaxes(-1, -2) @ g
-    if len(shape) == 2 and x.shape[:-2] == g.shape[:-2]:  # the fold below, in one step
-        return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
     j = g.ndim - 2
     xl, yl = _lead(x.shape, j), _lead(shape, j)
     while j and yl[j - 1] == 1 and xl[j - 1] == g.shape[j - 1]:

@@ -318,12 +318,10 @@ def batch_loss(batch, config, params, rng=None, training=False,
     state, rows, targets = _forward_rows(batch, config, params, rng, training,
                                          use_positions)
     emb = npa_model.output_embeddings(params)
-    at = rows
-    if state.stacked:
-        head = np.zeros(targets.size, dtype=np.int64)
-        if state.context.shape[0] > 1:
-            head = _winners(*state.values(), rows, targets, emb.data)
-        at = (head,) + rows
+    head = np.zeros(targets.size, dtype=np.int64)
+    if state.context.shape[0] > 1:
+        head = _winners(*state.values(), rows, targets, emb.data)
+    at = (head,) + rows
     logits = T.matmul(T.gather_rows(state.context, at), T.transpose(emb))
     scores = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
     if state.logprob is not None:

@@ -196,6 +196,10 @@ def test_cli_error_exits(workspace, tmp_path, capsys):
     ({"dropout_rate": "1.0"}, "dropout_rate must be in [0, 1)"),
     ({"gumbel_temperature": "0.0"}, "gumbel_temperature must be positive"),
     ({"max_sequence_length": "0"}, "max_sequence_length must be >= 1"),
+    ({"embedding_dim": "0"}, "embedding_dim must be >= 1"),
+    ({"embedding_dim": "-4"}, "embedding_dim must be >= 1"),
+    ({"num_patterns": "0"}, "num_patterns must be >= 1"),
+    ({"num_patterns": "-2"}, "num_patterns must be >= 1"),
     ({"epochs": "-1"}, "epochs must be >= 0"),
     ({"batch_size": "0"}, "batch_size must be >= 1"),
     ({"permutations_per_basket": "0"}, "permutations_per_basket must be >= 1 in any_order mode"),

@@ -60,6 +60,14 @@ def test_check_baskets_names_first_basket_and_id_that_repeat():
     check_baskets([[1, 2], [2, 1]], names[:2], cfg, "evaluate")
 
 
+def test_check_baskets_rejects_no_baskets_and_an_empty_one():
+    cfg = small_sc_config()
+    with pytest.raises(ConfigError, match="^train: no baskets$"):
+        check_baskets([], [], cfg, "train")
+    with pytest.raises(ConfigError, match="^train: basket 1: empty$"):
+        check_baskets([[1], []], [0, 1], cfg, "train")
+
+
 def test_forward_layer_single_channel_identity_merge():
     cfg = small_sc_config(num_layers=1, channels_per_layer=[1])
     params = init_params(cfg, seed=2)
@@ -303,10 +311,9 @@ def _draws_channel_by_channel(lengths, config, rng, rate):
     batch, n = len(lengths), max(lengths)
     p, d = config.num_patterns, config.embedding_dim
     layers = []
-    for li, (channels, merges) in enumerate(layer_channel_plan(config)):
-        sampling = li == config.num_layers - 1 and config.variant == "MC"
+    for channels, merges, kind in layer_channel_plan(config):
         layers.append(([np.ones((batch, n, p)) if rate > 0 else None for _ in range(channels)],
-                       [np.full((batch, n, p), 0.5) if sampling else None
+                       [np.full((batch, n, p), 0.5) if kind == "sampling" else None
                         for _ in range(channels)],
                        np.ones((batch, n, d)) if merges and rate > 0 else None))
     for b, steps in enumerate(lengths):

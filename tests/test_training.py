@@ -1,6 +1,8 @@
 """Objectives and training loop: permutations, losses, determinism, dynamics."""
 
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -191,6 +193,39 @@ def test_train_seeded_runs_bit_identical():
         results.append({n: p.data.copy() for n, p in named_parameters(params)})
     for n in results[0]:
         assert np.array_equal(results[0][n], results[1][n]), n
+
+
+def test_train_clips_gradients_like_the_manual_steps():
+    # Two steps of one epoch, with a bound below every step's gradient norm.
+    cfg = small_mc_config(dropout_rate=0.2)
+    baskets = [np.random.default_rng(i).choice(20, size=3 + i % 4, replace=False)
+               for i in range(6)]
+    tc = TrainConfig(epochs=1, batch_size=3, learning_rate=1e-2, seed=4,
+                     gradient_clip_norm=0.05)
+
+    params = init_params(cfg, seed=2)
+    rng = np.random.default_rng(tc.seed)
+    opt = AdamW(trainable_parameters(params, cfg), lr=tc.learning_rate,
+                weight_decay=tc.weight_decay)
+    order = rng.permutation(len(baskets))
+    for start in range(0, len(order), tc.batch_size):
+        batch = [baskets[i] for i in order[start:start + tc.batch_size]]
+        loss, _ = batch_loss(batch, cfg, params, rng=rng, training=True)
+        T.backward(loss)
+        assert clip_grad_norm(opt.params, tc.gradient_clip_norm) > tc.gradient_clip_norm
+        opt.step()
+        opt.zero_grad()
+    manual = {n: p.data.copy() for n, p in named_parameters(params)}
+
+    def trained(clip):
+        params = init_params(cfg, seed=2)
+        train(baskets, cfg, params, dataclasses.replace(tc, gradient_clip_norm=clip))
+        return {n: p.data for n, p in named_parameters(params)}
+
+    clipped, unclipped = trained(tc.gradient_clip_norm), trained(None)
+    for n, want in manual.items():
+        assert np.array_equal(clipped[n], want), n
+    assert any(not np.array_equal(unclipped[n], want) for n, want in manual.items())
 
 
 def test_train_modes_validate_positions():
@@ -412,11 +447,11 @@ def _all_heads_loss(batch, cfg, params, rng, training):
     targets = ids[rows[0], rows[1] + 1]
     emb_t = T.transpose(output_embeddings(params))
     columns = []
-    for ctx, logprob in zip(state.contexts, state.pattern_logprobs):
+    for h, ctx in enumerate(state.contexts):
         logits = T.matmul(T.gather_rows(ctx, rows), emb_t)
         score = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
-        if logprob is not None:
-            score = T.add(score, T.gather_rows(logprob, rows))
+        if state.logprob is not None:
+            score = T.add(score, T.gather_rows(state.logprob, (np.full(targets.size, h),) + rows))
         columns.append(T.reshape(score, (score.shape[0], 1)))
     table = T.concat(columns)
     pooled = T.take_per_row(table, np.argmax(table.data, axis=1))
