@@ -25,7 +25,7 @@ print("queries", q.shape, "keys", k.shape, "values", v.shape)
 # Stage one: per-item pattern beliefs; the basket belief is their mean.
 a = vqa.pattern_attention(q, params)
 print("per-item beliefs:")
-for row in a.data:
+for row in a:
     print("  ", np.round(row, 3))
 uniforms = rng.random((4, 5))  # Gumbel draws, used by sampling extraction only
 states = {kind: vqa.unit_forward(Tensor(basket), params, vqa.ExtractionStrategy(kind),
@@ -47,7 +47,7 @@ single = np.broadcast_to(basket[:1], (draws, 1, 8))
 sampled = vqa.unit_forward(Tensor(single), params, vqa.ExtractionStrategy(vqa.SAMPLING),
                            uniforms=rng.random((draws, 1, 5)))
 freq = np.bincount(sampled.pattern_index[:, 0], minlength=5) / draws
-print("belief   ", np.round(a.data[0], 3))
+print("belief   ", np.round(a[0], 3))
 print("empirical", np.round(freq, 3))
 
 # The unit is a set function: permuting the items leaves the whole-basket

@@ -76,13 +76,14 @@ def _pack_tensors(named) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes, path):
         self.blob = blob
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise CheckpointError("truncated checkpoint file")
+            raise CheckpointError(f"{self.path}: truncated checkpoint file")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -126,7 +127,7 @@ def _read_container(path):
     payload, stored = blob[4:-8], struct.unpack("<Q", blob[-8:])[0]
     if _checksum64(payload) != stored:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt")
-    r = _Reader(payload)
+    r = _Reader(payload, path)
     version = r.uint(4)
     if version != VERSION:
         raise CheckpointError(f"{path}: format version {version}, expected {VERSION}")

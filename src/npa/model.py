@@ -23,7 +23,10 @@ tensor, SC's with a contexts axis of 1.
 
 A forward pass takes one basket, giving ``(steps, d)`` tensors, or a batch
 of baskets padded at the end to the longest one, giving ``(B, N, d)``
-tensors built as one autodiff graph. Padded input rows are zeroed by a
+tensors built as one autodiff graph. In that graph every unit call is one
+node (two for the sampling heads), and the embedding gather, channel
+concatenation, merge projection, dropout and residual sums are the
+engine's primitives. Padded input rows are zeroed by a
 select, so no table row outside the batch reaches a valid row, and the
 causal masks keep padded steps out of every valid step. Every random
 number is drawn basket by basket in a fixed order (see ``draw_noise``), so

@@ -145,13 +145,18 @@ def score_contexts(contexts, embeddings, kind: str | None = None,
 def rank_items(scores: np.ndarray, exclude=(), k: int | None = None):
     """Item ids by descending score, ties to the lower id, exclusions first removed.
 
-    Non-finite scores are dropped; k=None returns every finite item.
+    Non-finite scores are dropped; k=None returns every finite item. An
+    excluded id outside [0, len(scores)) raises ConfigError.
     """
     if k is not None and k < 0:
         raise ConfigError(f"rank_items: k must be >= 0, got {k}")
     neg = -np.asarray(scores, dtype=np.float64)
     neg[~np.isfinite(neg)] = np.inf
-    neg[np.asarray([int(i) for i in exclude], dtype=np.int64)] = np.inf
+    drop = np.asarray([int(i) for i in exclude], dtype=np.int64)
+    bad = drop[(drop < 0) | (drop >= neg.size)]
+    if bad.size:
+        raise ConfigError(f"rank_items: excluded item id {bad[0]} out of range [0, {neg.size})")
+    neg[drop] = np.inf
     limit = np.finfo(np.float64).max  # every finite score is a candidate
     if k is not None and 0 < k < neg.size:
         limit = min(limit, np.partition(neg, k - 1)[k - 1])

@@ -17,11 +17,17 @@ matrix per head), and its gradient is one product over the flattened
 rows. ``add`` broadcasts an operand over leading axes that only the other
 has.
 
-The primitive set is exactly what the models of this package build:
-matrix multiply, transpose, add, scale, concatenate along the last axis,
-stack, row softmax (optionally masked, always with max subtraction), log,
-mean over all entries, masked fill, reshape, row gather, per-row element
-gather, cross entropy with logits, and inverted dropout.
+The primitives are matrix multiply, transpose, add, scale, concatenate
+along the last axis, row softmax (optionally masked, always with max
+subtraction), log, mean over all entries, masked fill, reshape, row
+gather, per-row element gather, cross entropy with logits, and inverted
+dropout. The models of this package build their graphs from these and
+from one more node kind: ``vqa.unit_forward`` records each attention unit
+as a single node through ``_make``, with a backward written out from the
+unit's equations on this module's array helpers (``_accumulate``,
+``_right_grad``, ``_reduce``, ``_softmax_rows``, ``_softmax_grad``), so
+it repeats the arithmetic of the same unit composed from softmax, log and
+per-row gather, which remain for graphs composed that way.
 
 Inside the :func:`no_grad` context nothing is recorded: every primitive
 returns a plain tensor with no parents and no backward closure, whatever
@@ -60,7 +66,6 @@ __all__ = [
     "reshape",
     "scale",
     "softmax",
-    "stack",
     "take_per_row",
     "transpose",
 ]
@@ -274,32 +279,8 @@ def concat(parts) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
 
 
-def stack(parts) -> Tensor:
-    """Same-shape tensors stacked along a new leading axis."""
-    parts = [_coerce(p) for p in parts]
-    if not parts or len({p.data.shape for p in parts}) != 1:
-        raise ShapeError(f"stack: need one or more same-shape operands, got "
-                         f"{[p.data.shape for p in parts]}")
-
-    def back(g):
-        for p, part in zip(parts, g):
-            if p.requires_grad:
-                _accumulate(p, part)
-
-    return _make(np.array([p.data for p in parts]), tuple(parts), back)
-
-
-def softmax(a, mask=None) -> Tensor:
-    """Softmax over the last axis with max subtraction; masked entries get
-    exactly zero.
-
-    Every leading index is an independent row, and a 1-d input is a single
-    row. ``mask`` is an optional boolean array, True where entries
-    participate, of the input's shape or of its trailing axes (then shared
-    across the leading ones). Every row must keep at least one entry.
-    """
-    a = _coerce(a)
-    x = a.data
+def _softmax_rows(x, mask=None):
+    """The array arithmetic of :func:`softmax`: rows of a numpy array, checked."""
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ShapeError(f"softmax: expected non-empty rows, got shape {x.shape}")
     if mask is not None:
@@ -314,13 +295,31 @@ def softmax(a, mask=None) -> Tensor:
     else:
         m = x.max(axis=-1, keepdims=True)
         e = np.exp(x - m)
-    p = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(p, g):
+    """Gradient at the logits of rows p = softmax(...) given g at p:
+    p * (g - sum(g * p)); masked entries have p == 0."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - inner)
+
+
+def softmax(a, mask=None) -> Tensor:
+    """Softmax over the last axis with max subtraction; masked entries get
+    exactly zero.
+
+    Every leading index is an independent row, and a 1-d input is a single
+    row. ``mask`` is an optional boolean array, True where entries
+    participate, of the input's shape or of its trailing axes (then shared
+    across the leading ones). Every row must keep at least one entry.
+    """
+    a = _coerce(a)
+    p = _softmax_rows(a.data, mask)
 
     def back(g):
         if a.requires_grad:
-            # d softmax: p * (g - sum(g * p)); masked entries have p == 0.
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            _accumulate(a, p * (g - inner), fresh=True)
+            _accumulate(a, _softmax_grad(p, g), fresh=True)
 
     return _make(p, (a,), back)
 

@@ -15,11 +15,26 @@ the causal masks already keep them out of every valid row; their own rows
 hold finite values that callers ignore. It also takes a list of
 equal-shaped heads sharing one codebook in place of one unit's
 parameters: their weights are stacked on a leading heads axis, and every
-output gains that axis in front, one graph for all heads whose per-head
+output gains that axis in front, one pass for all heads whose per-head
 values are those of each head run alone. Random numbers (attention-dropout
 masks, Gumbel uniforms) are not drawn here: the caller draws them basket
 by basket and passes them in, so a batch sees the same draws as its
 baskets run one at a time.
+
+The unit computes on plain arrays, stage by stage (``project_items``,
+``pattern_attention``, then extraction and the context attention), and
+enters the autodiff graph as one node for its contexts, plus one for the
+sampled patterns' log beliefs when it samples. Their backward passes are
+written out from the unit's equations: the two masked softmaxes, the
+prefix mean, the extraction (gradients reach a sampled or greedy pattern
+only through the codebook row it picks, and sampling's beliefs only
+through the log belief) and the projections. They repeat, operation for
+operation, the arithmetic of the same unit composed from ``tensor``
+primitives and add into shared tensors in that composition's order, so
+values and gradients are bit-identical to it; ``tests/test_vqa.py``
+keeps the composition as the oracle. The nodes keep the arrays the chain
+rule needs and recompute the cheap ones (stacked weights, pattern keys),
+and no intermediate gradient outlives the backward pass.
 """
 
 from __future__ import annotations
@@ -113,6 +128,8 @@ class UnitState:
 
     For a padded batch every field gains the leading batch axis, and for
     stacked heads a heads axis before it; ``head(h)`` is head h's state.
+    Only contexts and pattern_logprob carry gradients; prefix_attention and
+    context_attention are values for inspection.
     contexts[t] is the context of the prefix up to and including step t,
     prefix_attention[t] the pattern belief of that prefix, and
     context_attention[t, :t+1] the in-prefix item weights.
@@ -156,17 +173,36 @@ def init_vqa_params(rng: np.random.Generator, input_dim: int, attn_dim: int,
     )
 
 
-def _weight(params, name: str, batch: int) -> Tensor:
+def _stacked(params, name: str, batch: int) -> np.ndarray:
     """A projection of one unit, or the heads' projections stacked heads-first.
 
     A stack gets ``batch`` unit axes after the heads axis, so it broadcasts
-    against operands with that many batch axes; every head's weight still
-    receives its own gradient.
+    against operands with that many batch axes.
     """
     if isinstance(params, VqaParams):
-        return getattr(params, name)
-    w = T.stack([getattr(p, name) for p in params])
-    return T.reshape(w, w.shape[:1] + (1,) * batch + w.shape[1:]) if batch else w
+        return getattr(params, name).data
+    w = np.array([getattr(p, name).data for p in params])
+    return w.reshape(w.shape[:1] + (1,) * batch + w.shape[1:]) if batch else w
+
+
+def _grad_to_weights(params, name: str, g_t: np.ndarray):
+    """Add the gradient of a transposed (stacked) projection into each
+    unit's weight: a stack's head h gets slice h."""
+    g = g_t.swapaxes(-1, -2)
+    if isinstance(params, VqaParams):
+        params = [params]
+    g = g.reshape((len(params),) + g.shape[-2:])
+    for p, part in zip(params, g):
+        w = getattr(p, name)
+        if w.requires_grad:
+            T._accumulate(w, part)
+
+
+def _add_grad(t: Tensor, g: np.ndarray):
+    """Add g, a new array, into t.grad, summed over any heads axes that t
+    was broadcast on."""
+    if t.requires_grad:
+        T._accumulate(t, g if g.shape == t.shape else T._reduce(g, t.shape), fresh=True)
 
 
 def _codebook(params) -> Tensor:
@@ -180,35 +216,33 @@ def _codebook(params) -> Tensor:
 def project_items(item_vectors, params):
     """Per-item query, key, and value rows: X W_q^T, X W_k^T, X W_v^T.
 
-    X is an ``(N, d)`` item matrix or a ``(B, N, d)`` batch of them; params
+    X is an ``(N, d)`` item array or a ``(B, N, d)`` batch of them; params
     is one unit's VqaParams or a list of heads, whose rows come out
-    heads-first.
+    heads-first. Returns three arrays.
     """
-    x = item_vectors if isinstance(item_vectors, Tensor) else Tensor(item_vectors)
-    if x.data.ndim not in (2, 3) or x.shape[-2] == 0:
-        raise T.ShapeError(f"project_items: expected non-empty item matrix, got {x.data.shape}")
-    batch = x.data.ndim - 2
-    return tuple(T.matmul(x, T.transpose(_weight(params, name, batch)))
+    x = np.asarray(item_vectors, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-2] == 0:
+        raise T.ShapeError(f"project_items: expected non-empty item matrix, got {x.shape}")
+    batch = x.ndim - 2
+    return tuple(x @ _stacked(params, name, batch).swapaxes(-1, -2)
                  for name in ("w_query", "w_key", "w_value"))
 
 
-def pattern_attention(q, params, keep_mask=None) -> Tensor:
-    """Distribution over codebook entries for every item row of q (any
-    leading axes; heads-first when params is a list of heads).
+def pattern_attention(q, params, keep_mask=None) -> np.ndarray:
+    """Distribution over codebook entries for every item row of the query
+    array q (any leading axes; heads-first when params is a list of heads).
 
     keep_mask, when given, drops codebook entries out of each row's
     softmax (the renormalizing form of attention dropout), so the output
     rows remain proper distributions.
     """
-    codebook = _codebook(params)
+    codebook = _codebook(params).data
     if codebook.shape[0] == 0:
         raise T.ShapeError("pattern_attention: empty codebook")
     # Heads' q is (H, ..., N, d): its batch axes are all but the first and last two.
-    w = _weight(params, "w_pattern_key", q.data.ndim - 3)
-    keys = T.matmul(codebook, T.transpose(w))
-    d = q.shape[-1]
-    logits = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(d))
-    return T.softmax(logits, mask=keep_mask)
+    keys = codebook @ _stacked(params, "w_pattern_key", q.ndim - 3).swapaxes(-1, -2)
+    logits = (q @ keys.swapaxes(-1, -2)) * float(1.0 / np.sqrt(q.shape[-1]))
+    return T._softmax_rows(logits, keep_mask)
 
 
 @functools.lru_cache(maxsize=256)
@@ -246,35 +280,96 @@ def unit_forward(inputs: Tensor, params, strategy: ExtractionStrategy,
     beliefs stay distributions. uniforms, of the same shape, are the draws
     in (0, 1) that sampling extraction turns into Gumbel noise; sampling
     needs them.
-    """
-    n = inputs.shape[-2]
-    batch = len(inputs.shape) - 2
-    q, k, v = project_items(inputs, params)
-    a = pattern_attention(q, params, keep_mask=keep_mask)
-    abar = T.matmul(Tensor(prefix_mean_matrix(n)), a)
-    codebook = _codebook(params)
 
-    idx = None
-    logprob = None
+    contexts is one graph node and, when sampling, pattern_logprob a
+    second (see the module docstring); prefix_attention and
+    context_attention are values without a graph.
+    """
+    inputs = T._coerce(inputs)
+    x = inputs.data
+    q, k, v = project_items(x, params)
+    n, batch = x.shape[-2], x.ndim - 2
+    a = pattern_attention(q, params, keep_mask)
+    mean = prefix_mean_matrix(n)
+    abar = mean @ a
+    codebook = _codebook(params)
+    c = codebook.data
+
+    idx = picked = None
     if strategy.kind == WEIGHTED_AVERAGE:
-        z = T.matmul(abar, codebook)
+        z = abar @ c
     else:
         if strategy.kind == GREEDY:
-            idx = np.argmax(abar.data, axis=-1)
+            idx = np.argmax(abar, axis=-1)
         else:
             if uniforms is None:
                 raise ValueError("sampling extraction needs Gumbel uniforms")
             with np.errstate(divide="ignore"):
-                logp = np.log(abar.data)
+                logp = np.log(abar)
             g = -np.log(-np.log(uniforms))
             idx = np.argmax(logp / strategy.gumbel_temperature + g, axis=-1)
-            logprob = T.log(T.take_per_row(abar, idx))
-        z = T.gather_rows(codebook, idx)
+            picked = np.take_along_axis(abar, idx[..., None], axis=-1)[..., 0]
+        z = c[idx]
+    rho = z @ _stacked(params, "w_context_query", batch).swapaxes(-1, -2)
+    context_scale = float(1.0 / np.sqrt(rho.shape[-1]))
+    b = T._softmax_rows((rho @ k.swapaxes(-1, -2)) * context_scale, causal_mask(n))
+    contexts = b @ v
 
-    rho = T.matmul(z, T.transpose(_weight(params, "w_context_query", batch)))
-    d = rho.shape[-1]
-    logits = T.scale(T.matmul(rho, T.transpose(k)), 1.0 / np.sqrt(d))
-    b = T.softmax(logits, mask=causal_mask(n))
-    contexts = T.matmul(b, v)
-    return UnitState(contexts=contexts, prefix_attention=abar,
-                     context_attention=b, pattern_index=idx, pattern_logprob=logprob)
+    pattern_scale = float(1.0 / np.sqrt(q.shape[-1]))  # as in pattern_attention
+
+    def project_back(name: str, g: np.ndarray):
+        """Backward of X W^T: into the inputs, then into each unit's W."""
+        w = _stacked(params, name, batch)
+        _add_grad(inputs, g @ w)
+        _grad_to_weights(params, name, T._right_grad(x, g, w.swapaxes(-1, -2).shape))
+
+    def beliefs_back(g_abar: np.ndarray):
+        """From the prefix beliefs down to the codebook, w_pattern_key,
+        w_query and the inputs."""
+        g_logits = T._softmax_grad(a, mean.swapaxes(-1, -2) @ g_abar) * pattern_scale
+        wpk_t = _stacked(params, "w_pattern_key", batch).swapaxes(-1, -2)
+        keys = c @ wpk_t  # recomputed
+        g_q = g_logits @ keys
+        g_keys = T._right_grad(q, g_logits, keys.swapaxes(-1, -2).shape).swapaxes(-1, -2)
+        _add_grad(codebook, g_keys @ wpk_t.swapaxes(-1, -2))
+        _grad_to_weights(params, "w_pattern_key", T._right_grad(c, g_keys, wpk_t.shape))
+        project_back("w_query", g_q)
+
+    def contexts_back(g: np.ndarray):
+        g_v = b.swapaxes(-1, -2) @ g
+        g_logits = T._softmax_grad(b, g @ v.swapaxes(-1, -2)) * context_scale
+        g_rho = g_logits @ k
+        g_k = (rho.swapaxes(-1, -2) @ g_logits).swapaxes(-1, -2)
+        wcq = _stacked(params, "w_context_query", batch)
+        g_z = g_rho @ wcq
+        _grad_to_weights(params, "w_context_query",
+                         T._right_grad(z, g_rho, wcq.swapaxes(-1, -2).shape))
+        if strategy.kind == WEIGHTED_AVERAGE:
+            _add_grad(codebook, T._right_grad(abar, g_z, c.shape))
+            beliefs_back(g_z @ c.swapaxes(-1, -2))
+        elif codebook.requires_grad:
+            rows = np.zeros_like(c)
+            np.add.at(rows, idx, g_z)
+            T._accumulate(codebook, rows)
+        project_back("w_key", g_k)
+        project_back("w_value", g_v)
+
+    def logprob_back(g: np.ndarray):
+        g_abar = np.zeros_like(abar)
+        np.put_along_axis(g_abar, idx[..., None], (g / picked)[..., None], axis=-1)
+        beliefs_back(g_abar)
+
+    def parents(names):
+        units = [params] if isinstance(params, VqaParams) else params
+        return [inputs, codebook] + [getattr(u, name) for u in units for name in names]
+
+    belief_weights = ("w_query", "w_pattern_key")
+    context_weights = ("w_key", "w_value", "w_context_query")
+    if strategy.kind == WEIGHTED_AVERAGE:
+        context_weights += belief_weights
+    out = T._make(contexts, parents(context_weights), contexts_back)
+    logprob = None
+    if picked is not None:
+        logprob = T._make(np.log(picked), parents(belief_weights), logprob_back)
+    return UnitState(contexts=out, prefix_attention=Tensor(abar), context_attention=Tensor(b),
+                     pattern_index=idx, pattern_logprob=logprob)

@@ -1,6 +1,7 @@
 """CLI subcommands: workflows, determinism, and failure exits."""
 
 import re
+import struct
 from dataclasses import fields
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from npa import model as model_mod
 from npa import recommend as rec
 from npa import training as training_mod
-from npa.checkpoint import _write_container, checkpoint_info, save_checkpoint
+from npa.checkpoint import MAGIC, _checksum64, _write_container, checkpoint_info, save_checkpoint
 from npa.cli import main
 from npa.config_io import config_to_kv, parse_config_file, parse_kv_text
 from npa.model import ModelConfig, init_params, named_parameters
@@ -367,4 +368,71 @@ def test_bad_input_file_exits_with_file_and_line(workspace, capsys, flag, text, 
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {bad}{message}\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text + "embedding_dim 8\n", "line {n}: expected 'key = value', got 'embedding_dim 8'"),
+    (lambda text: text + "= 3\n", "line {n}: empty key"),
+    (lambda text: text.replace("use_positions = false", "use_positions = maybe"),
+     "key 'use_positions': cannot parse value 'maybe'"),
+    (lambda text: text.replace("embedding_dim = 8\n", ""),
+     "config is missing required key 'embedding_dim'"),
+], ids=["no_equals", "empty_key", "non_boolean", "missing_required"])
+def test_train_config_parse_error_exits_before_training(workspace, capsys, monkeypatch,
+                                                        edit, message):
+    monkeypatch.setattr(training_mod, "train", lambda *a, **kw: pytest.fail("training ran"))
+    text = edit(CONFIG_TEXT)
+    config = workspace / "parse.cfg"
+    config.write_text(text, encoding="utf-8")
+    out = workspace / "parse.ckpt"
+    rc = main(["train", "--config", str(config),
+               "--data", str(workspace / "data" / "baskets.txt"),
+               "--catalog", str(workspace / "data" / "catalog.tsv"), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(n=len(text.splitlines()))}\n"
+    assert not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("basket, message", [
+    ("", "empty basket argument"),
+    ("1,x", "basket must be comma-separated item ids, got '1,x'"),
+], ids=["empty", "non_numeric"])
+def test_recommend_rejects_unparsable_basket(workspace, capsys, basket, message):
+    rc = main(["recommend", "--ckpt", str(_untrained_checkpoint(workspace)), "--basket", basket])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not captured.out
+
+
+def test_evaluate_baseline_without_train_data_exits(workspace, capsys):
+    rc = main(["evaluate", "--baseline", "cp", "--data", str(workspace / "data" / "baskets.txt"),
+               "--k", "20"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --baseline requires --train-data for fitting\n"
+    assert not captured.out
+
+
+def _rechecksummed(path, payload):
+    """Write a checkpoint container holding ``payload`` under a valid checksum,
+    so reading it gets past the checksum to the payload's own defect."""
+    path.write_bytes(MAGIC + payload + struct.pack("<Q", _checksum64(payload)))
+    return path
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda payload: payload[:-5], "truncated checkpoint file"),
+    (lambda payload: payload + b"\0\0\0", "3 trailing bytes"),
+], ids=["truncated", "trailing"])
+def test_checkpoint_info_names_file_of_malformed_payload(workspace, capsys, cut, message):
+    blob = _untrained_checkpoint(workspace).read_bytes()
+    path = _rechecksummed(workspace / "malformed.ckpt", cut(blob[len(MAGIC):-8]))
+    rc = main(["checkpoint-info", "--ckpt", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
     assert not captured.out

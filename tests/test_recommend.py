@@ -162,6 +162,15 @@ def test_rank_items_k_zero_is_empty_and_negative_k_fails():
         rank_items(scores, k=-1)
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 7])
+def test_rank_items_rejects_excluded_ids_out_of_range(bad):
+    # numpy would wrap -1 onto the last item and fail on 4 with a bare IndexError.
+    with pytest.raises(ConfigError, match=rf"^rank_items: excluded item id {bad} "
+                                          r"out of range \[0, 4\)$"):
+        rank_items([0.1, 0.5, 0.9, 0.3], exclude=[2, bad], k=4)
+    assert rank_items([0.1, 0.5, 0.9, 0.3], exclude=[2], k=4) == [1, 3, 0]
+
+
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_rank_items_matches_full_sort(data):

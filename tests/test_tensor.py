@@ -187,27 +187,18 @@ def test_grad_matmul_broadcast_over_heads_and_batch():
 
 
 def test_stacked_weight_grad_is_each_heads_shared_weight_grad():
-    # Per head, a stack's gradient is the one product over the batch's
-    # flattened rows that the head's own 2-d weight gets. Four heads make
-    # the stacked mean's upstream gradient exactly a quarter of each head's.
+    # Per head, a stacked weight's gradient is the one product over the
+    # batch's flattened rows that the head's own 2-d weight gets. Four
+    # heads make the stacked mean's upstream gradient exactly a quarter of
+    # each head's.
     rng = np.random.default_rng(22)
     x = Tensor(rng.normal(size=(3, 4, 5)))
-    heads = [Tensor(rng.normal(size=(5, 2)), requires_grad=True) for _ in range(4)]
-    T.backward(head(T.matmul(x, T.reshape(T.stack(heads), (4, 1, 5, 2)))))
-    for w in heads:
-        alone = Tensor(w.data, requires_grad=True)
+    stacked = Tensor(rng.normal(size=(4, 1, 5, 2)), requires_grad=True)
+    T.backward(head(T.matmul(x, stacked)))
+    for h in range(4):
+        alone = Tensor(stacked.data[h, 0], requires_grad=True)
         T.backward(head(T.matmul(x, alone)))
-        assert np.array_equal(w.grad * 4, alone.grad)
-
-
-def test_grad_stack():
-    rng = np.random.default_rng(23)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    check_grad(lambda: head(T.stack([a, b, a])), a)
-    check_grad(lambda: head(T.stack([a, b, a])), b)
-    with pytest.raises(ShapeError, match="stack"):
-        T.stack([a, Tensor(np.ones((4, 3)))])
+        assert np.array_equal(stacked.grad[h, 0] * 4, alone.grad)
 
 
 def test_matmul_rejects_leading_axes_that_do_not_broadcast():

@@ -1,8 +1,11 @@
 """Vector-quantized attention unit: projections, beliefs, extraction, context."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from npa import tensor as T
 from npa import vqa
 from npa.tensor import Tensor
 
@@ -17,7 +20,7 @@ def test_project_identity_query():
     params.w_query.data = np.eye(4)
     x = rng.normal(size=(3, 4))
     q, _, _ = vqa.project_items(x, params)
-    np.testing.assert_array_equal(q.data, x)
+    np.testing.assert_array_equal(q, x)
 
 
 def test_project_single_item_single_row():
@@ -32,9 +35,9 @@ def test_project_matches_matrix_product_oracle():
     params = make_params(rng)
     x = rng.normal(size=(3, 6))
     q, k, v = vqa.project_items(x, params)
-    np.testing.assert_allclose(q.data, x @ params.w_query.data.T, atol=1e-12)
-    np.testing.assert_allclose(k.data, x @ params.w_key.data.T, atol=1e-12)
-    np.testing.assert_allclose(v.data, x @ params.w_value.data.T, atol=1e-12)
+    np.testing.assert_allclose(q, x @ params.w_query.data.T, atol=1e-12)
+    np.testing.assert_allclose(k, x @ params.w_key.data.T, atol=1e-12)
+    np.testing.assert_allclose(v, x @ params.w_value.data.T, atol=1e-12)
 
 
 def test_pattern_attention_single_entry_codebook():
@@ -42,15 +45,15 @@ def test_pattern_attention_single_entry_codebook():
     params = make_params(rng, num_patterns=1)
     q, _, _ = vqa.project_items(rng.normal(size=(3, 6)), params)
     a = vqa.pattern_attention(q, params)
-    np.testing.assert_allclose(a.data, np.ones((3, 1)))
+    np.testing.assert_allclose(a, np.ones((3, 1)))
 
 
 def test_pattern_attention_orthogonal_queries_uniform():
     rng = np.random.default_rng(4)
     params = make_params(rng)
-    q = Tensor(np.zeros((2, 4)))  # zero queries: orthogonal to every key
+    q = np.zeros((2, 4))  # zero queries: orthogonal to every key
     a = vqa.pattern_attention(q, params)
-    np.testing.assert_allclose(a.data, np.full((2, 4), 0.25), atol=1e-12)
+    np.testing.assert_allclose(a, np.full((2, 4), 0.25), atol=1e-12)
 
 
 def test_pattern_attention_matches_softmax_oracle():
@@ -60,10 +63,10 @@ def test_pattern_attention_matches_softmax_oracle():
     q, _, _ = vqa.project_items(x, params)
     a = vqa.pattern_attention(q, params)
     keys = params.codebook.data @ params.w_pattern_key.data.T
-    logits = q.data @ keys.T / np.sqrt(4)
+    logits = q @ keys.T / np.sqrt(4)
     expected = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(a.data, expected, atol=1e-12)
+    np.testing.assert_allclose(a, expected, atol=1e-12)
 
 
 def _softmax(x):
@@ -127,7 +130,7 @@ def test_aggregate_single_unmasked_row():
     state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
     # A one-item prefix's belief is that item's own distribution.
     np.testing.assert_array_equal(state.prefix_attention.data[0],
-                                  vqa.pattern_attention(q, params).data[0])
+                                  vqa.pattern_attention(q, params)[0])
 
 
 def test_aggregate_two_rows_mean():
@@ -135,7 +138,7 @@ def test_aggregate_two_rows_mean():
     params = make_params(rng)
     x = rng.normal(size=(3, 6))
     q, _, _ = vqa.project_items(x, params)
-    a = vqa.pattern_attention(q, params).data
+    a = vqa.pattern_attention(q, params)
     state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
     np.testing.assert_allclose(state.prefix_attention.data[1], a[:2].mean(axis=0), atol=1e-15)
 
@@ -228,7 +231,7 @@ def test_first_context_is_first_value_row():
     _, _, v = vqa.project_items(x, params)
     state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
     # Step 0 sees one unmasked item, so all its context weight is on it.
-    np.testing.assert_allclose(state.contexts.data[0], v.data[0], atol=1e-12)
+    np.testing.assert_allclose(state.contexts.data[0], v[0], atol=1e-12)
 
 
 def test_identical_keys_average_values():
@@ -238,7 +241,7 @@ def test_identical_keys_average_values():
     x = rng.normal(size=(4, 6))
     _, _, v = vqa.project_items(x, params)
     state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
-    means = np.cumsum(v.data, axis=0) / np.arange(1, 5)[:, None]
+    means = np.cumsum(v, axis=0) / np.arange(1, 5)[:, None]
     np.testing.assert_allclose(state.contexts.data, means, atol=1e-12)
 
 
@@ -251,10 +254,10 @@ def test_estimate_context_matches_brute_force_oracle():
     for t, index in enumerate(state.pattern_index):
         # The context of step t attends over the prefix with the chosen pattern as query.
         rho = params.w_context_query.data @ params.codebook.data[index]
-        logits = k.data[:t + 1] @ rho / np.sqrt(4)
+        logits = k[:t + 1] @ rho / np.sqrt(4)
         b = np.exp(logits - logits.max())
         b /= b.sum()
-        np.testing.assert_allclose(state.contexts.data[t], v.data[:t + 1].T @ b, atol=1e-12)
+        np.testing.assert_allclose(state.contexts.data[t], v[:t + 1].T @ b, atol=1e-12)
 
 
 def test_unit_order_invariance_without_positions():
@@ -294,7 +297,7 @@ def test_scale_stability_large_dims():
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         q, k, v = vqa.project_items(x, params)
         a = vqa.pattern_attention(q, params)
-        assert np.isfinite(a.data).all()
+        assert np.isfinite(a).all()
         state = vqa.unit_forward(Tensor(x), params, vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE))
         assert np.isfinite(state.contexts.data).all()
 
@@ -338,3 +341,128 @@ def test_params_dim_validation():
         vqa.VqaParams(w_query=Tensor(np.zeros((3, 6))), w_key=good.w_key,
                       w_value=good.w_value, w_pattern_key=good.w_pattern_key,
                       w_context_query=good.w_context_query, codebook=good.codebook)
+
+
+# The unit composed from autodiff primitives, one graph node per operation:
+# the oracle for unit_forward's hand-written backward. Same operations in
+# the same order, so values and gradients must match to the bit.
+
+def _stack(tensors):
+    """Same-shape tensors stacked on a new leading axis (reshape and concat)."""
+    shape = tensors[0].shape
+    flat = T.concat([T.reshape(t, (1, int(np.prod(shape)))) for t in tensors])
+    return T.reshape(flat, (len(tensors),) + shape)
+
+
+def _weight(params, name, batch):
+    """One unit's projection, or the heads' stacked heads-first with
+    ``batch`` unit axes after the heads axis."""
+    if isinstance(params, vqa.VqaParams):
+        return getattr(params, name)
+    w = _stack([getattr(p, name) for p in params])
+    return T.reshape(w, w.shape[:1] + (1,) * batch + w.shape[1:]) if batch else w
+
+
+def composed_project_items(x, params):
+    batch = x.data.ndim - 2
+    return tuple(T.matmul(x, T.transpose(_weight(params, name, batch)))
+                 for name in ("w_query", "w_key", "w_value"))
+
+
+def composed_pattern_attention(q, params, keep_mask=None):
+    codebook = params.codebook if isinstance(params, vqa.VqaParams) else params[0].codebook
+    keys = T.matmul(codebook, T.transpose(_weight(params, "w_pattern_key", q.data.ndim - 3)))
+    logits = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(q.shape[-1]))
+    return T.softmax(logits, mask=keep_mask)
+
+
+def composed_unit_forward(inputs, params, strategy, keep_mask=None, uniforms=None):
+    n = inputs.shape[-2]
+    batch = len(inputs.shape) - 2
+    q, k, v = composed_project_items(inputs, params)
+    a = composed_pattern_attention(q, params, keep_mask=keep_mask)
+    abar = T.matmul(Tensor(vqa.prefix_mean_matrix(n)), a)
+    codebook = params.codebook if isinstance(params, vqa.VqaParams) else params[0].codebook
+    idx = logprob = None
+    if strategy.kind == vqa.WEIGHTED_AVERAGE:
+        z = T.matmul(abar, codebook)
+    else:
+        if strategy.kind == vqa.GREEDY:
+            idx = np.argmax(abar.data, axis=-1)
+        else:
+            with np.errstate(divide="ignore"):
+                logp = np.log(abar.data)
+            g = -np.log(-np.log(uniforms))
+            idx = np.argmax(logp / strategy.gumbel_temperature + g, axis=-1)
+            logprob = T.log(T.take_per_row(abar, idx))
+        z = T.gather_rows(codebook, idx)
+    rho = T.matmul(z, T.transpose(_weight(params, "w_context_query", batch)))
+    logits = T.scale(T.matmul(rho, T.transpose(k)), 1.0 / np.sqrt(rho.shape[-1]))
+    b = T.softmax(logits, mask=vqa.causal_mask(n))
+    return vqa.UnitState(contexts=T.matmul(b, v), prefix_attention=abar, context_attention=b,
+                         pattern_index=idx, pattern_logprob=logprob)
+
+
+def _shared_codebook_heads(rng, count):
+    first = make_params(rng)
+    return [first] + [dataclasses.replace(make_params(rng), codebook=first.codebook)
+                      for _ in range(count - 1)]
+
+
+def _weighted_sum(t, weights):
+    """sum(t * weights) as a graph, so the gradient at t is exactly weights."""
+    return T.matmul(T.reshape(t, (1, weights.size)), Tensor(weights.reshape(-1, 1)))
+
+
+def _run_and_backward(forward, x, params, strategy, keep, uniforms, upstream):
+    """One unit's outputs and every gradient, from a loss that also reaches
+    the inputs directly (as the residual path does) before the unit."""
+    inputs = Tensor(x, requires_grad=True)
+    units = [params] if isinstance(params, vqa.VqaParams) else params
+    leaves = [inputs] + [t for u in units for _, t in u.named("u")]
+    for t in leaves:
+        t.grad = None
+    state = forward(inputs, params, strategy, keep, uniforms)
+    loss = T.add(_weighted_sum(inputs, upstream["inputs"]),
+                 _weighted_sum(state.contexts, upstream["contexts"]))
+    if state.pattern_logprob is not None:
+        loss = T.add(loss, _weighted_sum(state.pattern_logprob, upstream["logprob"]))
+    T.backward(T.reshape(loss, ()))
+    outputs = [state.contexts, state.prefix_attention, state.context_attention,
+               state.pattern_logprob]
+    return ([None if o is None else o.data for o in outputs], state.pattern_index,
+            [None if t.grad is None else t.grad.copy() for t in leaves])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=[s.kind for s in STRATEGIES])
+@pytest.mark.parametrize("heads", [0, 3], ids=["unit", "heads"])
+@pytest.mark.parametrize("lengths", [[5], [5, 2, 4]], ids=["basket", "padded"])
+@pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
+def test_unit_node_equals_composed_graph(strategy, heads, lengths, dropout):
+    rng = np.random.default_rng(31 + heads)
+    params = _shared_codebook_heads(rng, heads) if heads else make_params(rng)
+    n = max(lengths)
+    valid = np.arange(n) < np.array(lengths)[:, None]
+    x = rng.normal(size=(len(lengths), n, 6)) * valid[..., None]  # padded rows zeroed
+    lead = (heads,) if heads else ()
+    if len(lengths) == 1:  # a single basket has no batch axis
+        x, valid = x[0], valid[0]
+    uniforms = rng.random(lead + valid.shape + (4,))
+    keep = None
+    if dropout:
+        keep = rng.random(uniforms.shape) >= 0.4
+        keep[..., 0] = True
+    # Padded rows get no gradient, as in training.
+    upstream = {"inputs": rng.normal(size=x.shape),
+                "contexts": rng.normal(size=lead + valid.shape + (4,)) * valid[..., None],
+                "logprob": rng.normal(size=lead + valid.shape) * valid}
+    got = _run_and_backward(vqa.unit_forward, x, params, strategy, keep, uniforms, upstream)
+    want = _run_and_backward(composed_unit_forward, x, params, strategy, keep, uniforms,
+                             upstream)
+    for g, w in zip(got[0] + [got[1]] + got[2], want[0] + [want[1]] + want[2]):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert np.array_equal(g, w)
+    # Greedy extraction reaches neither w_query nor w_pattern_key.
+    assert (got[2][1] is None) == (strategy.kind == vqa.GREEDY)
+
