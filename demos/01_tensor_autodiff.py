@@ -14,11 +14,12 @@ from npa.tensor import Tensor
 rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 x = Tensor(rng.normal(size=(4, 3)))
+targets = np.array([0, 2, 1, 2])  # one class per row of x
 
 
 def objective():
-    """Mean log-probability of a row softmax over x W^T."""
-    return T.mean(T.log(T.softmax(T.matmul(x, T.transpose(w)))))
+    """Mean cross-entropy of the rows of x W^T against their targets."""
+    return T.mean(T.cross_entropy_with_logits(T.matmul(x, T.transpose(w)), targets))
 
 
 loss = objective()

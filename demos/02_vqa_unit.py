@@ -16,7 +16,7 @@ from npa import vqa
 from npa.tensor import Tensor
 
 rng = np.random.default_rng(7)
-params = vqa.init_vqa_params(rng, input_dim=8, attn_dim=4, value_dim=4, num_patterns=5)
+params = vqa.init_vqa_params(rng, input_dim=8, attn_dim=4, num_patterns=5)
 
 basket = rng.normal(size=(4, 8))  # four items, 8-dim features
 q, k, v = vqa.project_items(basket, params)

@@ -226,7 +226,7 @@ def init_params(config: ModelConfig, seed: int) -> NpaParams:
     for li, (channels, merges, _) in enumerate(layer_channel_plan(config)):
         width = d // channels if merges else d
         for ci in range(channels):
-            unit = vqa.init_vqa_params(rng, d, width, width, config.num_patterns)
+            unit = vqa.init_vqa_params(rng, d, width, config.num_patterns)
             tensors.update(unit.named(f"layers.{li}.channels.{ci}"))
         if merges:
             tensors[f"layers.{li}.merge"] = table(d, d, 1.0 / np.sqrt(d))
@@ -466,8 +466,6 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
     parameters.
     """
     ids = np.asarray(basket, dtype=np.int64)
-    if ids.size < 1:
-        raise ConfigError("forward: basket must contain at least one item")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(
         0 if rng_seed is None else rng_seed)
     dropout_rate = config.dropout_rate if training else 0.0

@@ -7,27 +7,25 @@ set, the primitive records a backward closure on its output; calling
 :func:`backward` on a scalar result then fills ``.grad`` on every reachable
 tensor that requires gradients, accumulating additively across uses.
 
-Matrix multiply, transpose, softmax, concatenate, row gather and per-row
-pick take optional leading batch axes, so a batch of padded sequences is
-one ``(B, N, d)`` tensor in one graph, and a single sequence runs the same
-code without the leading axis. Matrix multiply broadcasts leading axes as
-numpy does: stacked heads' weights ``(H, 1, k, m)`` meet a ``(B, N, k)``
-batch in one product. A weight shared across the batch stays 2-d (or one
-matrix per head), and its gradient is one product over the flattened
-rows. ``add`` broadcasts an operand over leading axes that only the other
-has.
+Matrix multiply, transpose, concatenate and row gather take optional
+leading batch axes, so a batch of padded sequences is one ``(B, N, d)``
+tensor in one graph, and a single sequence runs the same code without the
+leading axis. Matrix multiply broadcasts leading axes as numpy does:
+stacked heads' weights ``(H, 1, k, m)`` meet a ``(B, N, k)`` batch in one
+product. A weight shared across the batch stays 2-d (or one matrix per
+head), and its gradient is one product over the flattened rows. ``add``
+broadcasts an operand over leading axes that only the other has.
 
-The primitives are matrix multiply, transpose, add, scale, concatenate
-along the last axis, row softmax (optionally masked, always with max
-subtraction), log, mean over all entries, masked fill, reshape, row
-gather, per-row element gather, cross entropy with logits, and inverted
-dropout. The models of this package build their graphs from these and
-from one more node kind: ``vqa.unit_forward`` records each attention unit
-as a single node through ``_make``, with a backward written out from the
-unit's equations on this module's array helpers (``_accumulate``,
-``_right_grad``, ``_reduce``, ``_softmax_rows``, ``_softmax_grad``), so
-it repeats the arithmetic of the same unit composed from softmax, log and
-per-row gather, which remain for graphs composed that way.
+The primitives are the ones the models of this package record: matrix
+multiply, transpose, add, scale, concatenate along the last axis, mean
+over all entries, masked fill, reshape, row gather, cross entropy with
+logits, and inverted dropout. One more node kind completes the graphs:
+``vqa.unit_forward`` records each attention unit as a single node through
+``_make``, with a backward written out from the unit's equations on this
+module's array helpers (``_accumulate``, ``_right_grad``, ``_reduce``,
+and the masked row softmax ``_softmax_rows`` with its gradient
+``_softmax_grad``). A backward closure runs only when some operand
+requires a gradient, so single-operand primitives do not test for it.
 
 Inside the :func:`no_grad` context nothing is recorded: every primitive
 returns a plain tensor with no parents and no backward closure, whatever
@@ -58,15 +56,12 @@ __all__ = [
     "cross_entropy_with_logits",
     "dropout",
     "gather_rows",
-    "log",
     "masked_fill",
     "matmul",
     "mean",
     "no_grad",
     "reshape",
     "scale",
-    "softmax",
-    "take_per_row",
     "transpose",
 ]
 
@@ -217,8 +212,7 @@ def transpose(a) -> Tensor:
         raise ShapeError(f"transpose: expected 2 or more axes, got shape {a.data.shape}")
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, g.swapaxes(-1, -2))
+        _accumulate(a, g.swapaxes(-1, -2))
 
     return _make(a.data.swapaxes(-1, -2), (a,), back)
 
@@ -254,8 +248,7 @@ def scale(a, s: float) -> Tensor:
     s = float(s)
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, g * s)
+        _accumulate(a, g * s)
 
     return _make(a.data * s, (a,), back)
 
@@ -280,7 +273,13 @@ def concat(parts) -> Tensor:
 
 
 def _softmax_rows(x, mask=None):
-    """The array arithmetic of :func:`softmax`: rows of a numpy array, checked."""
+    """Softmax over the last axis of a numpy array, with max subtraction;
+    masked entries get exactly zero.
+
+    ``mask`` is an optional boolean array, True where entries participate,
+    of the input's shape or of its trailing axes (then shared across the
+    leading ones). Every row must keep at least one entry.
+    """
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ShapeError(f"softmax: expected non-empty rows, got shape {x.shape}")
     if mask is not None:
@@ -305,36 +304,6 @@ def _softmax_grad(p, g):
     return p * (g - inner)
 
 
-def softmax(a, mask=None) -> Tensor:
-    """Softmax over the last axis with max subtraction; masked entries get
-    exactly zero.
-
-    Every leading index is an independent row, and a 1-d input is a single
-    row. ``mask`` is an optional boolean array, True where entries
-    participate, of the input's shape or of its trailing axes (then shared
-    across the leading ones). Every row must keep at least one entry.
-    """
-    a = _coerce(a)
-    p = _softmax_rows(a.data, mask)
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _softmax_grad(p, g), fresh=True)
-
-    return _make(p, (a,), back)
-
-
-def log(a) -> Tensor:
-    """Natural logarithm, elementwise."""
-    a = _coerce(a)
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), back)
-
-
 def mean(a) -> Tensor:
     """Mean over all entries."""
     a = _coerce(a)
@@ -343,8 +312,7 @@ def mean(a) -> Tensor:
         raise ShapeError("mean: empty reduction")
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, np.full_like(a.data, g / n))
+        _accumulate(a, np.full_like(a.data, g / n))
 
     return _make(a.data.mean(), (a,), back)
 
@@ -358,8 +326,7 @@ def masked_fill(a, mask, value: float) -> Tensor:
     out_data = np.where(mask, float(value), a.data)
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, np.where(mask, 0.0, g))
+        _accumulate(a, np.where(mask, 0.0, g))
 
     return _make(out_data, (a,), back)
 
@@ -372,8 +339,7 @@ def reshape(a, shape) -> Tensor:
         raise ShapeError(f"reshape: cannot view {a.data.shape} as {shape}")
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(a, g.reshape(a.data.shape))
 
     return _make(a.data.reshape(shape), (a,), back)
 
@@ -401,31 +367,11 @@ def gather_rows(a, idx) -> Tensor:
             raise ShapeError(f"gather_rows: index out of range for {size} rows")
 
     def back(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            _accumulate(a, acc)
+        acc = np.zeros_like(a.data)
+        np.add.at(acc, idx, g)
+        _accumulate(a, acc)
 
     return _make(a.data[idx], (a,), back)
-
-
-def take_per_row(a, idx) -> Tensor:
-    """Pick one entry per row along the last axis: out[..., t] = a[..., t, idx[..., t]]."""
-    a = _coerce(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim < 2 or idx.shape != a.data.shape[:-1]:
-        raise ShapeError(f"take_per_row: got data {a.data.shape} and index {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[-1]):
-        raise ShapeError(f"take_per_row: column index out of range for {a.data.shape[-1]} columns")
-    cols = idx[..., None]
-
-    def back(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.put_along_axis(acc, cols, g[..., None], axis=-1)
-            _accumulate(a, acc)
-
-    return _make(np.take_along_axis(a.data, cols, axis=-1)[..., 0], (a,), back)
 
 
 def cross_entropy_with_logits(logits, targets) -> Tensor:
@@ -450,8 +396,6 @@ def cross_entropy_with_logits(logits, targets) -> Tensor:
     out_data = lse - x[rows, targets]
 
     def back(g):
-        if not logits.requires_grad:
-            return
         gx = e / total
         gx *= g[:, None]
         gx[rows, targets] -= g
@@ -477,8 +421,7 @@ def dropout(a, rate: float, uniforms) -> Tensor:
     m = (uniforms >= rate) / (1.0 - rate)
 
     def back(g):
-        if a.requires_grad:
-            _accumulate(a, g * m)
+        _accumulate(a, g * m)
 
     return _make(a.data * m, (a,), back)
 

@@ -28,16 +28,17 @@ rounding. On the benchmark's MC workload (5 heads, 2,000 items, 2 vCPUs,
 one BLAS thread) this took the median training step from 273 ms to
 189 ms and peak memory from 386 MB to 212 MB.
 
-The winners are those of the float64 table of _context_scores, which has
-the arithmetic of the graph's cross-entropy, but most are found in
-float32: _float32_scores computes the same log-softmax in float32 and a
-bound delta on each entry's distance from the float64 one. A step keeps
-its float32 winner when it leads every other context by more than twice
-the step's largest delta, which makes it the float64 winner too; every
-other step, exact ties included, is recomputed by _context_scores (two
-rows at least, since numpy multiplies a single row by a matrix-vector
-product, whose rounding can differ from the full table's). So winners,
-loss, details and gradients are those of the all-float64 selection. On
+The winners are those of the float64 table of _context_scores, which runs
+the graph's own T.cross_entropy_with_logits on operands that record no
+node, but most are found in float32: _float32_scores computes the same
+log-softmax in float32 and a bound delta on each entry's distance from
+the float64 one. A step keeps its float32 winner when it leads every
+other context by more than twice the step's largest delta, which makes
+it the float64 winner too; every other step, exact ties included, is
+recomputed by _context_scores (two rows at least, since numpy multiplies
+a single row by a matrix-vector product, whose rounding can differ from
+the full table's). So winners, loss, details and gradients are those of
+the all-float64 selection. On
 the MC workload the float32 table costs about 26 ms of a step against
 about 50 ms in float64, 0.15% of steps are recomputed, and delta is about
 140 times the largest error seen. That took the median step from 194 ms
@@ -192,29 +193,19 @@ def _forward_rows(batch, config, params, rng, training, use_positions):
 
 
 def _context_scores(contexts, logprobs, rows, targets, emb) -> np.ndarray:
-    """(contexts, steps) table of per-step scores, in plain numpy.
+    """(contexts, steps) table of per-step scores, computed without a graph.
 
     contexts is the (contexts, ..., N, d) array of ContextState.values()
     and logprobs its (contexts, ..., N) log beliefs or None. Entry [h, i]
-    is log p(targets[i] | context h) plus the log belief of context h's
-    sampled pattern at rows[i]. The arithmetic is that of
-    T.cross_entropy_with_logits, so every entry equals the score a graph
-    would compute, bit for bit; one (steps x items) buffer serves every
-    context.
+    is log p(targets[i] | context h), the negated
+    T.cross_entropy_with_logits of the graph, plus the log belief of
+    context h's sampled pattern at rows[i]; so every entry equals the
+    score a graph would compute, bit for bit.
     """
-    steps = np.arange(targets.size)
-    logits = np.empty((targets.size, emb.shape[0]))
-    table = np.empty((len(contexts), targets.size))
-    for h, ctx in enumerate(contexts):
-        np.matmul(ctx[rows], emb.T, out=logits)
-        picked = logits[steps, targets]
-        m = logits.max(axis=1, keepdims=True)
-        np.subtract(logits, m, out=logits)
-        np.exp(logits, out=logits)
-        lse = np.log(logits.sum(axis=1)) + m[:, 0]
-        np.subtract(picked, lse, out=table[h])
-        if logprobs is not None:
-            table[h] += logprobs[h][rows]
+    table = np.array([-T.cross_entropy_with_logits(ctx[rows] @ emb.T, targets).data
+                      for ctx in contexts])
+    if logprobs is not None:
+        table += logprobs[(slice(None),) + rows]
     return table
 
 

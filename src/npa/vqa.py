@@ -29,12 +29,15 @@ written out from the unit's equations: the two masked softmaxes, the
 prefix mean, the extraction (gradients reach a sampled or greedy pattern
 only through the codebook row it picks, and sampling's beliefs only
 through the log belief) and the projections. They repeat, operation for
-operation, the arithmetic of the same unit composed from ``tensor``
-primitives and add into shared tensors in that composition's order, so
-values and gradients are bit-identical to it; ``tests/test_vqa.py``
-keeps the composition as the oracle. The nodes keep the arrays the chain
-rule needs and recompute the cheap ones (stacked weights, pattern keys),
-and no intermediate gradient outlives the backward pass.
+operation, the arithmetic of the same unit composed one graph node per
+operation and add into shared tensors in that composition's order, so
+values and gradients are bit-identical to it. The composition is the
+oracle in ``tests/test_vqa.py``; its softmax, log and per-row pick are
+test-side primitives (``tests/composed.py``) on the engine's kernels
+``tensor._softmax_rows`` and ``tensor._softmax_grad``. The nodes keep
+the arrays the chain rule needs and recompute the cheap ones (stacked
+weights, pattern keys), and no intermediate gradient outlives the
+backward pass.
 """
 
 from __future__ import annotations
@@ -154,9 +157,9 @@ class UnitState:
 
 
 def init_vqa_params(rng: np.random.Generator, input_dim: int, attn_dim: int,
-                    value_dim: int, num_patterns: int) -> VqaParams:
-    """Fresh unit parameters; projections use std 1/sqrt(fan_in), and
-    codebook rows have the attention width."""
+                    num_patterns: int) -> VqaParams:
+    """Fresh unit parameters; projections use std 1/sqrt(fan_in). Values,
+    queries, keys and codebook rows all have the attention width."""
 
     def proj(rows, cols):
         return Tensor(rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols)),
@@ -166,7 +169,7 @@ def init_vqa_params(rng: np.random.Generator, input_dim: int, attn_dim: int,
     return VqaParams(
         w_query=proj(attn_dim, input_dim),
         w_key=proj(attn_dim, input_dim),
-        w_value=proj(value_dim, input_dim),
+        w_value=proj(attn_dim, input_dim),
         w_pattern_key=proj(attn_dim, attn_dim),
         w_context_query=proj(attn_dim, attn_dim),
         codebook=codebook,
@@ -237,8 +240,6 @@ def pattern_attention(q, params, keep_mask=None) -> np.ndarray:
     rows remain proper distributions.
     """
     codebook = _codebook(params).data
-    if codebook.shape[0] == 0:
-        raise T.ShapeError("pattern_attention: empty codebook")
     # Heads' q is (H, ..., N, d): its batch axes are all but the first and last two.
     keys = codebook @ _stacked(params, "w_pattern_key", q.ndim - 3).swapaxes(-1, -2)
     logits = (q @ keys.swapaxes(-1, -2)) * float(1.0 / np.sqrt(q.shape[-1]))

@@ -1,8 +1,12 @@
 """CLI subcommands: workflows, determinism, and failure exits."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -436,3 +440,89 @@ def test_checkpoint_info_names_file_of_malformed_payload(workspace, capsys, cut,
     captured = capsys.readouterr()
     assert captured.err == f"error: {path}: {message}\n"
     assert not captured.out
+
+
+def _assert_error_exit(argv, message, capsys):
+    rc = main(argv)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not captured.out
+
+
+def test_train_config_without_training_keys_exits(workspace, capsys):
+    config = workspace / "model_only.cfg"
+    config.write_text(CONFIG_TEXT.split("\nepochs")[0] + "\n", encoding="utf-8")
+    out = workspace / "model_only.ckpt"
+    _assert_error_exit(["train", "--config", str(config),
+                        "--data", str(workspace / "data" / "baskets.txt"),
+                        "--catalog", str(workspace / "data" / "catalog.tsv"), "--out", str(out)],
+                       "config file has no training keys (epochs is required)", capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--k", "19"], "--k must be at least 20"),
+    (["--input-fraction", "0"], "input_fraction must be in (0, 1)"),
+    (["--instances-per-basket", "0"], "instances_per_basket must be >= 1"),
+], ids=["k", "input_fraction", "instances_per_basket"])
+def test_evaluate_rejects_bad_flag(workspace, capsys, args, message):
+    data = str(workspace / "data" / "baskets.txt")
+    _assert_error_exit(["evaluate", "--baseline", "pop", "--train-data", data, "--data", data,
+                        "--k", "20"] + args, message, capsys)
+
+
+def test_evaluate_single_item_baskets_exits(workspace, capsys):
+    data = workspace / "single.txt"
+    data.write_text("a,1\nb,2\n", encoding="utf-8")
+    _assert_error_exit(["evaluate", "--baseline", "pop", "--train-data", str(data),
+                        "--data", str(data), "--k", "20"],
+                       "no usable evaluation instances (all baskets too short?)", capsys)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--num-patterns", "0", "need at least one pattern and one item per pattern"),
+    ("--noise-prob", "1.5", "noise_probability must be in [0, 1]"),
+    ("--num-baskets", "0", "num_baskets must be >= 1"),
+    ("--pool-decay", "1", "within_pool_decay must be in [0, 1)"),
+    ("--pool-floor", "1.5", "within_pool_floor must be in [0, 1]"),
+], ids=["num_patterns", "noise_prob", "num_baskets", "pool_decay", "pool_floor"])
+def test_gen_synth_rejects_out_of_range_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "synth"
+    _assert_error_exit(["gen-synth", "--out", str(out), flag, value], message, capsys)
+    assert not out.exists()
+
+
+def test_evaluate_cp_warns_of_unseen_input_items(workspace, capsys):
+    train = workspace / "seen.txt"
+    train.write_text("t0,0,1\nt1,1,2\n", encoding="utf-8")
+    test = workspace / "unseen.txt"
+    # e0's two input items never occur in training; e1's three items all do.
+    test.write_text("e0,5,6,7,8\ne1,0,1,2\n", encoding="utf-8")
+    rc = main(["evaluate", "--baseline", "cp", "--train-data", str(train), "--data", str(test),
+               "--catalog", str(workspace / "data" / "catalog.tsv"), "--k", "20"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning unseen_items=2\n"
+    assert "instances=2 skipped=0" in captured.out
+
+
+def test_basket_file_blank_lines_are_skipped(workspace, capsys):
+    lines = (workspace / "data" / "baskets.txt").read_text(encoding="utf-8").splitlines()
+    gapped = workspace / "gapped.txt"
+    gapped.write_text("\n".join(lines[:10] + [""] + lines[10:]) + "\n", encoding="utf-8")
+    outs = []
+    for data in (workspace / "data" / "baskets.txt", gapped):
+        assert main(["evaluate", "--baseline", "pop", "--train-data", str(data),
+                     "--data", str(data), "--k", "20", "--seed", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "npa", "gen-synth", "--out", str(tmp_path),
+                           "--num-baskets", "0"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: num_baskets must be >= 1\n"

@@ -16,12 +16,6 @@ ALLOWED_UNUSED = {
     ("training", "sequence_scores"): "the benchmark tracer spans it by attribute",
     ("checkpoint", "load_optimizer_sidecar"):
         "it reads the optimizer file that `npa train --optimizer-out` writes",
-    # The attention unit is one hand-differentiated node; these primitives
-    # remain the engine's, for graphs composed outside the library.
-    ("tensor", "softmax"): "the composed-unit oracle in test_vqa.py and demo 01 build on it",
-    ("tensor", "log"): "the composed-unit oracle in test_vqa.py and demo 01 build on it",
-    ("tensor", "take_per_row"):
-        "the composed-unit and objective oracles in test_vqa.py and test_training.py use it",
 }
 
 

@@ -2,7 +2,10 @@
 
 Every differentiable primitive is checked against central finite
 differences; relative error must stay within 1e-4 (absolute 1e-6 near
-zero), matching the engine's stated gradient contract.
+zero), matching the engine's stated gradient contract. The softmax, log
+and per-row pick of ``composed`` (the primitives only the test oracles
+compose with, on the engine's softmax kernel) are checked here the same
+way.
 """
 
 import numpy as np
@@ -10,6 +13,8 @@ import pytest
 
 from npa import tensor as T
 from npa.tensor import ShapeError, Tensor
+
+import composed as C
 
 
 def fd_gradient(fn, x: Tensor, h=1e-6):
@@ -46,7 +51,7 @@ def check_grad(fn, x: Tensor, h=1e-6, rtol=1e-4, atol=1e-6):
 
 def head(x):
     """Scalar mean log-softmax: its upstream gradient differs entry by entry."""
-    return T.mean(T.log(T.softmax(x)))
+    return T.mean(C.log(C.softmax(x)))
 
 
 def test_matmul_identity():
@@ -61,12 +66,12 @@ def test_matmul_shape_error_names_primitive():
 
 
 def test_softmax_uniform_logits():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0]))
+    out = C.softmax(Tensor([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_max_subtraction_no_overflow():
-    out = T.softmax(Tensor([1000.0, 1000.0]))
+    out = C.softmax(Tensor([1000.0, 1000.0]))
     np.testing.assert_allclose(out.data, [0.5, 0.5])
     assert np.isfinite(out.data).all()
 
@@ -75,21 +80,21 @@ def test_softmax_rows_are_distributions():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = Tensor(rng.normal(size=(5, 7)) * 10)
-        p = T.softmax(x).data
+        p = C.softmax(x).data
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
         assert (p > 0).all() and (p < 1).all()
 
 
 def test_softmax_masked_rows_exactly_zero():
     mask = np.array([[True, False, True], [True, True, False]])
-    p = T.softmax(Tensor(np.random.default_rng(1).normal(size=(2, 3))), mask=mask).data
+    p = C.softmax(Tensor(np.random.default_rng(1).normal(size=(2, 3))), mask=mask).data
     assert p[0, 1] == 0.0 and p[1, 2] == 0.0
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_softmax_empty_row_error():
     with pytest.raises(ShapeError, match="no unmasked"):
-        T.softmax(Tensor(np.ones((2, 2))), mask=np.array([[True, True], [False, False]]))
+        C.softmax(Tensor(np.ones((2, 2))), mask=np.array([[True, True], [False, False]]))
 
 
 def test_backward_sum_gives_ones():
@@ -115,6 +120,18 @@ def test_backward_rejects_non_finite():
     x = Tensor(np.inf, requires_grad=True)
     with pytest.raises(FloatingPointError):
         T.backward(x)
+
+
+def test_backward_on_a_loss_without_gradient_is_a_no_op():
+    x = Tensor([1.0, 2.0])
+    loss = T.mean(T.scale(x, 3.0))
+    T.backward(loss)
+    assert loss.grad is None and x.grad is None
+
+
+def test_repr_names_shape_and_gradient_flag():
+    assert repr(Tensor(np.zeros((2, 3)), requires_grad=True)) == \
+        "Tensor(shape=(2, 3), requires_grad=True)"
 
 
 def test_gradients_accumulate_across_uses():
@@ -238,18 +255,18 @@ def test_grad_softmax_masked():
     mask = rng.random((3, 5)) > 0.3
     mask[:, 0] = True
     w = Tensor(rng.normal(size=(5, 2)))  # weighs each probability differently
-    check_grad(lambda: T.mean(T.matmul(T.softmax(a, mask=mask), w)), a)
+    check_grad(lambda: T.mean(T.matmul(C.softmax(a, mask=mask), w)), a)
     a3 = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
     mask3 = rng.random((2, 3, 5)) > 0.3
     mask3[..., 0] = True
-    check_grad(lambda: T.mean(T.matmul(T.softmax(a3, mask=mask3), w)), a3)
+    check_grad(lambda: T.mean(T.matmul(C.softmax(a3, mask=mask3), w)), a3)
 
 
 def test_grad_log_mean():
     rng = np.random.default_rng(7)
     a = Tensor(rng.random((3, 4)) + 0.5, requires_grad=True)
-    check_grad(lambda: T.mean(T.log(a)), a)
-    check_grad(lambda: T.mean(T.log(T.scale(T.mean(a), 2.0))), a)
+    check_grad(lambda: T.mean(C.log(a)), a)
+    check_grad(lambda: T.mean(C.log(T.scale(T.mean(a), 2.0))), a)
 
 
 def test_grad_masked_fill():
@@ -275,9 +292,9 @@ def test_grad_take_per_row():
     rng = np.random.default_rng(10)
     a = Tensor(rng.random((4, 5)) + 0.1, requires_grad=True)
     idx = np.array([1, 4, 0, 2])
-    check_grad(lambda: T.mean(T.log(T.take_per_row(a, idx))), a)
+    check_grad(lambda: T.mean(C.log(C.take_per_row(a, idx))), a)
     a3 = Tensor(rng.random((2, 4, 5)) + 0.1, requires_grad=True)
-    check_grad(lambda: T.mean(T.log(T.take_per_row(a3, np.array([idx, idx[::-1]])))), a3)
+    check_grad(lambda: T.mean(C.log(C.take_per_row(a3, np.array([idx, idx[::-1]])))), a3)
 
 
 def test_grad_cross_entropy():
@@ -311,7 +328,7 @@ def test_cross_entropy_matches_manual():
 def test_forward_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(15)
     a = Tensor(rng.normal(size=(4, 4)) * 50)
-    outs = [T.softmax(a), T.matmul(a, a), T.cross_entropy_with_logits(a, np.zeros(4, dtype=int)),
+    outs = [C.softmax(a), T.matmul(a, a), T.cross_entropy_with_logits(a, np.zeros(4, dtype=int)),
             T.mean(a)]
     for o in outs:
         assert np.isfinite(o.data).all()
@@ -321,7 +338,7 @@ def test_determinism_bit_identical():
     def run():
         rng = np.random.default_rng(99)
         a = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
-        out = T.mean(T.softmax(T.matmul(a, T.transpose(a))))
+        out = T.mean(C.softmax(T.matmul(a, T.transpose(a))))
         T.backward(out)
         return out.data.copy(), a.grad.copy()
     o1, g1 = run()
@@ -334,7 +351,7 @@ def test_gather_and_take_bounds_errors():
     with pytest.raises(ShapeError):
         T.gather_rows(a, np.array([3]))
     with pytest.raises(ShapeError):
-        T.take_per_row(a, np.array([0, 1, 3]))
+        C.take_per_row(a, np.array([0, 1, 3]))
 
 
 _M = Tensor(np.ones((2, 3)))
@@ -345,9 +362,9 @@ _M = Tensor(np.ones((2, 3)))
      r"transpose: expected 2 or more axes, got shape \(3,\)"),
     (lambda: T.add(_M, Tensor(np.ones((3, 2)))), r"add: shapes \(2, 3\) and \(3, 2\) differ"),
     (lambda: T.concat([]), "concat: no operands"),
-    (lambda: T.softmax(Tensor(np.ones((2, 0)))),
+    (lambda: C.softmax(Tensor(np.ones((2, 0)))),
      r"softmax: expected non-empty rows, got shape \(2, 0\)"),
-    (lambda: T.softmax(_M, mask=np.ones(2, dtype=bool)),
+    (lambda: C.softmax(_M, mask=np.ones(2, dtype=bool)),
      r"softmax: mask shape \(2,\) does not match \(2, 3\)"),
     (lambda: T.mean(Tensor(np.ones(0))), "mean: empty reduction"),
     (lambda: T.masked_fill(_M, np.ones(3, dtype=bool), 0.0),
@@ -356,9 +373,9 @@ _M = Tensor(np.ones((2, 3)))
     (lambda: T.gather_rows(_M, (np.zeros(1, int), np.zeros(2, int))),
      r"gather_rows: cannot index data \(2, 3\) with \[\(1,\), \(2,\)\]"),
     (lambda: T.gather_rows(_M, np.array([2])), "gather_rows: index out of range for 2 rows"),
-    (lambda: T.take_per_row(_M, np.zeros(3, int)),
+    (lambda: C.take_per_row(_M, np.zeros(3, int)),
      r"take_per_row: got data \(2, 3\) and index \(3,\)"),
-    (lambda: T.take_per_row(_M, np.array([0, 3])),
+    (lambda: C.take_per_row(_M, np.array([0, 3])),
      "take_per_row: column index out of range for 3 columns"),
     (lambda: T.cross_entropy_with_logits(_M, np.zeros(3, int)),
      r"cross_entropy: got logits \(2, 3\) and targets \(3,\)"),

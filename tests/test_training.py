@@ -18,6 +18,7 @@ from npa.training import (ANY_ORDER, TEMPORAL, TrainConfig, _context_scores,
                           _float32_scores, _winners, batch_loss,
                           sample_permutation, sequence_scores, train)
 
+import composed as C
 from conftest import small_mc_config, small_sc_config
 
 
@@ -454,7 +455,7 @@ def _all_heads_loss(batch, cfg, params, rng, training):
             score = T.add(score, T.gather_rows(state.logprob, (np.full(targets.size, h),) + rows))
         columns.append(T.reshape(score, (score.shape[0], 1)))
     table = T.concat(columns)
-    pooled = T.take_per_row(table, np.argmax(table.data, axis=1))
+    pooled = C.take_per_row(table, np.argmax(table.data, axis=1))
     details = [-float(np.mean(part)) for part in np.split(pooled.data, np.cumsum(lengths - 1)[:-1])]
     return T.scale(T.mean(pooled), -1.0), details
 
@@ -615,3 +616,17 @@ def test_float32_overflow_steps_fall_back_to_float64():
     assert np.isfinite(exact).all()
     np.testing.assert_array_equal(_winners(contexts, None, rows, targets, emb),
                                   np.argmax(exact, axis=0))
+
+
+def test_float32_bound_is_infinite_past_its_catalog_size():
+    # The derivation assumes (n + d) u <= 0.01, about 168,000 items; past it
+    # every bound is infinite, so every step is recomputed in float64.
+    rng = np.random.default_rng(4)
+    emb = rng.normal(size=(170_000, 2))
+    contexts = rng.normal(size=(2, 3, 2))
+    rows, targets = (np.arange(3),), rng.integers(0, 170_000, size=3)
+    _, bound = _float32_scores(contexts, None, rows, targets, emb)
+    assert np.isinf(bound).all()
+    np.testing.assert_array_equal(_winners(contexts, None, rows, targets, emb),
+                                  np.argmax(_context_scores(contexts, None, rows, targets, emb),
+                                            axis=0))

@@ -9,9 +9,11 @@ from npa import tensor as T
 from npa import vqa
 from npa.tensor import Tensor
 
+import composed as C
 
-def make_params(rng, input_dim=6, attn_dim=4, value_dim=4, num_patterns=4):
-    return vqa.init_vqa_params(rng, input_dim, attn_dim, value_dim, num_patterns)
+
+def make_params(rng, input_dim=6, attn_dim=4, num_patterns=4):
+    return vqa.init_vqa_params(rng, input_dim, attn_dim, num_patterns)
 
 
 def test_project_identity_query():
@@ -67,6 +69,14 @@ def test_pattern_attention_matches_softmax_oracle():
     expected = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(a, expected, atol=1e-12)
+
+
+def test_pattern_attention_rejects_an_empty_codebook():
+    params = dataclasses.replace(make_params(np.random.default_rng(6)),
+                                 codebook=Tensor(np.zeros((0, 4))))
+    with pytest.raises(T.ShapeError, match=r"^softmax: expected non-empty rows, "
+                                           r"got shape \(2, 0\)$"):
+        vqa.pattern_attention(np.ones((2, 4)), params)
 
 
 def _softmax(x):
@@ -292,7 +302,7 @@ def test_mask_soundness_bit_identical():
 def test_scale_stability_large_dims():
     for dim in (64, 256, 1024):
         rng = np.random.default_rng(dim)
-        params = vqa.init_vqa_params(rng, dim, dim, dim, 8)
+        params = vqa.init_vqa_params(rng, dim, dim, 8)
         x = rng.normal(size=(3, dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         q, k, v = vqa.project_items(x, params)
@@ -373,7 +383,7 @@ def composed_pattern_attention(q, params, keep_mask=None):
     codebook = params.codebook if isinstance(params, vqa.VqaParams) else params[0].codebook
     keys = T.matmul(codebook, T.transpose(_weight(params, "w_pattern_key", q.data.ndim - 3)))
     logits = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(q.shape[-1]))
-    return T.softmax(logits, mask=keep_mask)
+    return C.softmax(logits, mask=keep_mask)
 
 
 def composed_unit_forward(inputs, params, strategy, keep_mask=None, uniforms=None):
@@ -394,11 +404,11 @@ def composed_unit_forward(inputs, params, strategy, keep_mask=None, uniforms=Non
                 logp = np.log(abar.data)
             g = -np.log(-np.log(uniforms))
             idx = np.argmax(logp / strategy.gumbel_temperature + g, axis=-1)
-            logprob = T.log(T.take_per_row(abar, idx))
+            logprob = C.log(C.take_per_row(abar, idx))
         z = T.gather_rows(codebook, idx)
     rho = T.matmul(z, T.transpose(_weight(params, "w_context_query", batch)))
     logits = T.scale(T.matmul(rho, T.transpose(k)), 1.0 / np.sqrt(rho.shape[-1]))
-    b = T.softmax(logits, mask=vqa.causal_mask(n))
+    b = C.softmax(logits, mask=vqa.causal_mask(n))
     return vqa.UnitState(contexts=T.matmul(b, v), prefix_attention=abar, context_attention=b,
                          pattern_index=idx, pattern_logprob=logprob)
 
