@@ -118,6 +118,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_cutoffs(num_items, instances):
+    """Fail before any query when an instance leaves fewer items to rank
+    than the largest metric cutoff."""
+    largest = max(len(inst.inputs) for inst in instances)
+    need = max(metrics_mod.CUTOFFS)
+    if num_items - largest < need:
+        raise DataError(f"evaluate: catalog of {num_items} items leaves {num_items - largest} "
+                        f"to rank after the largest input basket ({largest} items); "
+                        f"the metrics need {need}")
+
+
 def cmd_evaluate(args) -> int:
     if args.k < max(metrics_mod.CUTOFFS):
         raise ConfigError(f"--k must be at least {max(metrics_mod.CUTOFFS)}")
@@ -135,8 +146,8 @@ def cmd_evaluate(args) -> int:
         _, train_baskets = data_mod.load_baskets(args.train_data, catalog=catalog)
         kind = {"pop": metrics_mod.POP, "cp": metrics_mod.CP,
                 "itemcf": metrics_mod.ITEM_CF}[args.baseline]
-        num_items = catalog.num_items
-        model = metrics_mod.CountBaseline(kind, num_items).fit(train_baskets)
+        _check_cutoffs(catalog.num_items, instances)
+        model = metrics_mod.CountBaseline(kind, catalog.num_items).fit(train_baskets)
         for inst in instances:
             ranked = model.ranked(inst.inputs, args.k)
             pairs.append((ranked, inst.labels))
@@ -146,9 +157,10 @@ def cmd_evaluate(args) -> int:
         if not args.ckpt:
             raise ConfigError("either --ckpt or --baseline is required")
         config, params = _load_model(args)
-        _echo_config(config_to_kv(config))
         model_mod.check_baskets([inst.inputs for inst in instances],
                                 [inst.basket_id for inst in instances], config, "evaluate")
+        _check_cutoffs(config.num_items, instances)
+        _echo_config(config_to_kv(config))
         for i, inst in enumerate(instances):
             k = min(args.k, config.num_items - len(set(inst.inputs)))
             out = rec.recommend_topk(inst.inputs, config, params, k,

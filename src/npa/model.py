@@ -165,12 +165,14 @@ class LayerNoise:
     uniforms: np.ndarray | None = None
     merge_uniforms: np.ndarray | None = None
 
-    def basket(self, b: int) -> "LayerNoise":
-        """The draws of batch row b alone, without the batch axis."""
-        def row(m):
-            return None if m is None else m[:, b]
-        return LayerNoise(self.dropout_rate, row(self.keep_masks), row(self.uniforms),
-                          None if self.merge_uniforms is None else self.merge_uniforms[b])
+    def rows(self, index, steps: int | None = None) -> "LayerNoise":
+        """The draws of batch rows index, in that order, cut to their first
+        steps; an int index gives that row alone, without the batch axis."""
+        def cut(m):
+            return None if m is None else m[:, index, :steps]
+        return LayerNoise(self.dropout_rate, cut(self.keep_masks), cut(self.uniforms),
+                          None if self.merge_uniforms is None
+                          else self.merge_uniforms[index, :steps])
 
 
 @dataclass
@@ -391,10 +393,10 @@ def embed_inputs(item_ids, config: ModelConfig, params: NpaParams,
     return x
 
 
-def draw_noise(lengths, config: ModelConfig, rng: np.random.Generator,
-               dropout_rate: float) -> list:
+def draw_noise(lengths, config: ModelConfig, rng_seed, dropout_rate: float) -> list:
     """Every random number of one forward pass, one LayerNoise per layer.
 
+    rng_seed is a numpy Generator, an int seed, or None for the fixed seed 0.
     Baskets draw in batch order. Within a basket, layer by layer, each
     channel draws its attention-dropout keep mask (when dropout_rate > 0)
     and then its Gumbel uniforms (sampling layers); the layer's merge-dropout
@@ -403,6 +405,8 @@ def draw_noise(lengths, config: ModelConfig, rng: np.random.Generator,
     channels first, (channels, B, N, width) with N = max(lengths); padded
     rows keep every entry.
     """
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(
+        0 if rng_seed is None else rng_seed)
     lengths = np.asarray(lengths, dtype=np.int64)
     shape = (lengths.size, int(lengths.max()))
     p, d = config.num_patterns, config.embedding_dim
@@ -454,7 +458,7 @@ def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionSt
 
 def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
             training: bool = False, use_positions: bool | None = None,
-            lengths=None) -> ContextState:
+            lengths=None, noise=None) -> ContextState:
     """Contexts for every causal prefix of a basket, or of a padded batch.
 
     basket is a 1-d id sequence, or a (B, N) id array padded at the end
@@ -462,21 +466,20 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
     then carry the leading batch axis, and rows past a basket's length are
     padding to ignore. rng_seed may be an int, a numpy Generator, or None
     for the fixed seed 0; it drives MC pattern sampling and (in training)
-    dropout masks. Deterministic given the seed, the inputs, and the
+    dropout masks. A batch may instead take its draws pre-drawn: noise is
+    then draw_noise's list for these rows, and rng_seed and training go
+    unused. Deterministic given the seed or noise, the inputs, and the
     parameters.
     """
     ids = np.asarray(basket, dtype=np.int64)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(
-        0 if rng_seed is None else rng_seed)
-    dropout_rate = config.dropout_rate if training else 0.0
-
     x = embed_inputs(ids, config, params, use_positions=use_positions, lengths=lengths)
     batched = ids.ndim == 2
-    if lengths is None:
-        lengths = np.full(ids.shape[0] if batched else 1, ids.shape[-1])
-    noise = draw_noise(lengths, config, rng, dropout_rate)
-    if not batched:
-        noise = [layer_noise.basket(0) for layer_noise in noise]
+    if noise is None:
+        if lengths is None:
+            lengths = np.full(ids.shape[0] if batched else 1, ids.shape[-1])
+        noise = draw_noise(lengths, config, rng_seed, config.dropout_rate if training else 0.0)
+        if not batched:
+            noise = [layer_noise.rows(0) for layer_noise in noise]
     prev_raw = x  # raw output of layer l-1; layer 0 is the embedding
     current_input = x
     layer_states = []

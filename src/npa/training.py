@@ -2,12 +2,22 @@
 
 The autoregressive objective scores each item of a sequence given the
 context of its predecessors; one forward pass with causal masks yields
-every step of every sequence in a batch at once. The batch is padded at
-the end to its longest sequence and run as one autodiff graph; only the
+every step of every sequence in a batch at once. The batch's random
+draws are made once, sequence by sequence in batch order. Then the batch
+is split into length buckets by one rule on its own lengths: sorted by
+length, it is cut in two where that removes the most padded rows, if
+that is at least SPLIT_PADDED_ROWS (160), and each part is cut by the
+same rule. Each bucket is padded at the end to its longest sequence and
+run as one autodiff graph on its rows of the batch's draws; only the
 rows of real predicted steps reach the output head, the cross-entropy
-and the max-pool, and the random draws are made sequence by sequence, so
-a batch's loss is the step-weighted mean of its sequences' losses run
-one at a time with the same generator. The per-step, per-context score is
+and the max-pool, and the buckets' losses combine as their step-weighted
+mean. So a batch's loss is the step-weighted mean of its sequences'
+losses run one at a time with the same generator, to rounding, and a
+batch the rule keeps whole computes exactly what one padded graph does.
+On the benchmark's MC profile (64 baskets of 4-24 items) the cut leaves
+24% of rows and 36% of causal-attention cells as padding, against 41%
+and 58% in one graph; its SC profile (5-9 items) is never cut. The
+per-step, per-context score is
 
     log p(item | context) + log p(context | prefix)
 
@@ -106,6 +116,17 @@ from .tensor import Tensor
 TEMPORAL = "temporal"
 ANY_ORDER = "any_order"
 
+# batch_loss cuts a batch in two by length when that removes at least this
+# many padded rows (see _length_buckets). Measured on 500 sampled 64-basket
+# batches of each benchmark training profile, the best two-way cut removes
+# 52-105 rows on train_sc_anyorder (lengths 5-9; at most 126 in 60,000
+# batches) and 240-451 on train_mc_temporal (lengths 4-24). On 2 vCPUs
+# with one BLAS thread, forcing that cut made the SC step 4.6% slower
+# (29.7 against 31.0 ms), so SC batches stay whole, while cutting took the
+# MC step's median from 176 to 154 ms. Since 160 > 5 x 22, no batch of 6
+# baskets or fewer of lengths 2-24 is cut.
+SPLIT_PADDED_ROWS = 160
+
 __all__ = [
     "ANY_ORDER",
     "LossReport",
@@ -166,14 +187,11 @@ def sample_permutation(basket_items, rng: np.random.Generator):
     return items[rng.permutation(items.size)]
 
 
-def _forward_rows(batch, config, params, rng, training, use_positions):
-    """Padded forward pass of a batch; returns (state, rows, targets).
-
-    rows is the (sequence, step) index pair of every predicted step,
-    sequence after sequence in batch order, and targets[i] the item that
-    step i predicts. The batch is checked by check_baskets before the
-    forward pass, so a failure names the sequence's index in the batch.
-    """
+def _checked_noise(batch, config, rng, training):
+    """(sequences, lengths, noise) of a batch: its id arrays, checked by
+    check_baskets so that a failure names the sequence's index in the
+    batch, and every random number of its padded forward pass, drawn
+    sequence by sequence in batch order."""
     seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
     if not seqs:
         raise ConfigError("empty batch")
@@ -182,12 +200,22 @@ def _forward_rows(batch, config, params, rng, training, use_positions):
             raise ConfigError(f"batch sequence {i} has shape {seq.shape}; need two items or more")
     npa_model.check_baskets(seqs, range(len(seqs)), config, "batch_loss")
     lengths = np.array([seq.size for seq in seqs])
+    noise = npa_model.draw_noise(lengths, config, rng, config.dropout_rate if training else 0.0)
+    return seqs, lengths, noise
+
+
+def _forward_rows(seqs, lengths, noise, config, params, use_positions):
+    """Padded forward pass of sequences on their noise; returns (state, rows, targets).
+
+    rows is the (sequence, step) index pair of every predicted step,
+    sequence after sequence, and targets[i] the item that step i predicts.
+    """
     steps = np.arange(lengths.max())
     valid = steps < lengths[:, None]
     ids = np.zeros((len(seqs), steps.size), dtype=np.int64)
     ids[valid] = np.concatenate(seqs)
-    state = npa_model.forward(ids, config, params, rng_seed=rng, training=training,
-                              use_positions=use_positions, lengths=lengths)
+    state = npa_model.forward(ids, config, params, use_positions=use_positions,
+                              lengths=lengths, noise=noise)
     rows = np.nonzero(steps < lengths[:, None] - 1)
     return state, rows, ids[rows[0], rows[1] + 1]
 
@@ -289,11 +317,46 @@ def sequence_scores(batch, config, params, rng=None, training=False,
     for inspection. state is the padded forward pass, with (B, N, ...)
     tensors.
     """
-    state, rows, targets = _forward_rows(batch, config, params, rng, training,
-                                         use_positions)
+    state, rows, targets = _forward_rows(*_checked_noise(batch, config, rng, training),
+                                         config, params, use_positions)
     table = _context_scores(*state.values(), rows, targets,
                             npa_model.output_embeddings(params).data)
     return [Tensor(s) for s in table], state
+
+
+def _length_buckets(lengths) -> list:
+    """The batch indices of each length bucket, shortest bucket first.
+
+    Sorted by length, a batch is cut in two where that removes the most
+    padded rows (the short part's rows past its own longest sequence),
+    provided it removes at least SPLIT_PADDED_ROWS; each part is then cut
+    by the same rule. A bucket keeps its sequences in batch order.
+    """
+    def cut(part):
+        sizes = lengths[part]
+        removed = np.arange(1, part.size) * (sizes[-1] - sizes[:-1])
+        if not removed.size or removed.max() < SPLIT_PADDED_ROWS:
+            return [np.sort(part)]
+        at = int(np.argmax(removed)) + 1
+        return cut(part[:at]) + cut(part[at:])
+    return cut(np.argsort(lengths, kind="stable"))
+
+
+def _padded_loss(seqs, lengths, noise, config, params, use_positions):
+    """batch_loss over one padded graph of sequences with their noise."""
+    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, use_positions)
+    emb = npa_model.output_embeddings(params)
+    head = np.zeros(targets.size, dtype=np.int64)
+    if state.context.shape[0] > 1:
+        head = _winners(*state.values(), rows, targets, emb.data)
+    at = (head,) + rows
+    logits = T.matmul(T.gather_rows(state.context, at), T.transpose(emb))
+    scores = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
+    if state.logprob is not None:
+        scores = T.add(scores, T.gather_rows(state.logprob, at))
+    ends = np.cumsum(lengths - 1)[:-1]
+    details = [-float(np.mean(part)) for part in np.split(scores.data, ends)]
+    return T.scale(T.mean(scores), -1.0), details
 
 
 def batch_loss(batch, config, params, rng=None, training=False,
@@ -304,22 +367,27 @@ def batch_loss(batch, config, params, rng=None, training=False,
     with several contexts each step's winner (ties to the lowest) is
     chosen on the graph-free score table, and the graph runs the output
     head and the cross-entropy once, over the winners' rows of the stacked
-    contexts.
+    contexts. The batch's noise is drawn whole, in batch order; a batch
+    that _length_buckets splits runs each bucket as its own padded graph
+    on its rows of that noise, and its loss is the buckets' step-weighted
+    mean.
     """
-    state, rows, targets = _forward_rows(batch, config, params, rng, training,
-                                         use_positions)
-    emb = npa_model.output_embeddings(params)
-    head = np.zeros(targets.size, dtype=np.int64)
-    if state.context.shape[0] > 1:
-        head = _winners(*state.values(), rows, targets, emb.data)
-    at = (head,) + rows
-    logits = T.matmul(T.gather_rows(state.context, at), T.transpose(emb))
-    scores = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
-    if state.logprob is not None:
-        scores = T.add(scores, T.gather_rows(state.logprob, at))
-    ends = np.cumsum([len(seq) - 1 for seq in batch])[:-1]
-    details = [-float(np.mean(part)) for part in np.split(scores.data, ends)]
-    return T.scale(T.mean(scores), -1.0), details
+    seqs, lengths, noise = _checked_noise(batch, config, rng, training)
+    buckets = _length_buckets(lengths)
+    if len(buckets) == 1:
+        return _padded_loss(seqs, lengths, noise, config, params, use_positions)
+    steps = lengths - 1
+    loss, details = None, [0.0] * len(seqs)
+    for index in buckets:
+        part, part_details = _padded_loss(
+            [seqs[i] for i in index], lengths[index],
+            [layer.rows(index, lengths[index].max()) for layer in noise],
+            config, params, use_positions)
+        part = T.scale(part, steps[index].sum() / steps.sum())
+        loss = part if loss is None else T.add(loss, part)
+        for i, nll in zip(index, part_details):
+            details[i] = nll
+    return loss, details
 
 
 def train(baskets, config, params, train_config: TrainConfig, log=None,

@@ -507,6 +507,31 @@ def test_evaluate_cp_warns_of_unseen_input_items(workspace, capsys):
     assert "instances=2 skipped=0" in captured.out
 
 
+@pytest.mark.parametrize("path", ["baseline", "model"])
+def test_evaluate_catalog_too_small_for_cutoffs_fails_before_any_query(workspace, capsys,
+                                                                      monkeypatch, path):
+    # No --catalog: the ids 0-8 make a 9-item catalog, and e0's two input
+    # items leave 7 to rank, fewer than the cutoff 20.
+    data = workspace / "small.txt"
+    data.write_text("e0,5,6,7,8\ne1,0,1,2\n", encoding="utf-8")
+    if path == "baseline":
+        argv = ["--baseline", "cp", "--train-data", str(data)]
+    else:
+        config = ModelConfig(num_items=9, embedding_dim=8, num_layers=1, channels_per_layer=[2],
+                             num_patterns=8, max_sequence_length=12)
+        save_checkpoint(workspace / "small.ckpt", config, init_params(config, seed=1))
+        argv = ["--ckpt", str(workspace / "small.ckpt")]
+
+    def no_query(*args, **kwargs):
+        raise AssertionError("a query ran")
+
+    monkeypatch.setattr(rec, "recommend_topk", no_query)
+    monkeypatch.setattr("npa.metrics.CountBaseline.ranked", no_query)
+    _assert_error_exit(["evaluate", "--data", str(data), "--k", "20"] + argv,
+                       "evaluate: catalog of 9 items leaves 7 to rank after the largest input "
+                       "basket (2 items); the metrics need 20", capsys)
+
+
 def test_basket_file_blank_lines_are_skipped(workspace, capsys):
     lines = (workspace / "data" / "baskets.txt").read_text(encoding="utf-8").splitlines()
     gapped = workspace / "gapped.txt"

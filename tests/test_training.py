@@ -8,15 +8,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from npa import model as npa_model
 from npa import tensor as T
 from npa.data import SynthSpec, gen_synthetic
 from npa.errors import ConfigError
-from npa.model import (forward, init_params, named_parameters, output_embeddings,
-                       trainable_parameters)
+from npa.model import (draw_noise, forward, init_params, named_parameters,
+                       output_embeddings, trainable_parameters)
 from npa.optim import AdamW, clip_grad_norm
-from npa.training import (ANY_ORDER, TEMPORAL, TrainConfig, _context_scores,
-                          _float32_scores, _winners, batch_loss,
-                          sample_permutation, sequence_scores, train)
+from npa.training import (ANY_ORDER, SPLIT_PADDED_ROWS, TEMPORAL, TrainConfig,
+                          _context_scores, _float32_scores, _length_buckets, _winners,
+                          batch_loss, sample_permutation, sequence_scores, train)
 
 import composed as C
 from conftest import small_mc_config, small_sc_config
@@ -286,6 +287,17 @@ def test_train_reports_have_positive_nll_and_lengths():
         assert r.num_sequences == 3
 
 
+@pytest.mark.parametrize("baskets, message", [
+    ([], "train: empty dataset"),
+    ([[1], [], [3]], "train: every basket is shorter than two items"),
+], ids=["empty", "all_short"])
+def test_train_rejects_a_dataset_with_nothing_to_learn(baskets, message):
+    cfg = small_sc_config(use_positions=False)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        train(baskets, cfg, init_params(cfg, seed=0),
+              TrainConfig(epochs=1, mode=ANY_ORDER, seed=0))
+
+
 def test_train_aborts_on_non_finite_loss():
     cfg = small_sc_config(use_positions=False)
     params = init_params(cfg, seed=20)
@@ -415,6 +427,102 @@ def test_padded_batch_matches_sequences_run_alone(batch, variant, training,
     for name, g in grads.items():
         scale = max(np.abs(expected[name]).max(), 1e-300)
         assert np.abs(g - expected[name]).max() <= 1e-12 * scale, name
+
+
+def test_length_buckets_on_the_measured_profiles():
+    # The benchmark's MC profile (64 baskets of 4-24) is cut, its SC profile
+    # (64 of 5-9) and any batch of 6 baskets or fewer of lengths 2-24 are not.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        lengths = rng.integers(4, 25, size=64)
+        buckets = _length_buckets(lengths)
+        assert len(buckets) >= 2
+        np.testing.assert_array_equal(np.sort(np.concatenate(buckets)), np.arange(64))
+        for shorter, longer in zip(buckets, buckets[1:]):
+            assert lengths[shorter].max() <= lengths[longer].min()
+        assert all((np.diff(b) > 0).all() for b in buckets)  # batch order kept
+        assert len(_length_buckets(rng.integers(5, 10, size=64))) == 1
+    for size in range(1, 7):
+        assert len(_length_buckets(np.array([2] * (size - 1) + [24]))) == 1
+        assert len(_length_buckets(rng.integers(2, 25, size=size))) == 1
+
+
+def test_length_buckets_cut_where_most_padding_goes_then_cut_again():
+    # Cutting after the 40 short baskets removes 40 x 12 padded rows, more
+    # than any other cut; within them, cutting off the 20 of length 2
+    # removes 20 x 10.
+    lengths = np.array([12] * 20 + [2] * 20 + [24] * 8)
+    assert 20 * 10 >= SPLIT_PADDED_ROWS
+    buckets = _length_buckets(lengths)
+    assert [b.tolist() for b in buckets] == [list(range(20, 40)), list(range(20)),
+                                              list(range(40, 48))]
+
+
+def _split_batch(rng, num_items):
+    """48 id sequences in shuffled order, 20 of length 2, 20 of 12 and 8 of
+    24, which _length_buckets cuts into three buckets."""
+    lengths = rng.permutation([2] * 20 + [12] * 20 + [24] * 8)
+    return [rng.choice(num_items, size=n, replace=False).tolist() for n in lengths]
+
+
+@pytest.mark.parametrize("variant, training", [("SC", True), ("MC", True), ("MC", False)])
+def test_split_batch_matches_sequences_run_alone(variant, training):
+    factory = small_mc_config if variant == "MC" else small_sc_config
+    cfg = factory(num_items=30, dropout_rate=0.3, max_sequence_length=24)
+    params = init_params(cfg, seed=23)
+    batch = _split_batch(np.random.default_rng(4), cfg.num_items)
+    assert len(_length_buckets(np.array([len(seq) for seq in batch]))) == 3
+    loss, details = batch_loss(batch, cfg, params, rng=np.random.default_rng(5),
+                               training=training)
+    grads = _grads(loss, params, cfg)
+
+    rng = np.random.default_rng(5)
+    steps = np.array([len(seq) - 1 for seq in batch], dtype=float)
+    alone, alone_details = 0.0, []
+    expected = {name: np.zeros_like(g) for name, g in grads.items()}
+    for seq, w in zip(batch, steps / steps.sum()):
+        one, one_details = batch_loss([seq], cfg, params, rng=rng, training=training)
+        alone += w * float(one.data)
+        alone_details += one_details
+        for name, g in _grads(one, params, cfg).items():
+            expected[name] += w * g
+
+    np.testing.assert_allclose(float(loss.data), alone, rtol=1e-12)
+    np.testing.assert_allclose(details, alone_details, rtol=1e-12)
+    for name, g in grads.items():
+        scale = max(np.abs(expected[name]).max(), 1e-300)
+        assert np.abs(g - expected[name]).max() <= 1e-12 * scale, name
+
+
+def test_split_batch_runs_each_basket_on_its_whole_batch_draws(monkeypatch):
+    cfg = small_mc_config(num_items=30, dropout_rate=0.3, max_sequence_length=24)
+    params = init_params(cfg, seed=23)
+    batch = _split_batch(np.random.default_rng(4), cfg.num_items)
+    lengths = np.array([len(seq) for seq in batch])
+    calls = []
+    forward_ = npa_model.forward
+
+    def recording(*args, noise=None, **kwargs):
+        calls.append(noise)
+        return forward_(*args, noise=noise, **kwargs)
+
+    monkeypatch.setattr(npa_model, "forward", recording)
+    batch_loss(batch, cfg, params, rng=np.random.default_rng(5), training=True)
+    whole = draw_noise(lengths, cfg, np.random.default_rng(5), cfg.dropout_rate)
+    buckets = _length_buckets(lengths)
+    assert len(calls) == len(buckets) == 3
+
+    def channels_first(layer):
+        merge = layer.merge_uniforms
+        return layer.keep_masks, layer.uniforms, None if merge is None else merge[None]
+
+    for noise, index in zip(calls, buckets):
+        for got, want in zip(noise, whole):
+            for part, full in zip(channels_first(got), channels_first(want)):
+                assert (part is None) == (full is None)
+                for row, b in enumerate(index if full is not None else []):
+                    assert (part[:, row, :lengths[b]].tobytes()
+                            == full[:, b, :lengths[b]].tobytes())
 
 
 def test_poisoned_table_row_outside_batch_never_reaches_loss():
