@@ -18,8 +18,9 @@ targets = np.array([0, 2, 1, 2])  # one class per row of x
 
 
 def objective():
-    """Mean cross-entropy of the rows of x W^T against their targets."""
-    return T.mean(T.cross_entropy_with_logits(T.matmul(x, T.transpose(w)), targets))
+    """Mean cross-entropy of the rows of x W^T against their targets, with the
+    product and the cross-entropy as one node."""
+    return T.mean(T.linear_cross_entropy(x, T.transpose(w), targets))
 
 
 loss = objective()

@@ -15,7 +15,7 @@ from .model import ContextState, ModelConfig, NpaParams, forward, init_params, n
 from .optim import AdamW
 from .recommend import Recommendation, recommend_topk, score_fesf, score_mean, score_softmax
 from .tensor import Tensor, backward
-from .training import LossReport, TrainConfig, train
+from .training import LossReport, TrainConfig, batch_loss, train
 from .vqa import ExtractionStrategy, VqaParams
 
 __version__ = "0.1.0"
@@ -38,6 +38,7 @@ __all__ = [
     "TrainConfig",
     "VqaParams",
     "backward",
+    "batch_loss",
     "compute_metrics",
     "forward",
     "gen_synthetic",

@@ -18,14 +18,18 @@ broadcasts an operand over leading axes that only the other has.
 
 The primitives are the ones the models of this package record: matrix
 multiply, transpose, add, scale, concatenate along the last axis, mean
-over all entries, masked fill, reshape, row gather, cross entropy with
-logits, and inverted dropout. One more node kind completes the graphs:
+over all entries, masked fill, reshape, row gather, the output head (a
+matrix product and its per-row cross entropy as one node, which keeps
+only the softmax numerators), and inverted dropout. Row gather's backward
+and the attention unit's codebook scatter add rows with one bincount
+(``_add_rows``). One more node kind completes the graphs:
 ``vqa.unit_forward`` records each attention unit as a single node through
 ``_make``, with a backward written out from the unit's equations on this
 module's array helpers (``_accumulate``, ``_right_grad``, ``_reduce``,
-and the masked row softmax ``_softmax_rows`` with its gradient
-``_softmax_grad``). A backward closure runs only when some operand
-requires a gradient, so single-operand primitives do not test for it.
+``_add_rows``, and the masked row softmax ``_softmax_rows`` with its
+gradient ``_softmax_grad``). A backward closure runs only when some
+operand requires a gradient, so single-operand primitives do not test
+for it.
 
 Inside the :func:`no_grad` context nothing is recorded: every primitive
 returns a plain tensor with no parents and no backward closure, whatever
@@ -53,9 +57,9 @@ __all__ = [
     "add",
     "backward",
     "concat",
-    "cross_entropy_with_logits",
     "dropout",
     "gather_rows",
+    "linear_cross_entropy",
     "masked_fill",
     "matmul",
     "mean",
@@ -367,41 +371,78 @@ def gather_rows(a, idx) -> Tensor:
             raise ShapeError(f"gather_rows: index out of range for {size} rows")
 
     def back(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
-        _accumulate(a, acc)
+        _accumulate(a, _add_rows(a.data.shape, idx, g), fresh=True)
 
     return _make(a.data[idx], (a,), back)
 
 
-def cross_entropy_with_logits(logits, targets) -> Tensor:
-    """Per-row negative log softmax probability of the target class.
+def _add_rows(shape, idx, g):
+    """A new zero array of ``shape`` with the rows of g added at idx, in
+    index order: ``np.add.at(np.zeros(shape), idx, g)`` as one bincount.
 
-    Numerically stable: nll[t] = logsumexp(logits[t]) - logits[t, target[t]].
-    Returns a 1-d tensor of row losses.
+    idx is an integer array indexing the first axis, or a tuple of
+    same-shape integer arrays, one per leading axis; g has shape
+    ``idx.shape + shape[len(parts):]``. Each entry starts at 0.0 and adds
+    its terms in index order, as np.add.at does, so the sums are the same
+    bits.
     """
-    logits = _coerce(logits)
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    lead = shape[:len(parts)]
+    width = int(np.prod(shape[len(parts):], dtype=np.int64))
+    flat = np.ravel_multi_index(parts, lead) if len(parts) > 1 else parts[0]
+    at = (np.reshape(flat, (-1, 1)) * width + np.arange(width)).ravel()
+    total = int(np.prod(shape, dtype=np.int64))
+    return np.bincount(at, weights=np.ravel(g), minlength=total).reshape(shape)
+
+
+def _linear_nll(x, w, targets):
+    """Per-row negative log softmax probability of the target class of the
+    logits x @ w, on plain arrays: (nll, numerators, total).
+
+    nll[t] = logsumexp(z[t]) - z[t, targets[t]] with z = x @ w. The softmax
+    numerators exp(z - max) are built in place in the logits buffer, and
+    total holds their (rows, 1) sums, so the row softmax is numerators / total.
+    """
+    z = x @ w
+    rows = np.arange(z.shape[0])
+    picked = z[rows, targets]
+    m = z.max(axis=1, keepdims=True)
+    np.subtract(z, m, out=z)
+    np.exp(z, out=z)
+    total = z.sum(axis=1, keepdims=True)
+    return np.log(total[:, 0]) + m[:, 0] - picked, z, total
+
+
+def linear_cross_entropy(x, w, targets) -> Tensor:
+    """Per-row negative log softmax probability of the target class of the
+    logits x @ w, as one node: a 1-d tensor of row losses.
+
+    x is (rows, k), w is (k, classes) and targets holds one class per row.
+    The node keeps only the softmax numerators, built in place in the
+    logits buffer; its backward allocates the logits' gradient afresh, so
+    a second backward sweep sees the same numerators.
+    """
+    x, w = _coerce(x), _coerce(w)
     targets = np.asarray(targets, dtype=np.int64)
-    x = logits.data
-    if x.ndim != 2 or targets.shape != (x.shape[0],):
-        raise ShapeError(f"cross_entropy: got logits {x.shape} and targets {targets.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= x.shape[1]):
-        raise ShapeError(f"cross_entropy: target out of range for {x.shape[1]} classes")
-    m = x.max(axis=1, keepdims=True)
-    e = x - m
-    np.exp(e, out=e)
-    total = e.sum(axis=1, keepdims=True)
-    lse = np.log(total[:, 0]) + m[:, 0]
-    rows = np.arange(x.shape[0])
-    out_data = lse - x[rows, targets]
+    a, b = x.data, w.data
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or targets.shape != a.shape[:1]:
+        raise ShapeError(f"linear_cross_entropy: got x {a.shape}, w {b.shape} "
+                         f"and targets {targets.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() >= b.shape[1]):
+        raise ShapeError(
+            f"linear_cross_entropy: target out of range for {b.shape[1]} classes")
+    nll, e, total = _linear_nll(a, b, targets)
 
     def back(g):
-        gx = e / total
-        gx *= g[:, None]
-        gx[rows, targets] -= g
-        _accumulate(logits, gx, fresh=True)
+        gz = e / total
+        gz *= g[:, None]
+        gz[np.arange(targets.size), targets] -= g
+        if x.requires_grad:
+            _accumulate(x, gz @ b.swapaxes(-1, -2), fresh=True)
+        if w.requires_grad:
+            _accumulate(w, a.swapaxes(-1, -2) @ gz, fresh=True)
 
-    return _make(out_data, (logits,), back)
+    return _make(nll, (x, w), back)
 
 
 def dropout(a, rate: float, uniforms) -> Tensor:

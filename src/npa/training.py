@@ -2,22 +2,23 @@
 
 The autoregressive objective scores each item of a sequence given the
 context of its predecessors; one forward pass with causal masks yields
-every step of every sequence in a batch at once. The batch's random
-draws are made once, sequence by sequence in batch order. Then the batch
-is split into length buckets by one rule on its own lengths: sorted by
-length, it is cut in two where that removes the most padded rows, if
-that is at least SPLIT_PADDED_ROWS (160), and each part is cut by the
-same rule. Each bucket is padded at the end to its longest sequence and
-run as one autodiff graph on its rows of the batch's draws; only the
-rows of real predicted steps reach the output head, the cross-entropy
-and the max-pool, and the buckets' losses combine as their step-weighted
-mean. So a batch's loss is the step-weighted mean of its sequences'
-losses run one at a time with the same generator, to rounding, and a
-batch the rule keeps whole computes exactly what one padded graph does.
-On the benchmark's MC profile (64 baskets of 4-24 items) the cut leaves
-24% of rows and 36% of causal-attention cells as padding, against 41%
-and 58% in one graph; its SC profile (5-9 items) is never cut. The
-per-step, per-context score is
+every step of every sequence in a batch at once. The batch is split into
+length buckets by one rule on its own lengths: sorted by length, it is
+cut in two where that removes the most padded rows, if that is at least
+SPLIT_PADDED_ROWS (160), and each part is cut by the same rule. The
+batch's random draws are then made with one generator call, sequence by
+sequence in batch order, and each sequence's block of them is copied
+straight into the arrays of its bucket (model.draw_noise). Each bucket
+is padded at the end to its longest sequence and run as one autodiff
+graph on its draws; only the rows of real predicted steps reach the
+output head, the cross-entropy and the max-pool, and the buckets' losses
+combine as their step-weighted mean. So a batch's loss is the
+step-weighted mean of its sequences' losses run one at a time with the
+same generator, to rounding, and a batch the rule keeps whole computes
+exactly what one padded graph does. On the benchmark's MC profile (64
+baskets of 4-24 items) the cut leaves 24% of rows and 36% of
+causal-attention cells as padding, against 41% and 58% in one graph; its
+SC profile (5-9 items) is never cut. The per-step, per-context score is
 
     log p(item | context) + log p(context | prefix)
 
@@ -38,9 +39,22 @@ rounding. On the benchmark's MC workload (5 heads, 2,000 items, 2 vCPUs,
 one BLAS thread) this took the median training step from 273 ms to
 189 ms and peak memory from 386 MB to 212 MB.
 
+The output head is one graph node, T.linear_cross_entropy of the
+winners' rows and the transposed output table: it builds the softmax
+numerators in place in the logits buffer and keeps only those, where a
+matmul node and a cross-entropy node kept the logits and the numerators
+both. The table's gradient still flows through the transpose node, so a
+tied table adds its two gradients in the same order, and the values and
+gradients are bit-identical to the two nodes. Each sequence's mean NLL
+(details) is a row sum over the sequences of its length, which adds in
+np.mean's order. With the noise drawn straight into the buckets, this
+took the benchmark's MC step from 168 to 146 ms (4,979 to 5,652
+predictions/s) and its peak memory from 144 to 125 MB, medians of 10
+alternated pairs of 30 s runs.
+
 The winners are those of the float64 table of _context_scores, which runs
-the graph's own T.cross_entropy_with_logits on operands that record no
-node, but most are found in float32: _float32_scores computes the same
+the output head's kernel T._linear_nll on plain arrays, but most are
+found in float32: _float32_scores computes the same
 log-softmax in float32 and a bound delta on each entry's distance from
 the float64 one. A step keeps its float32 winner when it leads every
 other context by more than twice the step's largest delta, which makes
@@ -161,7 +175,12 @@ class TrainConfig:
             raise ConfigError("permutations_per_basket must be >= 1 in any_order mode")
         if self.mode == TEMPORAL and self.permutations_per_basket != 1:
             raise ConfigError("temporal mode forbids permutation sampling")
-        if self.gradient_clip_norm is not None and self.gradient_clip_norm <= 0:
+        # Written as "not in range" so that NaN fails too.
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and >= 0")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
+        if self.gradient_clip_norm is not None and not self.gradient_clip_norm > 0:
             raise ConfigError("gradient_clip_norm must be positive when set")
 
 
@@ -187,11 +206,9 @@ def sample_permutation(basket_items, rng: np.random.Generator):
     return items[rng.permutation(items.size)]
 
 
-def _checked_noise(batch, config, rng, training):
-    """(sequences, lengths, noise) of a batch: its id arrays, checked by
-    check_baskets so that a failure names the sequence's index in the
-    batch, and every random number of its padded forward pass, drawn
-    sequence by sequence in batch order."""
+def _checked_sequences(batch, config):
+    """The id arrays of a batch, checked by check_baskets so that a failure
+    names the sequence's index in the batch."""
     seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
     if not seqs:
         raise ConfigError("empty batch")
@@ -199,9 +216,7 @@ def _checked_noise(batch, config, rng, training):
         if seq.ndim != 1 or seq.size < 2:
             raise ConfigError(f"batch sequence {i} has shape {seq.shape}; need two items or more")
     npa_model.check_baskets(seqs, range(len(seqs)), config, "batch_loss")
-    lengths = np.array([seq.size for seq in seqs])
-    noise = npa_model.draw_noise(lengths, config, rng, config.dropout_rate if training else 0.0)
-    return seqs, lengths, noise
+    return seqs
 
 
 def _forward_rows(seqs, lengths, noise, config, params, use_positions):
@@ -225,13 +240,12 @@ def _context_scores(contexts, logprobs, rows, targets, emb) -> np.ndarray:
 
     contexts is the (contexts, ..., N, d) array of ContextState.values()
     and logprobs its (contexts, ..., N) log beliefs or None. Entry [h, i]
-    is log p(targets[i] | context h), the negated
-    T.cross_entropy_with_logits of the graph, plus the log belief of
-    context h's sampled pattern at rows[i]; so every entry equals the
-    score a graph would compute, bit for bit.
+    is log p(targets[i] | context h), negated from the kernel of the
+    graph's T.linear_cross_entropy, plus the log belief of context h's
+    sampled pattern at rows[i]; so every entry equals the score a graph
+    would compute, bit for bit.
     """
-    table = np.array([-T.cross_entropy_with_logits(ctx[rows] @ emb.T, targets).data
-                      for ctx in contexts])
+    table = np.array([-T._linear_nll(ctx[rows], emb.T, targets)[0] for ctx in contexts])
     if logprobs is not None:
         table += logprobs[(slice(None),) + rows]
     return table
@@ -317,8 +331,10 @@ def sequence_scores(batch, config, params, rng=None, training=False,
     for inspection. state is the padded forward pass, with (B, N, ...)
     tensors.
     """
-    state, rows, targets = _forward_rows(*_checked_noise(batch, config, rng, training),
-                                         config, params, use_positions)
+    seqs = _checked_sequences(batch, config)
+    lengths = np.array([seq.size for seq in seqs])
+    noise = npa_model.draw_noise(lengths, config, rng, config.dropout_rate if training else 0.0)
+    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, use_positions)
     table = _context_scores(*state.values(), rows, targets,
                             npa_model.output_embeddings(params).data)
     return [Tensor(s) for s in table], state
@@ -342,21 +358,54 @@ def _length_buckets(lengths) -> list:
     return cut(np.argsort(lengths, kind="stable"))
 
 
+def _sequence_means(scores, lengths) -> np.ndarray:
+    """The mean of each sequence's run of scores, as np.mean gives it.
+
+    scores holds lengths[b] - 1 entries per sequence, sequence after
+    sequence. The runs of sequences of one length are gathered into the
+    rows of one matrix and summed along them, which adds each row in
+    np.mean's order.
+    """
+    steps = lengths - 1
+    starts = np.cumsum(steps) - steps
+    means = np.empty(steps.size)
+    for n in np.unique(steps).tolist():
+        group = np.flatnonzero(steps == n)
+        means[group] = scores[starts[group, None] + np.arange(n)].sum(axis=1) / n
+    return means
+
+
 def _padded_loss(seqs, lengths, noise, config, params, use_positions):
-    """batch_loss over one padded graph of sequences with their noise."""
+    """(loss, per-sequence mean NLL) over one padded graph of sequences
+    with their noise."""
     state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, use_positions)
     emb = npa_model.output_embeddings(params)
     head = np.zeros(targets.size, dtype=np.int64)
     if state.context.shape[0] > 1:
         head = _winners(*state.values(), rows, targets, emb.data)
     at = (head,) + rows
-    logits = T.matmul(T.gather_rows(state.context, at), T.transpose(emb))
-    scores = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
+    scores = T.scale(T.linear_cross_entropy(T.gather_rows(state.context, at), T.transpose(emb),
+                                            targets), -1.0)
     if state.logprob is not None:
         scores = T.add(scores, T.gather_rows(state.logprob, at))
-    ends = np.cumsum(lengths - 1)[:-1]
-    details = [-float(np.mean(part)) for part in np.split(scores.data, ends)]
-    return T.scale(T.mean(scores), -1.0), details
+    return T.scale(T.mean(scores), -1.0), -_sequence_means(scores.data, lengths)
+
+
+def _loss(seqs, config, params, rng, training, use_positions):
+    """batch_loss over checked id arrays."""
+    lengths = np.array([seq.size for seq in seqs])
+    buckets = _length_buckets(lengths)
+    noise = npa_model.draw_noise(lengths, config, rng,
+                                 config.dropout_rate if training else 0.0, buckets)
+    steps = lengths - 1
+    loss, details = None, np.empty(len(seqs))
+    for index, part_noise in zip(buckets, noise):
+        part, details[index] = _padded_loss([seqs[i] for i in index], lengths[index],
+                                            part_noise, config, params, use_positions)
+        if len(buckets) > 1:
+            part = T.scale(part, steps[index].sum() / steps.sum())
+        loss = part if loss is None else T.add(loss, part)
+    return loss, details.tolist()
 
 
 def batch_loss(batch, config, params, rng=None, training=False,
@@ -366,28 +415,14 @@ def batch_loss(batch, config, params, rng=None, training=False,
     Each step is scored by its best context. The max-pool only selects, so
     with several contexts each step's winner (ties to the lowest) is
     chosen on the graph-free score table, and the graph runs the output
-    head and the cross-entropy once, over the winners' rows of the stacked
-    contexts. The batch's noise is drawn whole, in batch order; a batch
-    that _length_buckets splits runs each bucket as its own padded graph
-    on its rows of that noise, and its loss is the buckets' step-weighted
-    mean.
+    head and its cross-entropy once, as one node, over the winners' rows
+    of the stacked contexts. A batch that _length_buckets splits runs each
+    bucket as its own padded graph, and its loss is the buckets'
+    step-weighted mean. The batch's noise is drawn in batch order straight
+    into the buckets' arrays.
     """
-    seqs, lengths, noise = _checked_noise(batch, config, rng, training)
-    buckets = _length_buckets(lengths)
-    if len(buckets) == 1:
-        return _padded_loss(seqs, lengths, noise, config, params, use_positions)
-    steps = lengths - 1
-    loss, details = None, [0.0] * len(seqs)
-    for index in buckets:
-        part, part_details = _padded_loss(
-            [seqs[i] for i in index], lengths[index],
-            [layer.rows(index, lengths[index].max()) for layer in noise],
-            config, params, use_positions)
-        part = T.scale(part, steps[index].sum() / steps.sum())
-        loss = part if loss is None else T.add(loss, part)
-        for i, nll in zip(index, part_details):
-            details[i] = nll
-    return loss, details
+    return _loss(_checked_sequences(batch, config), config, params, rng, training,
+                 use_positions)
 
 
 def train(baskets, config, params, train_config: TrainConfig, log=None,
@@ -444,9 +479,7 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
                         batch.append(sample_permutation(items, rng))
                 else:
                     batch.append(items)
-            loss, details = batch_loss(batch, config, params, rng=rng,
-                                       training=True,
-                                       use_positions=config.use_positions)
+            loss, details = _loss(batch, config, params, rng, True, config.use_positions)
             if not np.isfinite(loss.data):
                 raise FloatingPointError(
                     f"non-finite loss in epoch {epoch}, batch starting at {start}")

@@ -349,9 +349,7 @@ def unit_forward(inputs: Tensor, params, strategy: ExtractionStrategy,
             _add_grad(codebook, T._right_grad(abar, g_z, c.shape))
             beliefs_back(g_z @ c.swapaxes(-1, -2))
         elif codebook.requires_grad:
-            rows = np.zeros_like(c)
-            np.add.at(rows, idx, g_z)
-            T._accumulate(codebook, rows)
+            T._accumulate(codebook, T._add_rows(c.shape, idx, g_z), fresh=True)
         project_back("w_key", g_k)
         project_back("w_value", g_v)
 

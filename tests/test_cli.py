@@ -209,6 +209,15 @@ def test_cli_error_exits(workspace, tmp_path, capsys):
     ({"batch_size": "0"}, "batch_size must be >= 1"),
     ({"permutations_per_basket": "0"}, "permutations_per_basket must be >= 1 in any_order mode"),
     ({"gradient_clip_norm": "0.0"}, "gradient_clip_norm must be positive when set"),
+    *[pytest.param({key: value}, message, id=f"{key}={value}") for key, value, message in [
+        ("gradient_clip_norm", "nan", "gradient_clip_norm must be positive when set"),
+        ("learning_rate", "-0.003", "learning_rate must be finite and >= 0"),
+        ("learning_rate", "nan", "learning_rate must be finite and >= 0"),
+        ("learning_rate", "inf", "learning_rate must be finite and >= 0"),
+        ("weight_decay", "-1", "weight_decay must be finite and >= 0"),
+        ("weight_decay", "nan", "weight_decay must be finite and >= 0"),
+        ("weight_decay", "-inf", "weight_decay must be finite and >= 0"),
+    ]],
 ], ids=lambda v: "-".join(v) if isinstance(v, dict) else None)
 def test_train_config_out_of_range_exits_before_training(workspace, capsys, monkeypatch,
                                                           overrides, message):

@@ -95,12 +95,12 @@ def _non_default_configs(draw):
     train = TrainConfig(
         epochs=draw(st.integers(0, 10**6)),
         batch_size=draw(st.integers(1, 10**6).filter(lambda v: v != 256)),
-        learning_rate=draw(_floats().filter(lambda v: v != 3e-4)),
+        learning_rate=draw(_floats(min_value=0.0).filter(lambda v: v != 3e-4)),
         permutations_per_basket=draw(st.integers(2, 100)),
         mode="any_order",
         seed=draw(st.integers(-2**63, 2**63).filter(lambda v: v != 0)),
         gradient_clip_norm=draw(_floats(min_value=0.0, exclude_min=True)),
-        weight_decay=draw(_floats().filter(lambda v: v != 0.01)))
+        weight_decay=draw(_floats(min_value=0.0).filter(lambda v: v != 0.01)))
     return model, train
 
 

@@ -366,3 +366,8 @@ def test_spec_validation():
         SynthSpec(noise_probability=1.5)
     with pytest.raises(DataError):
         SynthSpec(within_pool_decay=1.0)
+
+
+def test_basket_rejects_no_items():
+    with pytest.raises(DataError, match=r"^basket 'b7' is empty$"):
+        Basket("b7", [])

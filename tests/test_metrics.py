@@ -215,3 +215,13 @@ def test_report_formats():
     records = report_records(rep)
     assert any(line.startswith("metric name=P@1 ") for line in records)
     assert all("=" in line for line in records)
+
+
+def test_baseline_rejects_unknown_kind():
+    with pytest.raises(DataError, match=r"^unknown baseline kind 'popular'$"):
+        CountBaseline("popular", 5)
+
+
+def test_baseline_scores_before_fit_fail():
+    with pytest.raises(DataError, match=r"^baseline used before fit\(\)$"):
+        CountBaseline(POP, 5).scores([1])

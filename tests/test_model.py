@@ -51,6 +51,19 @@ def test_embed_errors():
         embed_inputs(list(range(9)) + [0] * 4, cfg, params)
 
 
+@pytest.mark.parametrize("ids, lengths, shown", [
+    ([[1, 2, 3], [4, 5, 6]], [3, 0], r"\[3, 0\] do not fit ids \(2, 3\)"),
+    ([[1, 2, 3], [4, 5, 6]], [3, 4], r"\[3, 4\] do not fit ids \(2, 3\)"),
+    ([[1, 2, 3], [4, 5, 6]], [3], r"\[3\] do not fit ids \(2, 3\)"),
+    ([1, 2, 3], [3], r"\[3\] do not fit ids \(3,\)"),
+], ids=["zero", "too_long", "one_for_two", "one_basket"])
+def test_forward_rejects_lengths_that_do_not_fit_the_ids(ids, lengths, shown):
+    cfg = small_sc_config()
+    params = init_params(cfg, seed=0)
+    with pytest.raises(ConfigError, match=f"^embed_inputs: lengths {shown}$"):
+        forward(ids, cfg, params, lengths=lengths)
+
+
 def test_check_baskets_names_first_basket_and_id_that_repeat():
     cfg = small_sc_config()
     names = ["a", "b", "c", "d"]
@@ -350,4 +363,30 @@ def test_draw_noise_equals_channel_by_channel_draws(variant, rate):
         assert (layer.merge_uniforms is None) == (merge is None)
         if merge is not None:
             assert np.array_equal(layer.merge_uniforms, merge)
+
+
+@pytest.mark.parametrize("variant, rate", [("MC", 0.0), ("MC", 0.5), ("SC", 0.5), ("SC", 0.0)])
+def test_draw_noise_into_buckets_equals_per_basket_draws(variant, rate):
+    # Buckets in any order, each over its baskets in any order: every bucket
+    # holds its baskets' rows of the per-(basket, array) draws, padded to its
+    # own longest basket, and the generator ends where the loop leaves it.
+    cfg = (small_mc_config if variant == "MC" else small_sc_config)(
+        mc_last_layer_heads=5, channels_per_layer=[4, 2])
+    lengths = [3, 7, 1, 5, 2, 7]
+    buckets = [np.array([4, 0]), np.array([5, 3, 1]), np.array([2])]
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    got = draw_noise(lengths, cfg, rng, rate, buckets)
+    want = _draws_channel_by_channel(lengths, cfg, oracle_rng, rate)
+    assert rng.random() == oracle_rng.random()
+    assert len(got) == len(buckets)
+    for noise, index in zip(got, buckets):
+        n = max(lengths[b] for b in index)
+        for layer, (keeps, uniforms, merge) in zip(noise, want):
+            for part, whole in ((layer.keep_masks, keeps), (layer.uniforms, uniforms)):
+                assert (part is None) == (whole[0] is None)
+                if part is not None:
+                    assert part.tobytes() == np.stack(whole)[:, index, :n].tobytes()
+            assert (layer.merge_uniforms is None) == (merge is None)
+            if merge is not None:
+                assert layer.merge_uniforms.tobytes() == merge[index, :n].tobytes()
 

@@ -102,3 +102,10 @@ def test_clip_grad_norm_scales_to_bound():
     assert norm > 1.0
     total = sum(float((p.grad ** 2).sum()) for _, p in params)
     np.testing.assert_allclose(np.sqrt(total), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("lr, weight_decay", [(-1e-3, 0.01), (1e-3, -0.01)])
+def test_adamw_rejects_negative_lr_or_weight_decay(lr, weight_decay):
+    w = Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ValueError, match=r"^lr and weight_decay must be >= 0$"):
+        AdamW([("w", w)], lr=lr, weight_decay=weight_decay)

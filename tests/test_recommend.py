@@ -316,3 +316,10 @@ def test_recommend_unseeded_mc_repeats():
     a = recommend_topk([1, 5, 9], cfg, params, k=6)
     b = recommend_topk([1, 5, 9], cfg, params, k=6)
     assert a.item_ids == b.item_ids and a.scores == b.scores
+
+
+def test_recommend_rejects_unknown_scoring_kind():
+    cfg = small_mc_config()
+    params = init_params(cfg, seed=5)
+    with pytest.raises(ConfigError, match=r"^unknown scoring kind 'median'$"):
+        recommend_topk([1, 5], cfg, params, k=3, scoring_kind="median")

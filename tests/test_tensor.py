@@ -301,7 +301,7 @@ def test_grad_cross_entropy():
     rng = np.random.default_rng(11)
     logits = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     targets = np.array([0, 5, 2, 2])
-    check_grad(lambda: T.mean(T.cross_entropy_with_logits(logits, targets)), logits)
+    check_grad(lambda: T.mean(C.cross_entropy_with_logits(logits, targets)), logits)
 
 
 def test_grad_reshape():
@@ -320,7 +320,7 @@ def test_cross_entropy_matches_manual():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(3, 5))
     targets = np.array([4, 1, 0])
-    nll = T.cross_entropy_with_logits(Tensor(x), targets).data
+    nll = C.cross_entropy_with_logits(Tensor(x), targets).data
     p = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
     np.testing.assert_allclose(nll, -np.log(p[np.arange(3), targets]), rtol=1e-12)
 
@@ -328,7 +328,7 @@ def test_cross_entropy_matches_manual():
 def test_forward_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(15)
     a = Tensor(rng.normal(size=(4, 4)) * 50)
-    outs = [C.softmax(a), T.matmul(a, a), T.cross_entropy_with_logits(a, np.zeros(4, dtype=int)),
+    outs = [C.softmax(a), T.matmul(a, a), T.linear_cross_entropy(a, a, np.zeros(4, dtype=int)),
             T.mean(a)]
     for o in outs:
         assert np.isfinite(o.data).all()
@@ -377,15 +377,21 @@ _M = Tensor(np.ones((2, 3)))
      r"take_per_row: got data \(2, 3\) and index \(3,\)"),
     (lambda: C.take_per_row(_M, np.array([0, 3])),
      "take_per_row: column index out of range for 3 columns"),
-    (lambda: T.cross_entropy_with_logits(_M, np.zeros(3, int)),
+    (lambda: C.cross_entropy_with_logits(_M, np.zeros(3, int)),
      r"cross_entropy: got logits \(2, 3\) and targets \(3,\)"),
-    (lambda: T.cross_entropy_with_logits(_M, np.array([0, 3])),
+    (lambda: C.cross_entropy_with_logits(_M, np.array([0, 3])),
      "cross_entropy: target out of range for 3 classes"),
+    (lambda: T.linear_cross_entropy(_M, np.ones((2, 4)), np.zeros(2, int)),
+     r"linear_cross_entropy: got x \(2, 3\), w \(2, 4\) and targets \(2,\)"),
+    (lambda: T.linear_cross_entropy(_M, np.ones((3, 4)), np.zeros(3, int)),
+     r"linear_cross_entropy: got x \(2, 3\), w \(3, 4\) and targets \(3,\)"),
+    (lambda: T.linear_cross_entropy(_M, np.ones((3, 4)), np.array([0, 4])),
+     "linear_cross_entropy: target out of range for 4 classes"),
     (lambda: T.dropout(_M, 0.5, np.ones(3)),
      r"dropout: draws of shape \(3,\) for data \(2, 3\)"),
 ], ids=["transpose", "add", "concat_empty", "softmax_rows", "softmax_mask", "mean", "masked_fill",
         "reshape", "gather_index", "gather_range", "take_index", "take_range", "ce_shape",
-        "ce_range", "dropout"])
+        "ce_range", "head_inner", "head_targets", "head_range", "dropout"])
 def test_shape_errors_name_primitive_and_shapes(call, message):
     with pytest.raises(ShapeError, match=f"^{message}$"):
         call()
@@ -394,3 +400,63 @@ def test_shape_errors_name_primitive_and_shapes(call, message):
 def test_dropout_zero_rate_is_identity():
     a = Tensor(np.ones((2, 2)))
     assert T.dropout(a, 0.0, np.random.default_rng(0).random((2, 2))) is a
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0])
+def test_dropout_rejects_rate_outside_unit_interval(rate):
+    with pytest.raises(ValueError, match=rf"^dropout: rate {rate} outside \[0, 1\)$"):
+        T.dropout(_M, rate, np.ones((2, 3)))
+
+
+def test_grad_linear_cross_entropy():
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    targets = np.array([0, 5, 2, 2])
+    for wrt in (x, w):
+        check_grad(lambda: T.mean(T.linear_cross_entropy(x, T.transpose(w), targets)), wrt)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_linear_cross_entropy_equals_matmul_then_cross_entropy(tied):
+    # The oracle is the head as two nodes: matmul on the transposed table,
+    # then the cross entropy. Values and gradients agree to the bit, also
+    # where the table feeds the rows too (tied) and over a second sweep.
+    def run(head):
+        rng = np.random.default_rng(21)
+        table = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        rows = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        x = T.gather_rows(table if tied else rows, np.array([3, 1, 3, 8, 0]))
+        nll = head(T.scale(x, 1.5), T.transpose(table), np.array([2, 2, 0, 8, 5]))
+        loss = T.mean(T.add(nll, T.scale(nll, 0.25)))
+        grads = []
+        for _ in range(2):
+            T.backward(loss)
+            grads += [table.grad.copy(), None if rows.grad is None else rows.grad.copy()]
+        return [nll.data] + grads
+
+    fused = run(T.linear_cross_entropy)
+    composed = run(lambda x, w, targets: C.cross_entropy_with_logits(T.matmul(x, w), targets))
+    for got, want in zip(fused, composed):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("shape, idx", [
+    ((5, 3), np.array([4, 0, 4, 4, 2])),
+    ((5, 3), np.array([[1, 1], [3, 1]])),
+    ((2, 4, 3), (np.array([1, 0, 1, 1]), np.array([3, 0, 3, 3]))),
+    ((3, 2, 2), 1),
+], ids=["repeated", "2d_index", "tuple", "scalar"])
+def test_gather_rows_backward_equals_add_at(shape, idx):
+    rng = np.random.default_rng(22)
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = T.gather_rows(a, idx)
+    g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-12, 12, size=out.shape)
+    g.flat[::3] = -0.0  # a row gathered once must still come back as +0.0
+    out._backward(g)
+    want = np.zeros(shape)
+    np.add.at(want, idx, g)
+    assert a.grad.tobytes() == want.tobytes()
+

@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from npa import model as npa_model
 from npa import tensor as T
+from npa import training as training_mod
 from npa.data import SynthSpec, gen_synthetic
 from npa.errors import ConfigError
 from npa.model import (draw_noise, forward, init_params, named_parameters,
                        output_embeddings, trainable_parameters)
 from npa.optim import AdamW, clip_grad_norm
 from npa.training import (ANY_ORDER, SPLIT_PADDED_ROWS, TEMPORAL, TrainConfig,
-                          _context_scores, _float32_scores, _length_buckets, _winners,
-                          batch_loss, sample_permutation, sequence_scores, train)
+                          _context_scores, _float32_scores, _forward_rows, _length_buckets,
+                          _sequence_means, _winners, batch_loss, sample_permutation,
+                          sequence_scores, train)
 
 import composed as C
 from conftest import small_mc_config, small_sc_config
@@ -465,10 +467,14 @@ def _split_batch(rng, num_items):
     return [rng.choice(num_items, size=n, replace=False).tolist() for n in lengths]
 
 
-@pytest.mark.parametrize("variant, training", [("SC", True), ("MC", True), ("MC", False)])
-def test_split_batch_matches_sequences_run_alone(variant, training):
+@pytest.mark.parametrize("variant, training, tied", [
+    pytest.param(variant, training, tied, id=f"{variant}-{training}" + ("-tied" if tied else ""))
+    for variant, training, tied in [("SC", True, False), ("MC", True, False), ("MC", False, False),
+                                    ("SC", True, True), ("MC", True, True)]])
+def test_split_batch_matches_sequences_run_alone(variant, training, tied):
     factory = small_mc_config if variant == "MC" else small_sc_config
-    cfg = factory(num_items=30, dropout_rate=0.3, max_sequence_length=24)
+    cfg = factory(num_items=30, dropout_rate=0.3, max_sequence_length=24,
+                  tie_output_embeddings=tied)
     params = init_params(cfg, seed=23)
     batch = _split_batch(np.random.default_rng(4), cfg.num_items)
     assert len(_length_buckets(np.array([len(seq) for seq in batch]))) == 3
@@ -492,6 +498,67 @@ def test_split_batch_matches_sequences_run_alone(variant, training):
     for name, g in grads.items():
         scale = max(np.abs(expected[name]).max(), 1e-300)
         assert np.abs(g - expected[name]).max() <= 1e-12 * scale, name
+
+
+def _composed_padded_loss(seqs, lengths, noise, config, params, use_positions):
+    """training._padded_loss with the output head as two graph nodes, a
+    matmul on the transposed table and then the cross entropy, and the
+    details as one np.mean per sequence."""
+    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, use_positions)
+    emb = output_embeddings(params)
+    head = np.zeros(targets.size, dtype=np.int64)
+    if state.context.shape[0] > 1:
+        head = _winners(*state.values(), rows, targets, emb.data)
+    at = (head,) + rows
+    logits = T.matmul(T.gather_rows(state.context, at), T.transpose(emb))
+    scores = T.scale(C.cross_entropy_with_logits(logits, targets), -1.0)
+    if state.logprob is not None:
+        scores = T.add(scores, T.gather_rows(state.logprob, at))
+    parts = np.split(scores.data, np.cumsum(lengths - 1)[:-1])
+    return T.scale(T.mean(scores), -1.0), np.array([-np.mean(part) for part in parts])
+
+
+@pytest.mark.parametrize("variant", ["SC", "MC"])
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_fused_head_equals_matmul_then_cross_entropy_on_cut_batches(monkeypatch, variant,
+                                                                     tied):
+    # Loss, details and two backward sweeps' gradients agree to the bit with
+    # the two-node head; a head that added the table's gradient itself,
+    # past the transpose node, would change the order of a tied table's sum.
+    factory = small_mc_config if variant == "MC" else small_sc_config
+    cfg = factory(num_items=30, dropout_rate=0.3, max_sequence_length=24,
+                  tie_output_embeddings=tied)
+    params = init_params(cfg, seed=23)
+    batch = _split_batch(np.random.default_rng(4), cfg.num_items)
+
+    def run():
+        loss, details = batch_loss(batch, cfg, params, rng=np.random.default_rng(5),
+                                   training=True)
+        out = [np.array([float(loss.data)] + details)]
+        for _ in range(2):
+            T.backward(loss)
+            out += [np.ascontiguousarray(t.grad) for _, t in named_parameters(params)]
+        for _, t in named_parameters(params):
+            t.grad = None
+        return out
+
+    fused = run()
+    monkeypatch.setattr(training_mod, "_padded_loss", _composed_padded_loss)
+    composed = run()
+    assert len(fused) == len(composed)
+    for got, want in zip(fused, composed):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sequence_means_equal_np_mean_per_sequence():
+    # Row sums over sequences of one length add in np.mean's order: short
+    # runs, runs past numpy's 8-wide unrolling and past its 128-long blocks.
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        lengths = rng.choice([2, 3, 4, 5, 9, 10, 17, 64, 129, 130, 300], size=rng.integers(1, 30))
+        scores = rng.normal(size=(lengths - 1).sum()) * 10.0 ** rng.integers(-3, 4)
+        want = [np.mean(part) for part in np.split(scores, np.cumsum(lengths - 1)[:-1])]
+        assert _sequence_means(scores, lengths).tobytes() == np.array(want).tobytes()
 
 
 def test_split_batch_runs_each_basket_on_its_whole_batch_draws(monkeypatch):
@@ -558,7 +625,7 @@ def _all_heads_loss(batch, cfg, params, rng, training):
     columns = []
     for h, ctx in enumerate(state.contexts):
         logits = T.matmul(T.gather_rows(ctx, rows), emb_t)
-        score = T.scale(T.cross_entropy_with_logits(logits, targets), -1.0)
+        score = T.scale(C.cross_entropy_with_logits(logits, targets), -1.0)
         if state.logprob is not None:
             score = T.add(score, T.gather_rows(state.logprob, (np.full(targets.size, h),) + rows))
         columns.append(T.reshape(score, (score.shape[0], 1)))
@@ -636,9 +703,10 @@ def test_mc_graph_runs_output_head_once(heads):
     def op(node):
         return node._backward.__qualname__.split(".")[0] if node._backward else None
 
-    assert sum(op(n) == "cross_entropy_with_logits" for n in nodes) == 1
-    assert sum(op(n) == "matmul" and any(p is emb or emb in p._parents for p in n._parents)
+    assert sum(op(n) == "linear_cross_entropy" and n._parents[1]._parents == (emb,)
                for n in nodes) == 1
+    assert not any(op(n) == "matmul" and any(p is emb or emb in p._parents for p in n._parents)
+                   for n in nodes)
 
 
 def test_mc_training_losses_pinned():

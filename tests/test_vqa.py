@@ -476,3 +476,14 @@ def test_unit_node_equals_composed_graph(strategy, heads, lengths, dropout):
     # Greedy extraction reaches neither w_query nor w_pattern_key.
     assert (got[2][1] is None) == (strategy.kind == vqa.GREEDY)
 
+
+@pytest.mark.parametrize("field, shape, message", [
+    ("w_key", (3, 6), r"^context-query dim 4 != key dim 3$"),
+    ("codebook", (4, 5), r"^pattern projections do not match codebook width$"),
+])
+def test_params_shape_errors_name_the_mismatch(field, shape, message):
+    good = make_params(np.random.default_rng(19))
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    fields[field] = Tensor(np.zeros(shape))
+    with pytest.raises(ValueError, match=message):
+        vqa.VqaParams(**fields)
