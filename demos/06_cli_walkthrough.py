@@ -42,8 +42,7 @@ seed = 2
 run("train", "--config", str(root / "model.cfg"),
     "--data", str(root / "data" / "baskets.txt"),
     "--catalog", str(root / "data" / "catalog.tsv"),
-    "--out", str(root / "model.ckpt"),
-    "--optimizer-out", str(root / "model.opt"))
+    "--out", str(root / "model.ckpt"))
 
 print("\n--- evaluate the trained model ---")
 run("evaluate", "--ckpt", str(root / "model.ckpt"),

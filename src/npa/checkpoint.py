@@ -13,9 +13,8 @@ Checkpoint layout (all integers little-endian):
                  before the checksum itself
 
 Values are stored as float32, so load(save(m)) reproduces every tensor
-exactly after float32 rounding. Optimizer moments go to a separate
-sidecar file with the same container so inference checkpoints stay
-small. Writes are atomic (temp file then rename).
+exactly after float32 rounding. Writes are atomic (temp file then
+rename).
 
 The attention export is line-delimited key=value text carrying, for
 every prefix step of a basket: the prefix ids, each layer/channel's
@@ -48,9 +47,7 @@ __all__ = [
     "checkpoint_info",
     "export_attention",
     "load_checkpoint",
-    "load_optimizer_sidecar",
     "save_checkpoint",
-    "save_optimizer_sidecar",
 ]
 
 
@@ -170,22 +167,6 @@ def checkpoint_info(path) -> dict:
         "config_text": config_text,
         "tensors": [(name, tuple(arr.shape)) for name, arr in named],
     }
-
-
-def save_optimizer_sidecar(path, optimizer) -> None:
-    hyper = "\n".join([
-        f"lr = {optimizer.lr!r}",
-        f"beta1 = {optimizer.BETA1!r}",
-        f"beta2 = {optimizer.BETA2!r}",
-        f"eps = {optimizer.EPS!r}",
-        f"weight_decay = {optimizer.weight_decay!r}",
-    ]) + "\n"
-    _write_container(path, hyper, optimizer.state_tensors())
-
-
-def load_optimizer_sidecar(path, optimizer) -> None:
-    _, named = _read_container(path)
-    optimizer.load_state_tensors([(n, a.astype(np.float64)) for n, a in named])
 
 
 def _fmt(values) -> str:

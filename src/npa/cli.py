@@ -21,7 +21,6 @@ from . import recommend as rec
 from . import training as training_mod
 from .config_io import config_to_kv, parse_config_file
 from .errors import CheckpointError, ConfigError, DataError
-from .optim import AdamW
 
 
 def _parse_basket(text: str):
@@ -105,16 +104,9 @@ def cmd_train(args) -> int:
               f" seconds={report.seconds:.3f} sequences={report.num_sequences}"
               f" steps={report.num_steps} per_length={lengths}", flush=True)
 
-    optimizer = AdamW(model_mod.trainable_parameters(params, config),
-                      lr=train_config.learning_rate,
-                      weight_decay=train_config.weight_decay)
-    params, _reports = training_mod.train(baskets, config, params, train_config,
-                                          log=log, optimizer=optimizer)
+    params, _reports = training_mod.train(baskets, config, params, train_config, log=log)
     ckpt.save_checkpoint(args.out, config, params)
     print(f"wrote checkpoint={args.out}")
-    if args.optimizer_out:
-        ckpt.save_optimizer_sidecar(args.optimizer_out, optimizer)
-        print(f"wrote optimizer_state={args.optimizer_out}")
     return 0
 
 
@@ -237,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--catalog", default=None)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p.add_argument("--optimizer-out", default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank held-out items and report metrics")

@@ -461,16 +461,15 @@ def draw_noise(lengths, config: ModelConfig, rng_seed, dropout_rate: float,
 
 
 def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionStrategy,
-                  noise: LayerNoise | None = None):
+                  noise: LayerNoise):
     """Run every channel of one merging layer and project the concatenation.
 
     Returns the merged (..., steps, embedding_dim) output and the
-    per-channel unit states. noise, when given, holds the layer's dropout
-    masks. Only meaningful for layers that merge; forward() runs the
-    non-merging heads as one stacked unit.
+    per-channel unit states. noise holds the layer's dropout masks;
+    LayerNoise(0.0) runs the layer without dropout. Only meaningful for
+    layers that merge; forward() runs the non-merging heads as one stacked
+    unit.
     """
-    if noise is None:
-        noise = LayerNoise(0.0)
     keep = noise.keep_masks
     states = [vqa.unit_forward(inputs, unit, strategy, None if keep is None else keep[c])
               for c, unit in enumerate(layer.channels)]
@@ -482,17 +481,17 @@ def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionSt
 
 
 def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
-            training: bool = False, use_positions: bool | None = None,
-            lengths=None, noise=None) -> ContextState:
+            use_positions: bool | None = None, lengths=None, noise=None) -> ContextState:
     """Contexts for every causal prefix of a basket, or of a padded batch.
 
     basket is a 1-d id sequence, or a (B, N) id array padded at the end
     with lengths[b] the valid steps of row b (default: all N); the outputs
     then carry the leading batch axis, and rows past a basket's length are
     padding to ignore. rng_seed may be an int, a numpy Generator, or None
-    for the fixed seed 0; it drives MC pattern sampling and (in training)
-    dropout masks. A batch may instead take its draws pre-drawn: noise is
-    then draw_noise's list for these rows, and rng_seed and training go
+    for the fixed seed 0; it drives MC pattern sampling, and the pass runs
+    without dropout. The draws may instead come pre-drawn: noise is then
+    draw_noise's list for these rows (each LayerNoise's rows(0) for a 1-d
+    basket), with dropout when drawn at a positive rate, and rng_seed goes
     unused. Deterministic given the seed or noise, the inputs, and the
     parameters.
     """
@@ -502,7 +501,7 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
     if noise is None:
         if lengths is None:
             lengths = np.full(ids.shape[0] if batched else 1, ids.shape[-1])
-        noise = draw_noise(lengths, config, rng_seed, config.dropout_rate if training else 0.0)
+        noise = draw_noise(lengths, config, rng_seed, 0.0)
         if not batched:
             noise = [layer_noise.rows(0) for layer_noise in noise]
     prev_raw = x  # raw output of layer l-1; layer 0 is the embedding

@@ -30,8 +30,10 @@ class AdamW:
 
     def __init__(self, params, lr: float = 3e-4, weight_decay: float = 0.01):
         self.params = [(name, p) for name, p in params]
-        if lr < 0 or weight_decay < 0:
-            raise ValueError("lr and weight_decay must be >= 0")
+        # Written as "not in range" so that NaN fails too.
+        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
@@ -64,30 +66,17 @@ class AdamW:
         for _, p in self.params:
             p.grad = None
 
-    def state_tensors(self):
-        """Moment arrays keyed by a stable name, for sidecar serialization."""
-        out = [("step_count", np.array([float(self.step_count)]))]
-        for name, _ in self.params:
-            out.append((f"m.{name}", self.first_moment[name]))
-            out.append((f"v.{name}", self.second_moment[name]))
-        return out
-
-    def load_state_tensors(self, named):
-        table = dict(named)
-        self.step_count = int(table["step_count"][0])
-        for name, p in self.params:
-            self.first_moment[name] = np.asarray(table[f"m.{name}"], dtype=np.float64).reshape(p.data.shape)
-            self.second_moment[name] = np.asarray(table[f"v.{name}"], dtype=np.float64).reshape(p.data.shape)
-
 
 def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm > 0."""
+    if not max_norm > 0:
+        raise ValueError("max_norm must be positive")
     total = 0.0
     for _, p in params:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = total ** 0.5
-    if norm > max_norm and norm > 0:
+    if norm > max_norm:
         factor = max_norm / norm
         for _, p in params:
             if p.grad is not None:

@@ -320,21 +320,20 @@ def _winners(contexts, logprobs, rows, targets, emb) -> np.ndarray:
     return head
 
 
-def sequence_scores(batch, config, params, rng=None, training=False,
-                    use_positions=None):
+def sequence_scores(batch, config, params, rng=None):
     """Per-step, per-context log scores for a batch of sequences.
 
     Returns (scores, state). scores has one 1-d tensor per prediction
     context, holding len(seq)-1 entries per sequence, sequence after
     sequence in batch order; entry t of a sequence's run scores item t+1
-    given the step-t context. The scores carry no autodiff graph; they are
-    for inspection. state is the padded forward pass, with (B, N, ...)
-    tensors.
+    given the step-t context, on a pass without dropout. The scores carry
+    no autodiff graph; they are for inspection. state is the padded forward
+    pass, with (B, N, ...) tensors.
     """
     seqs = _checked_sequences(batch, config)
     lengths = np.array([seq.size for seq in seqs])
-    noise = npa_model.draw_noise(lengths, config, rng, config.dropout_rate if training else 0.0)
-    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, use_positions)
+    noise = npa_model.draw_noise(lengths, config, rng, 0.0)
+    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, None)
     table = _context_scores(*state.values(), rows, targets,
                             npa_model.output_embeddings(params).data)
     return [Tensor(s) for s in table], state
@@ -436,8 +435,8 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
     ``tensor.no_grad``. In any_order mode each basket contributes
     permutations_per_basket fresh orderings per epoch and positions are
     skipped; temporal mode requires positions.
-    An optimizer may be passed in (e.g. to persist its moments afterwards);
-    by default a fresh AdamW over the model parameters is built.
+    An optimizer may be passed in (its moments are then carried across
+    calls); by default a fresh AdamW over the model parameters is built.
     """
     if not T._grad_enabled:
         raise RuntimeError("train: called inside tensor.no_grad, which records no graph")

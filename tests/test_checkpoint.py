@@ -1,4 +1,4 @@
-"""Checkpoint container, optimizer sidecar, and attention export."""
+"""Checkpoint container and attention export."""
 
 import struct
 
@@ -7,15 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from npa.checkpoint import (checkpoint_info, export_attention, load_checkpoint,
-                            load_optimizer_sidecar, save_checkpoint,
-                            save_optimizer_sidecar)
+from npa.checkpoint import checkpoint_info, export_attention, load_checkpoint, save_checkpoint
 from npa.errors import CheckpointError, ConfigError
 import npa.model
-from npa.model import (ModelConfig, init_params, named_parameters, parameter_shapes,
-                       trainable_parameters)
-from npa.optim import AdamW
-from npa.training import TrainConfig, train
+from npa.model import ModelConfig, init_params, named_parameters, parameter_shapes
 
 from conftest import small_mc_config, small_sc_config
 
@@ -91,23 +86,6 @@ def test_checkpoint_info_matches_construction(tmp_path):
     expected = [(n, tuple(t.data.shape)) for n, t in named_parameters(params)]
     assert info["tensors"] == expected
     assert "variant = MC" in info["config_text"]
-
-
-def test_optimizer_sidecar_round_trip(tmp_path):
-    cfg = small_sc_config(use_positions=False)
-    params = init_params(cfg, seed=6)
-    opt = AdamW(trainable_parameters(params, cfg), lr=1e-3)
-    train([[1, 2, 3], [4, 5, 6]], cfg, params,
-          TrainConfig(epochs=1, batch_size=2, mode="any_order", seed=0), optimizer=opt)
-    path = tmp_path / "m.opt"
-    save_optimizer_sidecar(path, opt)
-    opt2 = AdamW(trainable_parameters(params, cfg), lr=1e-3)
-    load_optimizer_sidecar(path, opt2)
-    assert opt2.step_count == opt.step_count
-    for name in opt.first_moment:
-        np.testing.assert_array_equal(
-            opt.first_moment[name].astype(np.float32).astype(np.float64),
-            opt2.first_moment[name])
 
 
 def test_export_single_item_basket_single_step(tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from npa import data as data_mod
 from npa import model as model_mod
 from npa import recommend as rec
 from npa import training as training_mod
 from npa.checkpoint import MAGIC, _checksum64, _write_container, checkpoint_info, save_checkpoint
-from npa.cli import main
+from npa.cli import build_parser, main
 from npa.config_io import config_to_kv, parse_config_file, parse_kv_text
 from npa.model import ModelConfig, init_params, named_parameters
 from npa.training import TrainConfig
@@ -69,14 +71,55 @@ def test_train_twice_byte_identical_checkpoints(workspace):
     for name in ("one.ckpt", "two.ckpt"):
         out = workspace / name
         rc = main(["train", "--config", str(config), "--data", str(data),
-                   "--catalog", str(catalog), "--out", str(out), "--seed", "7",
-                   "--optimizer-out", str(out) + ".opt"])
+                   "--catalog", str(catalog), "--out", str(out), "--seed", "7"])
         assert rc == 0
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    opt_a = (workspace / "one.ckpt.opt").read_bytes()
-    opt_b = (workspace / "two.ckpt.opt").read_bytes()
-    assert opt_a == opt_b
+
+
+MC_CONFIG_TEXT = (CONFIG_TEXT.replace("variant = SC", "variant = MC\nmc_last_layer_heads = 3")
+                  .replace("use_positions = false", "use_positions = true")
+                  .replace("mode = any_order", "mode = temporal\ngradient_clip_norm = 0.5"))
+
+
+@pytest.mark.parametrize("text", [CONFIG_TEXT, MC_CONFIG_TEXT], ids=["sc", "mc"])
+def test_train_checkpoint_equals_library_train(workspace, text):
+    """npa train writes the bytes that init_params, train and save_checkpoint
+    write from the same parsed configs."""
+    config_path = workspace / "run.cfg"
+    config_path.write_text(text, encoding="utf-8")
+    data, catalog = workspace / "data" / "baskets.txt", workspace / "data" / "catalog.tsv"
+    cli_out, library_out = workspace / "cli.ckpt", workspace / "library.ckpt"
+    assert main(["train", "--config", str(config_path), "--data", str(data),
+                 "--catalog", str(catalog), "--out", str(cli_out)]) == 0
+    loaded_catalog, baskets = data_mod.load_baskets(data, catalog=data_mod.load_catalog(catalog))
+    config, train_config = parse_config_file(text, num_items=loaded_catalog.num_items)
+    params = model_mod.init_params(config, seed=train_config.seed)
+    params, _ = training_mod.train(baskets, config, params, train_config)
+    save_checkpoint(library_out, config, params)
+    assert cli_out.read_bytes() == library_out.read_bytes()
+
+
+def _readme_commands():
+    """Every `npa ...` command in README.md's code blocks, with
+    backslash-continued lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    return [line.strip() for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("npa ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {shlex.split(c)[1] for c in commands} == {
+        "gen-synth", "train", "evaluate", "recommend", "inspect-attention", "checkpoint-info"}
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_train_echo_is_checkpoint_config_plus_training_keys(workspace, capsys):

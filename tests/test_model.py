@@ -8,8 +8,8 @@ import pytest
 from npa import tensor as T
 from npa import vqa
 from npa.errors import ConfigError
-from npa.model import (check_baskets, draw_noise, embed_inputs, forward, forward_layer,
-                       init_params, layer_channel_plan, named_parameters,
+from npa.model import (LayerNoise, check_baskets, draw_noise, embed_inputs, forward,
+                       forward_layer, init_params, layer_channel_plan, named_parameters,
                        trainable_parameters)
 from npa.tensor import Tensor
 from npa.training import batch_loss
@@ -89,7 +89,7 @@ def test_forward_layer_single_channel_identity_merge():
     layer.merge.data = np.eye(cfg.embedding_dim)
     x = Tensor(np.random.default_rng(3).normal(size=(4, 8)))
     strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
-    merged, states = forward_layer(x, layer, strategy)
+    merged, states = forward_layer(x, layer, strategy, LayerNoise(0.0))
     np.testing.assert_array_equal(merged.data, states[0].contexts.data)
 
 
@@ -99,10 +99,10 @@ def test_forward_layer_causal_noise_after_t():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(5, 8))
     strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
-    base, _ = forward_layer(Tensor(x), params.layers[0], strategy)
+    base, _ = forward_layer(Tensor(x), params.layers[0], strategy, LayerNoise(0.0))
     x2 = x.copy()
     x2[3:] = rng.normal(size=(2, 8)) * 10
-    noisy, _ = forward_layer(Tensor(x2), params.layers[0], strategy)
+    noisy, _ = forward_layer(Tensor(x2), params.layers[0], strategy, LayerNoise(0.0))
     np.testing.assert_array_equal(base.data[:3], noisy.data[:3])
 
 
@@ -112,7 +112,7 @@ def test_forward_layer_matches_per_channel_oracle():
     layer = params.layers[0]
     x = Tensor(np.random.default_rng(7).normal(size=(4, 8)))
     strategy = vqa.ExtractionStrategy(vqa.WEIGHTED_AVERAGE)
-    merged, _ = forward_layer(x, layer, strategy)
+    merged, _ = forward_layer(x, layer, strategy, LayerNoise(0.0))
     parts = [vqa.unit_forward(x, unit, strategy).contexts.data for unit in layer.channels]
     expected = np.concatenate(parts, axis=1) @ layer.merge.data.T
     assert np.array_equal(merged.data, expected)

@@ -10,7 +10,7 @@ import npa.recommend
 import npa.training
 from npa import tensor as T
 from npa.checkpoint import export_attention
-from npa.model import forward, init_params, named_parameters
+from npa.model import draw_noise, forward, init_params, named_parameters
 from npa.recommend import FESF, MEAN_AGGREGATE, recommend_topk
 from npa.tensor import Tensor, no_grad
 from npa.training import TrainConfig, batch_loss, train
@@ -68,10 +68,11 @@ def test_export_attention_bit_identical_to_recording_pass(tmp_path, monkeypatch,
 def test_forward_inside_no_grad_makes_only_graph_free_tensors(made):
     cfg = small_mc_config(mc_last_layer_heads=3, dropout_rate=0.3)
     params = init_params(cfg, seed=33)
-    recorded = forward(BASKET, cfg, params, rng_seed=4, training=True)
+    noise = [layer.rows(0) for layer in draw_noise([len(BASKET)], cfg, 4, cfg.dropout_rate)]
+    recorded = forward(BASKET, cfg, params, noise=noise)
     before = len(made)
     with no_grad():
-        free = forward(BASKET, cfg, params, rng_seed=4, training=True)
+        free = forward(BASKET, cfg, params, noise=noise)
     inside = made[before:]
     assert inside
     assert all(not t.requires_grad and t._parents == () and t._backward is None

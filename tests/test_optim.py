@@ -107,5 +107,25 @@ def test_clip_grad_norm_scales_to_bound():
 @pytest.mark.parametrize("lr, weight_decay", [(-1e-3, 0.01), (1e-3, -0.01)])
 def test_adamw_rejects_negative_lr_or_weight_decay(lr, weight_decay):
     w = Tensor(np.zeros(2), requires_grad=True)
-    with pytest.raises(ValueError, match=r"^lr and weight_decay must be >= 0$"):
+    name = "lr" if lr < 0 else "weight_decay"
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0$"):
         AdamW([("w", w)], lr=lr, weight_decay=weight_decay)
+
+
+@pytest.mark.parametrize("name", ["lr", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_adamw_rejects_non_finite_settings(name, value):
+    w = Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ValueError) as err:
+        AdamW([("w", w)], **{name: value})
+    assert str(err.value) == f"{name} must be finite and >= 0"
+
+
+@pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
+def test_clip_grad_norm_rejects_non_positive_bound(max_norm):
+    w = Tensor(np.zeros(2), requires_grad=True)
+    w.grad = np.array([3.0, 4.0])
+    with pytest.raises(ValueError) as err:
+        clip_grad_norm([("w", w)], max_norm)
+    assert str(err.value) == "max_norm must be positive"
+    np.testing.assert_array_equal(w.grad, [3.0, 4.0])

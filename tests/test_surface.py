@@ -14,8 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "npa"
 # (module, name) -> why the export stays although no library code reaches it.
 ALLOWED_UNUSED = {
     ("training", "sequence_scores"): "the benchmark tracer spans it by attribute",
-    ("checkpoint", "load_optimizer_sidecar"):
-        "it reads the optimizer file that `npa train --optimizer-out` writes",
 }
 
 

@@ -618,7 +618,8 @@ def _all_heads_loss(batch, cfg, params, rng, training):
     steps = np.arange(lengths.max())
     ids = np.zeros((len(seqs), steps.size), dtype=np.int64)
     ids[steps < lengths[:, None]] = np.concatenate(seqs)
-    state = forward(ids, cfg, params, rng_seed=rng, training=training, lengths=lengths)
+    noise = draw_noise(lengths, cfg, rng, cfg.dropout_rate if training else 0.0)
+    state = forward(ids, cfg, params, lengths=lengths, noise=noise)
     rows = np.nonzero(steps < lengths[:, None] - 1)
     targets = ids[rows[0], rows[1] + 1]
     emb_t = T.transpose(output_embeddings(params))
