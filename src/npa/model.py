@@ -109,8 +109,11 @@ class ModelConfig:
             raise ConfigError("sc_last_extraction must be weighted_average or greedy")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
-        if self.gumbel_temperature <= 0:
+        # Written as "not > 0" so that NaN fails too.
+        if not self.gumbel_temperature > 0:
             raise ConfigError("gumbel_temperature must be positive")
+        if self.gumbel_temperature == float("inf"):
+            raise ConfigError("gumbel_temperature must be finite")
         if self.max_sequence_length < 1:
             raise ConfigError("max_sequence_length must be >= 1")
         if self.embedding_dim < 1:

@@ -100,8 +100,11 @@ def score_mean(contexts, embeddings) -> ScoreVector:
 
 def score_fesf(contexts, embeddings, temperature: float = 1.0) -> ScoreVector:
     """log sum_h exp(e . c_h / T); unnormalized, ranking is the contract."""
-    if temperature <= 0:
+    # Written as "not > 0" so that NaN fails too.
+    if not temperature > 0:
         raise ConfigError("fesf temperature must be positive")
+    if temperature == float("inf"):
+        raise ConfigError("fesf temperature must be finite")
     c = _context_matrix(contexts)
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] != c.shape[1]:

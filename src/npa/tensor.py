@@ -42,11 +42,15 @@ Single-threaded by contract: graph construction and backward are not
 thread safe, but tensors are immutable after the forward pass and may be
 shared read-only. The graph-free mode is one module-wide flag, not a
 per-thread one, so a thread inside ``no_grad`` turns recording off for
-every other thread too.
+every other thread too. Inside one call, the output head's kernels may
+run two row halves on two threads (``_split_rows``); the worker touches
+only numpy arrays and is joined before the call returns.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -395,6 +399,78 @@ def _add_rows(shape, idx, g):
     return np.bincount(at, weights=np.ravel(g), minlength=total).reshape(shape)
 
 
+# _split_rows runs a kernel as two row halves on two threads when its rows
+# times width reach this many cells. Measured on 2 vCPUs with one BLAS
+# thread and 32-wide rows (the benchmark's), split time over one-thread
+# time: the output head's forward and backward 1.08 at 90,000 cells (450
+# rows x 200 items, train_sc_anyorder's head), 1.17 at 128,000, 0.79-1.08
+# at 256,000 and 0.63-0.75 at 450,000-1,200,000 (train_mc_temporal's
+# buckets are 300-600 rows x 2,000 items); the float32 winner table over 5
+# heads 1.50, 1.00, 0.78-0.91 and 0.48-0.78 at the same sizes. Splitting
+# SC's head too made its training step 7% slower (28.3 against 26.5 ms,
+# faster in 12 of 150 interleaved steps). Serving never reaches the split.
+SPLIT_CELLS = 2 ** 18
+
+
+def _allowed_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _concurrently(first, second):
+    """Run second() on a worker thread while first() runs on this one.
+
+    The worker runs under the caller's numpy error state, is joined before
+    this returns, whichever side raised, and its exception is raised here.
+    Workers may call only numpy and this package's private kernels: a
+    benchmark tracer keeps one span stack and replaces public functions at
+    their module attributes.
+    """
+    errors = np.geterr()
+    failed = []
+
+    def work():
+        try:
+            with np.errstate(**errors):
+                second()
+        except BaseException as exc:  # re-raised on the caller's thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        first()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
+def _splits(rows: int, width: int) -> bool:
+    """Whether a kernel over rows x width cells runs in two row halves:
+    at least 2 rows a half, SPLIT_CELLS cells and two allowed CPUs."""
+    return rows >= 4 and rows * width >= SPLIT_CELLS and _allowed_cpus() > 1
+
+
+def _split_rows(fn, rows: int, width: int):
+    """Run fn(lo, hi) over the rows [0, rows), as two halves on two threads
+    when _splits says so, else once.
+
+    fn writes its rows of buffers the caller allocated (glibc gives each
+    allocating thread its own arena). Each half keeps at least 2 rows,
+    since numpy multiplies a single row by a matrix-vector product, whose
+    rounding can differ from a matrix product's.
+    """
+    if _splits(rows, width):
+        half = rows // 2
+        _concurrently(lambda: fn(0, half), lambda: fn(half, rows))
+    else:
+        fn(0, rows)
+
+
 def _linear_nll(x, w, targets):
     """Per-row negative log softmax probability of the target class of the
     logits x @ w, on plain arrays: (nll, numerators, total).
@@ -402,14 +478,26 @@ def _linear_nll(x, w, targets):
     nll[t] = logsumexp(z[t]) - z[t, targets[t]] with z = x @ w. The softmax
     numerators exp(z - max) are built in place in the logits buffer, and
     total holds their (rows, 1) sums, so the row softmax is numerators / total.
+    A large enough product runs as two row halves on two threads
+    (_split_rows), each writing its rows of the buffers; every row's
+    arithmetic, and so every value, is the same as in one pass.
     """
-    z = x @ w
-    rows = np.arange(z.shape[0])
-    picked = z[rows, targets]
-    m = z.max(axis=1, keepdims=True)
-    np.subtract(z, m, out=z)
-    np.exp(z, out=z)
-    total = z.sum(axis=1, keepdims=True)
+    n = x.shape[0]
+    z = np.empty((n, w.shape[1]))
+    picked = np.empty(n)
+    m = np.empty((n, 1))
+    total = np.empty((n, 1))
+
+    def part(lo, hi):
+        zp = z[lo:hi]
+        np.matmul(x[lo:hi], w, out=zp)
+        picked[lo:hi] = zp[np.arange(hi - lo), targets[lo:hi]]
+        np.max(zp, axis=1, keepdims=True, out=m[lo:hi])
+        np.subtract(zp, m[lo:hi], out=zp)
+        np.exp(zp, out=zp)
+        np.sum(zp, axis=1, keepdims=True, out=total[lo:hi])
+
+    _split_rows(part, n, w.shape[1])
     return np.log(total[:, 0]) + m[:, 0] - picked, z, total
 
 
@@ -420,7 +508,12 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
     x is (rows, k), w is (k, classes) and targets holds one class per row.
     The node keeps only the softmax numerators, built in place in the
     logits buffer; its backward allocates the logits' gradient afresh, so
-    a second backward sweep sees the same numerators.
+    a second backward sweep sees the same numerators. When _splits allows
+    it for rows x classes, the forward runs as two row halves on two
+    threads, and so does the backward's logits gradient; the x and w
+    gradient products then run at the same time, each one whole. BLAS
+    stays at one thread per call, and every value is the same as on one
+    thread.
     """
     x, w = _coerce(x), _coerce(w)
     targets = np.asarray(targets, dtype=np.int64)
@@ -434,13 +527,28 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
     nll, e, total = _linear_nll(a, b, targets)
 
     def back(g):
-        gz = e / total
-        gz *= g[:, None]
-        gz[np.arange(targets.size), targets] -= g
+        gz = np.empty_like(e)
+
+        def part(lo, hi):
+            np.divide(e[lo:hi], total[lo:hi], out=gz[lo:hi])
+            gz[lo:hi] *= g[lo:hi, None]
+            gz[np.arange(hi - lo) + lo, targets[lo:hi]] -= g[lo:hi]
+
+        _split_rows(part, *e.shape)
+        grads = []  # (operand, its gradient's buffer, the product filling it)
         if x.requires_grad:
-            _accumulate(x, gz @ b.swapaxes(-1, -2), fresh=True)
+            gx = np.empty(a.shape)
+            grads.append((x, gx, lambda: np.matmul(gz, b.swapaxes(-1, -2), out=gx)))
         if w.requires_grad:
-            _accumulate(w, a.swapaxes(-1, -2) @ gz, fresh=True)
+            gw = np.empty(b.shape)
+            grads.append((w, gw, lambda: np.matmul(a.swapaxes(-1, -2), gz, out=gw)))
+        if len(grads) == 2 and _splits(*e.shape):
+            _concurrently(grads[0][2], grads[1][2])
+        else:
+            for _, _, product in grads:
+                product()
+        for operand, grad, _ in grads:
+            _accumulate(operand, grad, fresh=True)
 
     return _make(nll, (x, w), back)
 

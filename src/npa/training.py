@@ -63,11 +63,27 @@ recomputed by _context_scores (two rows at least, since numpy multiplies
 a single row by a matrix-vector product, whose rounding can differ from
 the full table's). So winners, loss, details and gradients are those of
 the all-float64 selection. On
-the MC workload the float32 table costs about 26 ms of a step against
-about 50 ms in float64, 0.15% of steps are recomputed, and delta is about
-140 times the largest error seen. That took the median step from 194 ms
-to 164 ms (4,264 to 4,955 predictions/s over 10 alternated pairs of 30 s
-runs).
+the MC workload the float32 table cost about 26 ms of a step against
+about 50 ms in float64 when it was introduced, 0.15% of steps are
+recomputed, and delta is about 140 times the largest error seen. That
+took the median step from 194 ms to 164 ms (4,264 to 4,955
+predictions/s over 10 alternated pairs of 30 s runs).
+
+The three kernels that span the catalog, the float32 table, the output
+head's forward (T._linear_nll) and its backward, run as two row halves on
+two threads (T._split_rows) when the process may run on more than one CPU
+and the kernel has at least T.SPLIT_CELLS (2^18) rows x items cells. The
+table's halves score every context over their rows; the backward splits
+the logits gradient by rows and then runs the x and w gradient products
+at the same time, each one whole. Every row's arithmetic is unchanged, so
+every value is bit-identical to one thread, and BLAS stays at one thread
+per call. SC's head (about 450 rows x 200 items) stays on one thread, and
+MC's buckets (300-600 rows x 2,000 items) split. On 2 vCPUs with one
+BLAS thread, over 80 MC steps interleaved in one process, the median step
+went from 118 to 107 ms (faster in 72 of 80); over 10 alternated pairs of
+30 s benchmark runs, from 5,674 to 6,734 predictions/s in reference
+seconds (faster in 10 of 10) and from 7,318 to 7,552 in wall seconds
+(faster in 8 of 10).
 
 The bound. Let u = 2^-24, d the embedding width, n the item count, c a
 context row, e_j the output embeddings, a = |c| * max_j |e_j| (Euclidean
@@ -261,36 +277,47 @@ def _float32_scores(contexts, logprobs, rows, targets, emb):
     |table - _context_scores(...)| <= bound wherever table is finite; an
     infinite bound marks an entry the derivation in the module docstring
     does not cover. The log-softmax runs in float32 in one (steps x items)
-    buffer shared by every context; picked - lse is widened to float64
-    before the log belief is added. Overflow to inf or nan raises no
-    warning here: those steps are recomputed in float64, which reports
+    buffer, each row shared by every context; picked - lse is widened to
+    float64 before the log belief is added. A large enough table runs as
+    two row halves on two threads (T._split_rows), all contexts in each
+    half, with the same values as one pass. Overflow to inf or nan raises
+    no warning here: those steps are recomputed in float64, which reports
     its own.
     """
     n, d = emb.shape
-    steps = np.arange(targets.size)
     emb32 = emb.astype(np.float32)
     emax = np.sqrt(np.einsum("ij,ij->i", emb, emb).max())
+    at = (slice(None),) + rows
+    gathered = contexts[at]
+    beliefs = None if logprobs is None else logprobs[at]
     logits = np.empty((targets.size, n), dtype=np.float32)
     table = np.empty((len(contexts), targets.size))
     bound = np.empty_like(table)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for h, ctx in enumerate(contexts):
-            c = ctx[rows]
-            np.matmul(c.astype(np.float32), emb32.T, out=logits)
-            picked = logits[steps, targets]
-            m = logits.max(axis=1, keepdims=True)
-            np.subtract(logits, m, out=logits)
-            np.exp(logits, out=logits)
-            lse = np.log(logits.sum(axis=1)) + m[:, 0]
-            np.subtract(picked, lse, out=table[h], dtype=np.float64)
-            if logprobs is not None:
-                table[h] += logprobs[h][rows]
+
+    def part(lo, hi):
+        buf = logits[lo:hi]
+        picks = np.arange(hi - lo), targets[lo:hi]
+        for h in range(len(contexts)):
+            c = gathered[h, lo:hi]
+            np.matmul(c.astype(np.float32), emb32.T, out=buf)
+            picked = buf[picks]
+            m = buf.max(axis=1, keepdims=True)
+            np.subtract(buf, m, out=buf)
+            np.exp(buf, out=buf)
+            lse = np.log(buf.sum(axis=1)) + m[:, 0]
+            score = table[h, lo:hi]
+            np.subtract(picked, lse, out=score, dtype=np.float64)
+            if beliefs is not None:
+                score += beliefs[h, lo:hi]
             a = np.sqrt(np.einsum("ij,ij->i", c, c)) * emax
             size = np.abs(m[:, 0], dtype=np.float64) + np.abs(picked, dtype=np.float64)
             delta = (1.0 + 2.0 ** -20) * (
                 _U32 * (2.04 * (d + 2) * a + 1.04 * n + 11.0 * np.log(n) + 16.0 + 1.01 * size)
-                + 2.0 ** -140 * (d + n) * (1.0 + emax)) + 2.0 ** -51 * np.abs(table[h])
-            bound[h] = np.where(a < 2.0 ** 100, delta, np.inf)
+                + 2.0 ** -140 * (d + n) * (1.0 + emax)) + 2.0 ** -51 * np.abs(score)
+            bound[h, lo:hi] = np.where(a < 2.0 ** 100, delta, np.inf)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        T._split_rows(part, targets.size, n)
     if (n + d) * _U32 > 0.01:
         bound[:] = np.inf
     return table, bound

@@ -84,8 +84,11 @@ class ExtractionStrategy:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown extraction kind {self.kind!r}")
-        if self.gumbel_temperature <= 0:
+        # Written as "not > 0" so that NaN fails too.
+        if not self.gumbel_temperature > 0:
             raise ValueError("gumbel_temperature must be positive")
+        if self.gumbel_temperature == float("inf"):
+            raise ValueError("gumbel_temperature must be finite")
 
 
 @dataclass

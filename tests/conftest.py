@@ -2,6 +2,7 @@
 
 import pytest
 
+from npa import tensor as T
 from npa.data import SynthSpec, gen_synthetic, split_dataset
 from npa.model import ModelConfig, init_params
 from npa.training import TrainConfig, train
@@ -28,6 +29,18 @@ def small_sc_config(**overrides):
                 max_sequence_length=8, use_positions=True)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def force_split(monkeypatch, cpus):
+    """Run tensor._split_rows as if on ``cpus`` allowed CPUs, with no size
+    floor: with 2, every kernel of 4 rows or more splits; with 1, none does.
+    Returns a list that grows by one entry per call of _concurrently."""
+    monkeypatch.setattr(T, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(T, "_allowed_cpus", lambda: cpus)
+    calls = []
+    real = T._concurrently
+    monkeypatch.setattr(T, "_concurrently", lambda *fns: calls.append(1) or real(*fns))
+    return calls
 
 
 def small_mc_config(**overrides):

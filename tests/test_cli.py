@@ -254,6 +254,9 @@ def test_cli_error_exits(workspace, tmp_path, capsys):
     ({"gradient_clip_norm": "0.0"}, "gradient_clip_norm must be positive when set"),
     *[pytest.param({key: value}, message, id=f"{key}={value}") for key, value, message in [
         ("gradient_clip_norm", "nan", "gradient_clip_norm must be positive when set"),
+        ("gumbel_temperature", "nan", "gumbel_temperature must be positive"),
+        ("gumbel_temperature", "-inf", "gumbel_temperature must be positive"),
+        ("gumbel_temperature", "inf", "gumbel_temperature must be finite"),
         ("learning_rate", "-0.003", "learning_rate must be finite and >= 0"),
         ("learning_rate", "nan", "learning_rate must be finite and >= 0"),
         ("learning_rate", "inf", "learning_rate must be finite and >= 0"),
@@ -385,6 +388,20 @@ def test_recommend_rejects_zero_fesf_temperature(workspace, capsys):
                "--scoring", "fesf", "--fesf-temperature", "0"])
     assert rc == 1
     assert capsys.readouterr().err == "error: fesf temperature must be positive\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("nan", "fesf temperature must be positive"),
+    ("inf", "fesf temperature must be finite"),
+])
+def test_recommend_rejects_non_finite_fesf_temperature(workspace, capsys, value, message):
+    # NaN is never <= 0, so a "<= 0" check let it through and printed no items.
+    rc = main(["recommend", "--ckpt", str(_untrained_checkpoint(workspace)), "--basket", "1,2",
+               "--scoring", "fesf", "--fesf-temperature", value])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert not captured.out
 
 
 @pytest.mark.parametrize("stored, message", [

@@ -305,8 +305,11 @@ def test_recommend_mc_defaults_to_fesf():
 def test_score_kind_validation():
     rng = np.random.default_rng(9)
     e = rng.normal(size=(5, 3))
-    with pytest.raises(ConfigError):
-        score_fesf(rng.normal(size=(2, 3)), e, temperature=0.0)
+    for temperature in (0.0, float("nan"), -float("inf")):
+        with pytest.raises(ConfigError, match="must be positive"):
+            score_fesf(rng.normal(size=(2, 3)), e, temperature=temperature)
+    with pytest.raises(ConfigError, match="must be finite"):
+        score_fesf(rng.normal(size=(2, 3)), e, temperature=float("inf"))
 
 
 def test_recommend_unseeded_mc_repeats():

@@ -8,6 +8,10 @@ compose with, on the engine's softmax kernel) are checked here the same
 way.
 """
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from npa import tensor as T
 from npa.tensor import ShapeError, Tensor
 
 import composed as C
+from conftest import force_split
 
 
 def fd_gradient(fn, x: Tensor, h=1e-6):
@@ -460,3 +465,108 @@ def test_gather_rows_backward_equals_add_at(shape, idx):
     np.add.at(want, idx, g)
     assert a.grad.tobytes() == want.tobytes()
 
+
+def _head_bytes(rows, tied):
+    """The output head's losses and both sweeps' gradients, as bytes."""
+    rng = np.random.default_rng(rows)
+    table = Tensor(rng.normal(size=(11, 4)), requires_grad=True)
+    other = Tensor(rng.normal(size=(rows, 4)), requires_grad=True)
+    x = T.gather_rows(table, rng.integers(0, 11, size=rows)) if tied else other
+    nll = T.linear_cross_entropy(T.scale(x, 1.5), T.transpose(table),
+                                 rng.integers(0, 11, size=rows))
+    loss = T.mean(T.add(nll, T.scale(nll, 0.25)))
+    out = [nll.data.tobytes()]
+    for _ in range(2):
+        T.backward(loss)
+        out += [table.grad.tobytes(), None if other.grad is None else other.grad.tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("rows", [4, 5, 7, 64, 129])
+def test_linear_cross_entropy_split_is_bit_identical(monkeypatch, rows, tied):
+    # Split, the forward runs two row halves, and each backward sweep splits
+    # the logits gradient and runs the two gradient products at once.
+    runs = {}
+    for cpus in (1, 2):
+        calls = force_split(monkeypatch, cpus)
+        runs[cpus] = _head_bytes(rows, tied)
+        assert len(calls) == (5 if cpus == 2 else 0)
+    assert runs[1] == runs[2]
+
+
+def test_splits_rule(monkeypatch):
+    # SC's head (about 450 rows x 200 items) stays on one thread, MC's
+    # buckets (300-600 rows x 2,000 items) split; a half keeps 2 rows.
+    monkeypatch.setattr(T, "_allowed_cpus", lambda: 2)
+    assert not T._splits(450, 200)
+    assert T._splits(300, 2000)
+    assert T._splits(4, T.SPLIT_CELLS // 4)
+    assert not T._splits(3, T.SPLIT_CELLS)
+    monkeypatch.setattr(T, "_allowed_cpus", lambda: 1)
+    assert not T._splits(600, 2000)
+
+
+def test_split_rows_covers_each_row_once(monkeypatch):
+    force_split(monkeypatch, 2)
+    seen = []
+    T._split_rows(lambda lo, hi: seen.append((lo, hi)), 7, 1)
+    assert sorted(seen) == [(0, 3), (3, 7)]
+    seen.clear()
+    T._split_rows(lambda lo, hi: seen.append((lo, hi)), 3, 1)
+    assert seen == [(0, 3)]
+
+
+@pytest.mark.parametrize("failing_half", [0, 1])
+def test_split_rows_raises_a_halfs_exception_after_join(monkeypatch, failing_half):
+    force_split(monkeypatch, 2)
+    before = threading.active_count()
+    done = []
+
+    def fn(lo, hi):
+        if (lo > 0) == failing_half:
+            raise KeyError(f"half {failing_half}")
+        done.append(lo)
+
+    with pytest.raises(KeyError, match=f"half {failing_half}"):
+        T._split_rows(fn, 6, 1)
+    assert done == [0 if failing_half else 3]
+    assert threading.active_count() == before
+
+
+def test_split_rows_worker_runs_under_callers_errstate(monkeypatch):
+    force_split(monkeypatch, 2)
+
+    def fn(lo, hi):
+        if lo:  # only the worker's half divides by zero
+            np.log(np.zeros(hi - lo))
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        T._split_rows(fn, 4, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(divide="ignore"):
+            T._split_rows(fn, 4, 1)
+
+
+def test_split_head_leaves_no_thread(monkeypatch):
+    force_split(monkeypatch, 2)
+    before = threading.active_count()
+    _head_bytes(64, tied=True)
+    assert threading.active_count() == before
+
+
+def test_split_head_bit_identical_under_frequent_thread_switches(monkeypatch):
+    # A switch interval of a microsecond hands the interpreter lock between
+    # the halves between almost every bytecode; the halves share no row.
+    force_split(monkeypatch, 1)
+    want = _head_bytes(129, tied=True)
+    calls = force_split(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [_head_bytes(129, tied=True) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 25
+    assert all(g == want for g in got)

@@ -22,7 +22,7 @@ from npa.training import (ANY_ORDER, SPLIT_PADDED_ROWS, TEMPORAL, TrainConfig,
                           sequence_scores, train)
 
 import composed as C
-from conftest import small_mc_config, small_sc_config
+from conftest import force_split, small_mc_config, small_sc_config
 
 
 def test_sample_permutation_uniform_for_pairs():
@@ -807,3 +807,49 @@ def test_float32_bound_is_infinite_past_its_catalog_size():
     np.testing.assert_array_equal(_winners(contexts, None, rows, targets, emb),
                                   np.argmax(_context_scores(contexts, None, rows, targets, emb),
                                             axis=0))
+
+
+def test_float32_table_and_winners_split_are_bit_identical(monkeypatch):
+    rng = np.random.default_rng(6)
+    emb = rng.normal(size=(300, 8)) / 3
+    contexts = rng.normal(size=(4, 3, 20, 8))
+    rows = np.nonzero(np.arange(20) < np.array([[19], [7], [12]]))
+    targets = rng.integers(0, 300, size=rows[0].size)
+    beliefs = -rng.exponential(size=(4, 3, 20))
+    exact = _context_scores(contexts, beliefs, rows, targets, emb)
+    runs = {}
+    for cpus in (1, 2):
+        calls = force_split(monkeypatch, cpus)
+        table, bound = _float32_scores(contexts, beliefs, rows, targets, emb)
+        assert (np.abs(table - exact) <= bound).all()
+        head = _winners(contexts, beliefs, rows, targets, emb)
+        np.testing.assert_array_equal(head, np.argmax(exact, axis=0))
+        runs[cpus] = (table.tobytes(), bound.tobytes(), head.tobytes())
+        assert bool(calls) == (cpus == 2)
+    assert runs[1] == runs[2]
+
+
+def test_mc_training_split_leaves_parameters_byte_equal(monkeypatch):
+    # 20 MC steps over 64-basket batches of lengths 4-24, each cut into
+    # length buckets, with dropout and clipping: splitting the output
+    # head and the winner table across two threads changes no bit.
+    cfg = small_mc_config(num_items=60, mc_last_layer_heads=3, dropout_rate=0.2,
+                          max_sequence_length=24)
+    data = np.random.default_rng(41)
+    baskets = [data.choice(60, size=data.integers(4, 25), replace=False).tolist()
+               for _ in range(320)]
+    cuts = []
+    real_buckets = training_mod._length_buckets
+    monkeypatch.setattr(training_mod, "_length_buckets",
+                        lambda lengths: cuts.append(len(b := real_buckets(lengths))) or b)
+    runs = {}
+    for cpus in (1, 2):
+        calls = force_split(monkeypatch, cpus)
+        params = init_params(cfg, seed=42)
+        _, reports = train(baskets, cfg, params, TrainConfig(
+            epochs=4, batch_size=64, learning_rate=1e-2, seed=43, gradient_clip_norm=1.0))
+        runs[cpus] = [t.data.tobytes() for _, t in named_parameters(params)]
+        runs[cpus].append(float(reports[-1].mean_nll).hex())
+        assert bool(calls) == (cpus == 2)
+    assert len(cuts) == 40 and min(cuts) > 1
+    assert runs[1] == runs[2]

@@ -340,8 +340,11 @@ def test_unit_forward_padded_batch_matches_prefix_loop():
 def test_strategy_validation():
     with pytest.raises(ValueError):
         vqa.ExtractionStrategy("nearest")
-    with pytest.raises(ValueError):
-        vqa.ExtractionStrategy(vqa.SAMPLING, gumbel_temperature=0.0)
+    for temperature in (0.0, float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match="must be positive"):
+            vqa.ExtractionStrategy(vqa.SAMPLING, gumbel_temperature=temperature)
+    with pytest.raises(ValueError, match="must be finite"):
+        vqa.ExtractionStrategy(vqa.SAMPLING, gumbel_temperature=float("inf"))
 
 
 def test_params_dim_validation():
