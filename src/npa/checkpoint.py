@@ -15,11 +15,6 @@ Checkpoint layout (all integers little-endian):
 Values are stored as float32, so load(save(m)) reproduces every tensor
 exactly after float32 rounding. Writes are atomic (temp file then
 rename).
-
-The attention export is line-delimited key=value text carrying, for
-every prefix step of a basket: the prefix ids, each layer/channel's
-pattern-attention distribution, the in-prefix context-attention weights,
-and the top-k recommendations with scores.
 """
 
 from __future__ import annotations
@@ -175,7 +170,7 @@ def _fmt(values) -> str:
 
 def export_attention(basket, config, params, path, k: int = 10, rng_seed=0,
                      scoring_kind=None, fesf_temperature: float = 1.0) -> None:
-    """Write the per-step attention record file for one basket.
+    """Write one basket's per-step attention records as key=value lines.
 
     One block per prefix step: the prefix, every layer/channel's pattern
     belief, the context-attention weights over the prefix items, and the

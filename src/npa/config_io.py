@@ -95,12 +95,10 @@ def _model_config(kwargs) -> ModelConfig:
 
 
 def parse_config_file(text: str, num_items: int | None = None):
-    """Parse a combined model + training config.
-
-    Returns (ModelConfig, TrainConfig or None). A TrainConfig is built
-    only when its required key (``epochs``) is present. num_items may be
-    supplied by the caller (from the data) when the file omits it.
-    """
+    """Parse a combined model + training config into (ModelConfig,
+    TrainConfig or None). A TrainConfig is built only when its required key
+    (``epochs``) is present. num_items may be supplied by the caller (from
+    the data) when the file omits it."""
     model_kwargs, train_kwargs = _typed_kwargs(text, (ModelConfig, TrainConfig),
                                                "unknown config key")
     if "num_items" not in model_kwargs:

@@ -76,13 +76,11 @@ class EvalInstance:
 
 @dataclass
 class SynthSpec:
-    """Knobs of the planted-pattern generator.
-
-    within_pool_decay > 0 switches the within-pool item draw from uniform
-    to a geometric head (rate = decay) mixed with a uniform floor of mass
-    within_pool_floor, which plants a popularity profile inside each pool
-    while keeping every item reachable.
-    """
+    """Knobs of the planted-pattern generator. within_pool_decay > 0 switches
+    the within-pool item draw from uniform to a geometric head (rate =
+    decay) mixed with a uniform floor of mass within_pool_floor, which
+    plants a popularity profile inside each pool while keeping every item
+    reachable."""
 
     num_patterns: int = 8
     items_per_pattern: int = 25
@@ -125,11 +123,8 @@ class SynthSpec:
 
 @dataclass
 class SynthTruth:
-    """Planted ground truth: pools, per-basket labels, per-item provenance.
-
-    provenance[i][j] is the pattern id that produced item j of basket i,
-    or -1 for a noise item.
-    """
+    """Planted ground truth: pools, per-basket labels, and provenance, where
+    provenance[i][j] is the pattern of item j of basket i, or -1 for noise."""
 
     pools: list
     basket_patterns: list
@@ -167,13 +162,10 @@ def save_catalog(path, catalog: Catalog):
 
 
 def load_baskets(path, catalog: Catalog | None = None):
-    """Parse a basket file; returns (catalog, baskets).
-
-    Malformed lines, including a basket that repeats an item, are reported
-    with their line number. Without an explicit catalog, a nameless one
-    spanning the observed ids is built, and an id at or above
-    MAX_INFERRED_ITEMS is rejected.
-    """
+    """Parse a basket file; returns (catalog, baskets). Malformed lines,
+    including a basket that repeats an item, are reported with their line
+    number. Without a catalog, a nameless one spanning the observed ids is
+    built, and an id at or above MAX_INFERRED_ITEMS is rejected."""
     baskets = []
     max_id = -1
     with open(path, "r", encoding="utf-8") as fh:
@@ -239,13 +231,10 @@ def split_dataset(baskets, ratios, seed: int):
 
 def make_eval_instances(baskets, input_fraction: float = 0.5, seed: int = 0,
                         temporal: bool = False, instances_per_basket: int = 1):
-    """Split each test basket into a model input and held-out labels.
-
-    Temporal data uses a consecutive window at a random offset as input;
-    otherwise a random subset is the input (kept in source order). The
-    remainder becomes the ground truth. Returns (instances, skipped)
-    where skipped counts length-1 baskets that cannot be split.
-    """
+    """Split each test basket into a model input and held-out labels; returns
+    (instances, skipped), skipped counting length-1 baskets. Temporal data
+    takes a consecutive window at a random offset as input, otherwise a
+    random subset (kept in source order); the remainder is the truth."""
     if not 0.0 < input_fraction < 1.0:
         raise DataError("input_fraction must be in (0, 1)")
     if instances_per_basket < 1:
@@ -285,12 +274,10 @@ def gen_synthetic(spec: SynthSpec):
     which interleaves the patterns in random order. Items never repeat
     within a basket.
 
-    A pool item is ``bisect_right(cdf, rng.random())`` on the within-pool
-    CDF, built once per call: ``rng.choice(ipp, p=weights)`` draws the same
-    one double and searches the same CDF, but rebuilds it on every call.
-    With one pattern per basket the pattern draw is skipped, since
-    ``rng.integers(0, 1)`` consumes no bits. So the random stream and every
-    output are those of the per-slot ``choice`` and ``integers`` calls.
+    The random stream is that of ``rng.choice(ipp, p=weights)`` for a pool
+    item and ``rng.integers(0, k)`` for a slot's pattern: the first draws
+    one double and searches the within-pool CDF, which is built here once,
+    and the second consumes no bits when k is 1, so it is skipped.
     """
     rng = np.random.default_rng(spec.seed)
     ipp = spec.items_per_pattern

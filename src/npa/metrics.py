@@ -13,9 +13,7 @@ The baselines are fitted on the training split only: POP ranks by global
 frequency, CP by summed co-occurrence counts with the basket, and item
 CF by summed cosine similarity between co-occurrence vectors. Items
 never seen in training score zero and are counted in a tally. A
-baseline ranks with ``recommend.rank_items``, the model's own top-k:
-descending score, ties to the lower id, basket members and non-finite
-scores dropped.
+baseline ranks with ``recommend.rank_items``, the model's own top-k.
 """
 
 from __future__ import annotations
@@ -60,11 +58,8 @@ class MetricReport:
 
 def compute_metrics(ranked_with_truth) -> MetricReport:
     """Macro-averaged metrics over (ranked item list, truth items) pairs.
-
     Every instance needs a non-empty truth and a ranking of at least 20
-    items (the largest cutoff); shorter lists are an error, not a silent
-    truncation.
-    """
+    items (the largest cutoff); a shorter list is an error."""
     ranked_with_truth = list(ranked_with_truth)
     if not ranked_with_truth:
         raise DataError("compute_metrics: no instances")
@@ -103,11 +98,9 @@ def compute_metrics(ranked_with_truth) -> MetricReport:
 
 
 class CountBaseline:
-    """POP, CP, or item-item CF fitted on training baskets.
-
-    Keeps a dense item-frequency vector and (for CP and CF) a dense
-    co-occurrence matrix; this is sized for desk-scale catalogs.
-    """
+    """POP, CP, or item-item CF fitted on training baskets, kept as a dense
+    item-frequency vector and (for CP and CF) a dense co-occurrence
+    matrix, which is sized for desk-scale catalogs."""
 
     def __init__(self, kind: str, num_items: int):
         if kind not in _KINDS:

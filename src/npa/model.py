@@ -15,27 +15,9 @@ multi-context (MC) variant gives every last-layer channel (head) the full
 embedding width, shares a single codebook across those heads, samples a
 pattern per head by Gumbel-max, and emits one context per head per step,
 with the log belief of each sampled pattern retained for the training
-objective. The heads run as one stacked unit (``vqa.unit_forward`` over
-weights stacked on a leading heads axis); merging layers run one unit per
-channel. ``layer_channel_plan`` is the one place that decides each
-layer's role, and both variants give their contexts heads-first in one
-tensor, SC's with a contexts axis of 1.
-
-A forward pass takes one basket, giving ``(steps, d)`` tensors, or a batch
-of baskets padded at the end to the longest one, giving ``(B, N, d)``
-tensors built as one autodiff graph. In that graph every unit call is one
-node (two for the sampling heads), and the embedding gather, channel
-concatenation, merge projection, dropout and residual sums are the
-engine's primitives. Padded input rows are zeroed by a
-select, so no table row outside the batch reaches a valid row, and the
-causal masks keep padded steps out of every valid step. Every random
-number is drawn basket by basket in a fixed order (see ``draw_noise``), so
-a basket's draws do not depend on the batch it runs in, nor on the length
-bucket training runs it in: a batch's draws come from one generator call
-and are copied straight into the arrays of each basket's bucket. On a
-64-basket batch of the benchmark's MC profile (baskets of 4-24, two
-buckets) that takes 4.9-6.1 ms, against 6.6-7.2 ms for whole-batch arrays
-filled one generator call per array and then copied bucket by bucket.
+objective. The heads run as one stacked unit. ``layer_channel_plan`` is
+the one place that decides each layer's role, and both variants give
+their contexts heads-first, SC's with a contexts axis of 1.
 """
 
 from __future__ import annotations
@@ -128,13 +110,10 @@ class ModelConfig:
 
 
 def layer_channel_plan(config: ModelConfig):
-    """(channel_count, merges, extraction_kind) per layer.
-
-    Layers before the last merge their channels and extract by weighted
-    average. The SC last layer merges too and extracts by
-    sc_last_extraction; the MC last layer is its heads, which sample and
-    never merge.
-    """
+    """(channel_count, merges, extraction_kind) per layer. Layers before the
+    last merge and extract by weighted average; the SC last layer merges
+    and extracts by sc_last_extraction, and the MC heads sample and never
+    merge."""
     plan = [(c, True, vqa.WEIGHTED_AVERAGE) for c in config.channels_per_layer[:-1]]
     if config.variant == VARIANT_MC:
         plan.append((config.mc_last_layer_heads, False, vqa.SAMPLING))
@@ -159,14 +138,11 @@ class NpaParams:
 
 @dataclass
 class LayerNoise:
-    """The random numbers one layer consumes, channels first.
-
-    keep_masks holds the attention-dropout keep masks over codebook entries
-    and uniforms the Gumbel uniforms (sampling layers), each
-    (channels, ..., N, num_patterns) with channel c's at [c], or None when
-    unused; merge_uniforms are the dropout draws of the merged output,
-    (..., N, embedding_dim), or None.
-    """
+    """The random numbers one layer consumes, each None when unused:
+    keep_masks, the attention-dropout keep masks over codebook entries, and
+    uniforms, the Gumbel uniforms of sampling layers, each (channels, ...,
+    N, num_patterns); merge_uniforms, the dropout draws of the merged
+    output, (..., N, embedding_dim)."""
 
     dropout_rate: float
     keep_masks: np.ndarray | None = None
@@ -186,17 +162,13 @@ class LayerNoise:
 class ContextState:
     """Per-step outputs of a forward pass over one basket or a padded batch.
 
-    context holds the prediction contexts heads-first, (contexts x steps x
-    embedding_dim), (contexts x B x N x embedding_dim) for a batch: SC has
-    one, the last layer's merged output, and MC one per last-layer head.
-    logprob holds the (contexts x ... x steps) log belief of each head's
-    sampled pattern, or None for SC. layer_states[layer] is the per-channel
-    list of that layer's ``vqa.UnitState``, or for the MC heads the one
-    stacked state.
-
-    contexts and unit_states are per-context and per-channel views, built
-    on first access for inspection and export: contexts[h] belongs to
-    context h, and unit_states[layer][channel] is that unit's state.
+    context holds the prediction contexts heads-first, (contexts, [B,]
+    steps, embedding_dim): SC has one, the last layer's merged output, and
+    MC one per last-layer head. logprob holds their (contexts, [B,] steps)
+    sampled patterns' log beliefs, or None for SC. layer_states[layer] is
+    the per-channel list of that layer's ``vqa.UnitState``, or for the MC
+    heads the one stacked state. The views contexts[h] and
+    unit_states[layer][channel] are built on first access.
     """
 
     context: Tensor
@@ -219,9 +191,7 @@ class ContextState:
 
 def init_params(config: ModelConfig, seed: int) -> NpaParams:
     """Fresh parameters; embeddings and codebooks use std 1/sqrt(width).
-
-    Every MC head draws a codebook, and all of them then share head 0's.
-    """
+    Every MC head draws a codebook, and all of them then share head 0's."""
     rng = np.random.default_rng(seed)
     d = config.embedding_dim
 
@@ -266,10 +236,8 @@ def parameter_shapes(config: ModelConfig):
 
 
 def params_from_tensors(config: ModelConfig, tensors) -> NpaParams:
-    """Parameters made of the given tensors, keyed by parameter_shapes names.
-
-    Every head of the MC last layer holds channel 0's codebook.
-    """
+    """Parameters made of the given tensors, keyed by parameter_shapes names;
+    every head of the MC last layer holds channel 0's codebook."""
     layers = []
     for li, (channels, merges, _) in enumerate(layer_channel_plan(config)):
         units = []
@@ -306,12 +274,10 @@ def named_parameters(params: NpaParams):
 
 
 def trainable_parameters(params: NpaParams, config: ModelConfig):
-    """named_parameters minus tensors the config keeps out of the graph.
-
-    Those are the positional embeddings when use_positions is false, and
-    w_query and w_pattern_key of every layer that extracts greedily: they
-    only feed the pattern argmax, so no gradient reaches them.
-    """
+    """named_parameters minus the positional embeddings when use_positions
+    is false, and minus w_query and w_pattern_key of every layer that
+    extracts greedily: they only feed the pattern argmax, so no gradient
+    reaches them."""
     frozen = set() if config.use_positions else {"positional_embeddings"}
     for li, (channels, _, kind) in enumerate(layer_channel_plan(config)):
         if kind == vqa.GREEDY:
@@ -405,20 +371,19 @@ def draw_noise(lengths, config: ModelConfig, rng_seed, dropout_rate: float,
     """Every random number of one forward pass, one LayerNoise per layer.
 
     rng_seed is a numpy Generator, an int seed, or None for the fixed seed 0.
-    Baskets draw in batch order. Within a basket, layer by layer, each
-    channel draws its attention-dropout keep mask (when dropout_rate > 0)
-    and then its Gumbel uniforms (sampling layers); the layer's merge-dropout
-    mask comes last. That is the order of running the baskets one at a
-    time, so a basket's draws do not depend on its batch. The arrays are
-    channels first, (channels, B, N, width) with N = max(lengths), and the
-    keep masks boolean; padded rows keep every entry.
+    Baskets draw in batch order, from one generator call. Within a basket,
+    layer by layer, each channel draws its attention-dropout keep mask
+    (when dropout_rate > 0) and then its Gumbel uniforms (sampling layers);
+    the layer's merge-dropout mask comes last. That is the order of running
+    the baskets one at a time, so a basket's draws do not depend on its
+    batch. The arrays are channels first, (channels, B, N, width) with
+    N = max(lengths), and the keep masks boolean; padded rows keep every
+    entry.
 
     buckets, when given, are index arrays that partition the batch; the
     result is then one such list per bucket, over its baskets in the order
-    given and padded to its own longest basket. Either way the batch's
-    numbers come from one generator call, and each basket's contiguous
-    block of them is copied into its rows, so a basket's draws are the
-    same with or without buckets.
+    given and padded to its own longest basket, and each basket's draws
+    are the same as without buckets.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(
         0 if rng_seed is None else rng_seed)
@@ -465,14 +430,9 @@ def draw_noise(lengths, config: ModelConfig, rng_seed, dropout_rate: float,
 
 def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionStrategy,
                   noise: LayerNoise):
-    """Run every channel of one merging layer and project the concatenation.
-
-    Returns the merged (..., steps, embedding_dim) output and the
-    per-channel unit states. noise holds the layer's dropout masks;
-    LayerNoise(0.0) runs the layer without dropout. Only meaningful for
-    layers that merge; forward() runs the non-merging heads as one stacked
-    unit.
-    """
+    """Run every channel of one merging layer and project the concatenation:
+    returns the merged (..., steps, embedding_dim) output and the
+    per-channel unit states. LayerNoise(0.0) runs the layer without dropout."""
     keep = noise.keep_masks
     states = [vqa.unit_forward(inputs, unit, strategy, None if keep is None else keep[c])
               for c, unit in enumerate(layer.channels)]
@@ -490,13 +450,11 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
     basket is a 1-d id sequence, or a (B, N) id array padded at the end
     with lengths[b] the valid steps of row b (default: all N); the outputs
     then carry the leading batch axis, and rows past a basket's length are
-    padding to ignore. rng_seed may be an int, a numpy Generator, or None
-    for the fixed seed 0; it drives MC pattern sampling, and the pass runs
-    without dropout. The draws may instead come pre-drawn: noise is then
-    draw_noise's list for these rows (each LayerNoise's rows(0) for a 1-d
-    basket), with dropout when drawn at a positive rate, and rng_seed goes
-    unused. Deterministic given the seed or noise, the inputs, and the
-    parameters.
+    padding to ignore. rng_seed (an int, a numpy Generator, or None for the
+    fixed seed 0) drives MC pattern sampling, and the pass runs without
+    dropout. noise, when given, replaces rng_seed: draw_noise's list for
+    these rows (each LayerNoise's rows(0) for a 1-d basket), with dropout
+    when drawn at a positive rate.
     """
     ids = np.asarray(basket, dtype=np.int64)
     x = embed_inputs(ids, config, params, use_positions=use_positions, lengths=lengths)

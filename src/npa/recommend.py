@@ -10,13 +10,8 @@ ranking is what matters):
   the exponent. Not normalized; as the temperature goes to zero it ranks
   by the best single context (max-pool), which damps popularity bias.
 
-Scoring is inference only and works on plain numpy values. It is
-item-major: one ``(contexts, items)`` logit product per call, reduced over
-the contexts axis in place, so every reduction runs over contiguous rows
-of the item axis. Top-k is exact without a full sort: ``np.partition``
-finds the k-th best score, and only the candidates at or above it are
-sorted, so items tied at the boundary are all kept and the result equals
-the full sort's.
+Scoring is inference only and works on plain numpy values, with one
+``(contexts, items)`` logit product per call.
 """
 
 from __future__ import annotations
@@ -179,14 +174,11 @@ def recommend_topk(basket, config, params, k: int,
                    rng_seed=None) -> Recommendation:
     """Top-k completion of a basket; basket members never appear.
 
-    The basket is checked as training and evaluation check theirs (length,
-    id range, no repeated id), then run forward inside ``tensor.no_grad``,
-    so no autodiff graph is built and the values are those of a recording
-    pass; the final-step context(s) are scored (softmax for a single context,
-    fesf for multi-context models unless overridden), and the best k
-    non-members are returned, ties broken toward the lower item id.
-    rng_seed drives MC pattern sampling; None means the fixed seed 0, so
-    unseeded calls repeat.
+    The basket is checked as training checks its baskets, then run forward
+    inside ``tensor.no_grad``. The final step's contexts are scored by
+    score_contexts, and the best k non-members are returned, ties to the
+    lower item id. rng_seed drives MC pattern sampling; None means the
+    fixed seed 0, so unseeded calls repeat.
     """
     items = [int(i) for i in basket]
     if not items:

@@ -5,46 +5,28 @@ its operand shapes up front and raises :class:`ShapeError` naming the
 primitive and the offending shapes. When any operand has ``requires_grad``
 set, the primitive records a backward closure on its output; calling
 :func:`backward` on a scalar result then fills ``.grad`` on every reachable
-tensor that requires gradients, accumulating additively across uses.
+tensor that requires gradients, accumulating additively across uses. A
+backward closure runs only when some operand requires a gradient, so
+single-operand primitives do not test for it.
 
-Matrix multiply, transpose, concatenate and row gather take optional
-leading batch axes, so a batch of padded sequences is one ``(B, N, d)``
-tensor in one graph, and a single sequence runs the same code without the
-leading axis. Matrix multiply broadcasts leading axes as numpy does:
-stacked heads' weights ``(H, 1, k, m)`` meet a ``(B, N, k)`` batch in one
-product. A weight shared across the batch stays 2-d (or one matrix per
-head), and its gradient is one product over the flattened rows. ``add``
-broadcasts an operand over leading axes that only the other has.
+The primitives are the ones this package's models record. Matrix multiply,
+transpose, concatenate and row gather take leading batch axes, so a padded
+batch or a stack of heads is one node. ``vqa.unit_forward`` records each
+attention unit as one more node through ``_make``, with a backward built
+on this module's private array helpers.
 
-The primitives are the ones the models of this package record: matrix
-multiply, transpose, add, scale, concatenate along the last axis, mean
-over all entries, masked fill, reshape, row gather, the output head (a
-matrix product and its per-row cross entropy as one node, which keeps
-only the softmax numerators), and inverted dropout. Row gather's backward
-and the attention unit's codebook scatter add rows with one bincount
-(``_add_rows``). One more node kind completes the graphs:
-``vqa.unit_forward`` records each attention unit as a single node through
-``_make``, with a backward written out from the unit's equations on this
-module's array helpers (``_accumulate``, ``_right_grad``, ``_reduce``,
-``_add_rows``, and the masked row softmax ``_softmax_rows`` with its
-gradient ``_softmax_grad``). A backward closure runs only when some
-operand requires a gradient, so single-operand primitives do not test
-for it.
-
-Inside the :func:`no_grad` context nothing is recorded: every primitive
-returns a plain tensor with no parents and no backward closure, whatever
-its operands' ``requires_grad``. The same numpy operations run, so every
-value is bit-identical to a recording pass. Inference uses it (top-k
-recommendation, evaluation, attention export); :func:`backward` and
-training refuse to run inside it.
+Inside :func:`no_grad` nothing is recorded: every primitive returns a
+plain tensor with no parents and no backward closure, and runs the same
+numpy operations, so every value is bit-identical to a recording pass.
+:func:`backward` and training refuse to run inside it.
 
 Single-threaded by contract: graph construction and backward are not
 thread safe, but tensors are immutable after the forward pass and may be
-shared read-only. The graph-free mode is one module-wide flag, not a
-per-thread one, so a thread inside ``no_grad`` turns recording off for
-every other thread too. Inside one call, the output head's kernels may
-run two row halves on two threads (``_split_rows``); the worker touches
-only numpy arrays and is joined before the call returns.
+shared read-only. The graph-free mode is one module-wide flag, so a thread
+inside ``no_grad`` turns recording off for every other thread too. Inside
+one call, the output head's kernels may run two row halves on two threads
+(``_split_rows``); the worker touches only numpy arrays and is joined
+before the call returns.
 """
 
 from __future__ import annotations
@@ -79,13 +61,8 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A float64 array plus optional gradient bookkeeping.
-
-    Attributes:
-        data: the numpy value, row-major float64.
-        requires_grad: whether backward should populate ``grad``.
-        grad: accumulated gradient, same shape as ``data``, or None.
-    """
+    """A float64 array, ``data``, with its accumulated gradient ``grad``
+    (None until backward fills it, which it does when ``requires_grad``)."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
@@ -114,11 +91,8 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Run the enclosed block without recording a graph.
-
-    Re-entrant; on exit, normal or by exception, the mode that held before
-    entry is restored.
-    """
+    """Run the enclosed block without recording a graph. Re-entrant; the
+    mode that held before entry is restored on any exit."""
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -142,12 +116,9 @@ def _make(data, parents, backward_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g, fresh: bool = False):
-    """Add g into t.grad.
-
-    The first gradient is copied, since g may be a view or the same array
-    handed to another operand; ``fresh=True`` promises that g is a new
-    float64 array of t's shape that nothing else holds, and keeps it.
-    """
+    """Add g into t.grad. The first gradient is copied, since g may be a view
+    or an array handed to another operand; ``fresh=True`` promises that g is
+    a new float64 array of t's shape that nothing else holds, and keeps it."""
     if t.grad is None:
         t.grad = g if fresh else np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
     else:
@@ -169,13 +140,10 @@ def _reduce(full, shape):
 
 def _right_grad(x, g, shape):
     """Gradient of y, the right operand of x @ y, of ``shape``, given the
-    product's gradient g.
-
-    The last leading axes that y was broadcast on and x was not fold into
-    the rows of one product: a matrix shared by a batch gets one product
-    over the batch's flattened rows, per head of a stack. Any other axis y
-    was broadcast on is summed after the product.
-    """
+    product's gradient g. The last leading axes that y was broadcast on and
+    x was not fold into the rows of one product, so a matrix shared by a
+    batch gets one product over its flattened rows; any other axis y was
+    broadcast on is summed after the product."""
     if shape[:-2] == g.shape[:-2]:
         return x.swapaxes(-1, -2) @ g
     j = g.ndim - 2
@@ -188,12 +156,9 @@ def _right_grad(x, g, shape):
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast as in numpy.
-
-    ``a`` is ``(..., n, k)`` and ``b`` ``(..., k, m)``. Backward sums each
-    gradient over the axes its operand was broadcast on; a weight shared
-    by a batch gets one product over the batch's flattened rows.
-    """
+    """Product of ``a`` ``(..., n, k)`` and ``b`` ``(..., k, m)`` over the last
+    two axes; leading axes broadcast as in numpy, and backward sums each
+    gradient over the axes its operand was broadcast on."""
     a, b = _coerce(a), _coerce(b)
     x, y = a.data, b.data
     try:
@@ -281,13 +246,10 @@ def concat(parts) -> Tensor:
 
 
 def _softmax_rows(x, mask=None):
-    """Softmax over the last axis of a numpy array, with max subtraction;
-    masked entries get exactly zero.
-
-    ``mask`` is an optional boolean array, True where entries participate,
-    of the input's shape or of its trailing axes (then shared across the
-    leading ones). Every row must keep at least one entry.
-    """
+    """Softmax over the last axis of a numpy array, with max subtraction.
+    ``mask`` (optional, True where entries participate) has the input's
+    shape or its trailing axes'; masked entries get exactly zero, and every
+    row must keep at least one entry."""
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ShapeError(f"softmax: expected non-empty rows, got shape {x.shape}")
     if mask is not None:
@@ -381,14 +343,11 @@ def gather_rows(a, idx) -> Tensor:
 
 
 def _add_rows(shape, idx, g):
-    """A new zero array of ``shape`` with the rows of g added at idx, in
-    index order: ``np.add.at(np.zeros(shape), idx, g)`` as one bincount.
+    """``np.add.at(np.zeros(shape), idx, g)`` as one bincount, to the bit:
+    each entry starts at 0.0 and adds its terms in index order.
 
-    idx is an integer array indexing the first axis, or a tuple of
-    same-shape integer arrays, one per leading axis; g has shape
-    ``idx.shape + shape[len(parts):]``. Each entry starts at 0.0 and adds
-    its terms in index order, as np.add.at does, so the sums are the same
-    bits.
+    idx indexes the first axis, or is a tuple of same-shape integer arrays,
+    one per leading axis; g has shape ``idx.shape + shape[len(parts):]``.
     """
     parts = idx if isinstance(idx, tuple) else (idx,)
     lead = shape[:len(parts)]
@@ -400,15 +359,11 @@ def _add_rows(shape, idx, g):
 
 
 # _split_rows runs a kernel as two row halves on two threads when its rows
-# times width reach this many cells. Measured on 2 vCPUs with one BLAS
-# thread and 32-wide rows (the benchmark's), split time over one-thread
-# time: the output head's forward and backward 1.08 at 90,000 cells (450
-# rows x 200 items, train_sc_anyorder's head), 1.17 at 128,000, 0.79-1.08
-# at 256,000 and 0.63-0.75 at 450,000-1,200,000 (train_mc_temporal's
-# buckets are 300-600 rows x 2,000 items); the float32 winner table over 5
-# heads 1.50, 1.00, 0.78-0.91 and 0.48-0.78 at the same sizes. Splitting
-# SC's head too made its training step 7% slower (28.3 against 26.5 ms,
-# faster in 12 of 150 interleaved steps). Serving never reaches the split.
+# times width reach this many cells. 2^18 lies just above the largest size
+# at which a timed split of the output head was slower than one thread
+# (256,000 cells) and below train_mc_temporal's buckets (600,000 cells or
+# more); train_sc_anyorder's head (about 90,000) stays whole. README's
+# Performance section has the measurements. Serving never reaches the split.
 SPLIT_CELLS = 2 ** 18
 
 
@@ -426,8 +381,7 @@ def _concurrently(first, second):
     The worker runs under the caller's numpy error state, is joined before
     this returns, whichever side raised, and its exception is raised here.
     Workers may call only numpy and this package's private kernels: a
-    benchmark tracer keeps one span stack and replaces public functions at
-    their module attributes.
+    benchmark tracer keeps one span stack and patches public functions.
     """
     errors = np.geterr()
     failed = []
@@ -457,13 +411,11 @@ def _splits(rows: int, width: int) -> bool:
 
 def _split_rows(fn, rows: int, width: int):
     """Run fn(lo, hi) over the rows [0, rows), as two halves on two threads
-    when _splits says so, else once.
-
-    fn writes its rows of buffers the caller allocated (glibc gives each
-    allocating thread its own arena). Each half keeps at least 2 rows,
-    since numpy multiplies a single row by a matrix-vector product, whose
-    rounding can differ from a matrix product's.
-    """
+    when _splits says so, else once. fn writes its rows of buffers the
+    caller allocated (glibc gives each allocating thread its own arena).
+    Each half keeps at least 2 rows, since numpy multiplies a single row by
+    a matrix-vector product, whose rounding can differ from a matrix
+    product's."""
     if _splits(rows, width):
         half = rows // 2
         _concurrently(lambda: fn(0, half), lambda: fn(half, rows))
@@ -472,15 +424,12 @@ def _split_rows(fn, rows: int, width: int):
 
 
 def _linear_nll(x, w, targets):
-    """Per-row negative log softmax probability of the target class of the
-    logits x @ w, on plain arrays: (nll, numerators, total).
+    """linear_cross_entropy's kernel on plain arrays: (nll, numerators, total).
 
     nll[t] = logsumexp(z[t]) - z[t, targets[t]] with z = x @ w. The softmax
     numerators exp(z - max) are built in place in the logits buffer, and
-    total holds their (rows, 1) sums, so the row softmax is numerators / total.
-    A large enough product runs as two row halves on two threads
-    (_split_rows), each writing its rows of the buffers; every row's
-    arithmetic, and so every value, is the same as in one pass.
+    total holds their (rows, 1) sums. Run as two row halves (_split_rows),
+    every row's arithmetic, and so every value, is the same as in one pass.
     """
     n = x.shape[0]
     z = np.empty((n, w.shape[1]))
@@ -506,14 +455,13 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
     logits x @ w, as one node: a 1-d tensor of row losses.
 
     x is (rows, k), w is (k, classes) and targets holds one class per row.
-    The node keeps only the softmax numerators, built in place in the
-    logits buffer; its backward allocates the logits' gradient afresh, so
-    a second backward sweep sees the same numerators. When _splits allows
-    it for rows x classes, the forward runs as two row halves on two
-    threads, and so does the backward's logits gradient; the x and w
-    gradient products then run at the same time, each one whole. BLAS
-    stays at one thread per call, and every value is the same as on one
-    thread.
+    Values and gradients are bit-identical to a matmul node followed by a
+    cross-entropy node, also when w is the transpose of a table that feeds
+    x too. The node keeps only the softmax numerators; its backward
+    allocates the logits' gradient afresh, so a second sweep sees the same
+    numerators. When _splits allows it, the forward and the backward's
+    logits gradient run as two row halves on two threads, and the x and w
+    gradient products run at the same time, each one whole.
     """
     x, w = _coerce(x), _coerce(w)
     targets = np.asarray(targets, dtype=np.int64)
@@ -554,11 +502,9 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
 
 
 def dropout(a, rate: float, uniforms) -> Tensor:
-    """Inverted dropout over caller-drawn uniforms; identity when rate is 0.
-
-    ``uniforms`` holds one draw in [0, 1) per entry of ``a``: entries drawn
-    below ``rate`` are zeroed and the rest scaled by 1 / (1 - rate).
-    """
+    """Inverted dropout over ``uniforms``, one caller-drawn value in [0, 1)
+    per entry of ``a``: entries drawn below ``rate`` are zeroed and the rest
+    scaled by 1 / (1 - rate). Identity when rate is 0."""
     a = _coerce(a)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
@@ -576,14 +522,11 @@ def dropout(a, rate: float, uniforms) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a finite scalar loss.
-
-    Populates ``.grad`` on every tensor with ``requires_grad`` reachable
-    from ``loss``. Gradients add across multiple uses of the same tensor.
-    Leaves (tensors without a backward closure) keep accumulating across
-    sweeps; an inner node's ``.grad`` is cleared first, so a second sweep
-    through a shared subgraph does not re-add the previous sweep's.
-    """
+    """Reverse-mode sweep from a finite scalar loss: fills ``.grad`` on every
+    tensor with ``requires_grad`` reachable from ``loss``, adding across
+    uses. Leaves (tensors without a backward closure) keep accumulating
+    across sweeps; an inner node's ``.grad`` is cleared first, so a second
+    sweep through a shared subgraph does not re-add the previous sweep's."""
     if not _grad_enabled:
         raise RuntimeError("backward: called inside no_grad, which records no graph")
     if not isinstance(loss, Tensor) or loss.data.ndim != 0:

@@ -1,24 +1,7 @@
 """Training objectives and the training loop.
 
 The autoregressive objective scores each item of a sequence given the
-context of its predecessors; one forward pass with causal masks yields
-every step of every sequence in a batch at once. The batch is split into
-length buckets by one rule on its own lengths: sorted by length, it is
-cut in two where that removes the most padded rows, if that is at least
-SPLIT_PADDED_ROWS (160), and each part is cut by the same rule. The
-batch's random draws are then made with one generator call, sequence by
-sequence in batch order, and each sequence's block of them is copied
-straight into the arrays of its bucket (model.draw_noise). Each bucket
-is padded at the end to its longest sequence and run as one autodiff
-graph on its draws; only the rows of real predicted steps reach the
-output head, the cross-entropy and the max-pool, and the buckets' losses
-combine as their step-weighted mean. So a batch's loss is the
-step-weighted mean of its sequences' losses run one at a time with the
-same generator, to rounding, and a batch the rule keeps whole computes
-exactly what one padded graph does. On the benchmark's MC profile (64
-baskets of 4-24 items) the cut leaves 24% of rows and 36% of
-causal-attention cells as padding, against 41% and 58% in one graph; its
-SC profile (5-9 items) is never cut. The per-step, per-context score is
+context of its predecessors. The per-step, per-context score is
 
     log p(item | context) + log p(context | prefix)
 
@@ -27,102 +10,11 @@ the log belief of the sampled codebook row for Gumbel-sampled contexts.
 The one objective, batch_loss, max-pools that score over a step's
 contexts and averages the result over steps; with a single context (SC,
 or MC with one head) the max-pool is the identity and the loss is the
-plain autoregressive mean.
-
-The max-pool only selects, so only each step's winning context gets a
-gradient. The winners are chosen on a graph-free score table, ties going
-to the lowest context, and the graph then runs the output head and its
-cross-entropy once, over the winners' rows, gathered by (head, sequence,
-step) straight from the forward pass's heads-first MC contexts. The loss
-is bit-identical to a graph over every context; the gradients agree to
-rounding. On the benchmark's MC workload (5 heads, 2,000 items, 2 vCPUs,
-one BLAS thread) this took the median training step from 273 ms to
-189 ms and peak memory from 386 MB to 212 MB.
-
-The output head is one graph node, T.linear_cross_entropy of the
-winners' rows and the transposed output table: it builds the softmax
-numerators in place in the logits buffer and keeps only those, where a
-matmul node and a cross-entropy node kept the logits and the numerators
-both. The table's gradient still flows through the transpose node, so a
-tied table adds its two gradients in the same order, and the values and
-gradients are bit-identical to the two nodes. Each sequence's mean NLL
-(details) is a row sum over the sequences of its length, which adds in
-np.mean's order. With the noise drawn straight into the buckets, this
-took the benchmark's MC step from 168 to 146 ms (4,979 to 5,652
-predictions/s) and its peak memory from 144 to 125 MB, medians of 10
-alternated pairs of 30 s runs.
-
-The winners are those of the float64 table of _context_scores, which runs
-the output head's kernel T._linear_nll on plain arrays, but most are
-found in float32: _float32_scores computes the same
-log-softmax in float32 and a bound delta on each entry's distance from
-the float64 one. A step keeps its float32 winner when it leads every
-other context by more than twice the step's largest delta, which makes
-it the float64 winner too; every other step, exact ties included, is
-recomputed by _context_scores (two rows at least, since numpy multiplies
-a single row by a matrix-vector product, whose rounding can differ from
-the full table's). So winners, loss, details and gradients are those of
-the all-float64 selection. On
-the MC workload the float32 table cost about 26 ms of a step against
-about 50 ms in float64 when it was introduced, 0.15% of steps are
-recomputed, and delta is about 140 times the largest error seen. That
-took the median step from 194 ms to 164 ms (4,264 to 4,955
-predictions/s over 10 alternated pairs of 30 s runs).
-
-The three kernels that span the catalog, the float32 table, the output
-head's forward (T._linear_nll) and its backward, run as two row halves on
-two threads (T._split_rows) when the process may run on more than one CPU
-and the kernel has at least T.SPLIT_CELLS (2^18) rows x items cells. The
-table's halves score every context over their rows; the backward splits
-the logits gradient by rows and then runs the x and w gradient products
-at the same time, each one whole. Every row's arithmetic is unchanged, so
-every value is bit-identical to one thread, and BLAS stays at one thread
-per call. SC's head (about 450 rows x 200 items) stays on one thread, and
-MC's buckets (300-600 rows x 2,000 items) split. On 2 vCPUs with one
-BLAS thread, over 80 MC steps interleaved in one process, the median step
-went from 118 to 107 ms (faster in 72 of 80); over 10 alternated pairs of
-30 s benchmark runs, from 5,674 to 6,734 predictions/s in reference
-seconds (faster in 10 of 10) and from 7,318 to 7,552 in wall seconds
-(faster in 8 of 10).
-
-The bound. Let u = 2^-24, d the embedding width, n the item count, c a
-context row, e_j the output embeddings, a = |c| * max_j |e_j| (Euclidean
-norms), L the float32 logits of c, m their maximum and p = L[target].
-Assumptions: numpy's float32 and float64 exp and log are within 4 ulp
-(its AVX2/AVX-512 float32 kernels are documented at 2.52 and 3.83 ulp,
-libm's at under 1; a test checks the float32 ones on the running
-machine); one float32 ulp of y is at most 2u|y|; a < 2^100, so no float32
-logit overflows; (n + d) u <= 0.01. Entries outside these get an
-infinite bound, so their steps are recomputed.
-
-1. Logits. Rounding c and e to float32 moves c.e by at most (2u + u^2) a;
-   the float32 dot product of length d adds gamma_d (1 + u)^2 a in any
-   summation order, gamma_d = d u / (1 - d u), and the float64 one its
-   own gamma_d a. Together eps <= 1.02 (d + 2) u a.
-2. L[t] - logsumexp(L) moves by at most twice the largest logit change:
-   2 eps <= 2.04 (d + 2) u a.
-3. The float32 log-softmax of L against its exact value. With
-   x_j = L_j - m, S = sum exp(x_j) in [1, n] and the softmax
-   s_j = exp(x_j) / S, -x_j <= -log s_j, so the subtraction's relative
-   error u moves S by a relative u * H(s) <= u ln n; exp adds 8u and summing non-negative terms gamma_(n-1) <=
-   1.0102 (n - 1) u. The computed sum is S (1 + r) with r <= 1.01
-   (gamma_(n-1) + 8u + 1.01 u ln n); its log is off by at most 1.011 r,
-   log's own error adds 8u (ln n + 1), adding m rounds by
-   u (|m| + ln n + 1) and the float64 difference p - lse by 2^-53
-   (|m| + |p| + ln n + 1). Together at most
-   u (1.04 n + 11 ln n + 16 + 1.01 (|m| + |p|)).
-4. The float64 table's own log-softmax error is step 3 with 2^-53 in
-   place of u, covered by a factor 1 + 2^-20. Adding the log belief
-   rounds both tables, by at most 2^-51 |score| together. Gradual
-   underflow of rounded inputs, products and exp terms adds at most
-   2^-140 (d + n) (1 + max|e|).
-
-    delta = (1 + 2^-20) (u (2.04 (d + 2) a + 1.04 n + 11 ln n + 16
-            + 1.01 (|m| + |p|)) + 2^-140 (d + n) (1 + max|e|))
-            + 2^-51 |score|
-
-Two contexts whose float32 scores differ by more than the sum of their
-deltas are ordered the same way in float64.
+plain autoregressive mean. The max-pool only selects, so only each step's
+winning context gets a gradient: the winners are chosen without a graph
+(_winners), and the graph runs the output head over their rows alone. The
+loss is bit-identical to a graph over every context, and the gradients
+agree to rounding.
 
 Two data modes: temporal keeps the recorded add order and learned
 positions; any_order samples fresh random permutations of each basket
@@ -147,14 +39,11 @@ TEMPORAL = "temporal"
 ANY_ORDER = "any_order"
 
 # batch_loss cuts a batch in two by length when that removes at least this
-# many padded rows (see _length_buckets). Measured on 500 sampled 64-basket
-# batches of each benchmark training profile, the best two-way cut removes
-# 52-105 rows on train_sc_anyorder (lengths 5-9; at most 126 in 60,000
-# batches) and 240-451 on train_mc_temporal (lengths 4-24). On 2 vCPUs
-# with one BLAS thread, forcing that cut made the SC step 4.6% slower
-# (29.7 against 31.0 ms), so SC batches stay whole, while cutting took the
-# MC step's median from 176 to 154 ms. Since 160 > 5 x 22, no batch of 6
-# baskets or fewer of lengths 2-24 is cut.
+# many padded rows (see _length_buckets). The value lies between the best
+# cut of the benchmark's two training profiles: at most 126 rows on
+# train_sc_anyorder, where a cut slows the step, and at least 240 on
+# train_mc_temporal, where it speeds the step up (README, Performance).
+# Since 160 > 5 x 22, no batch of 6 baskets or fewer of lengths 2-24 is cut.
 SPLIT_PADDED_ROWS = 160
 
 __all__ = [
@@ -211,11 +100,8 @@ class LossReport:
 
 
 def sample_permutation(basket_items, rng: np.random.Generator):
-    """Uniform random order of a basket, or None for undersized baskets.
-
-    Baskets shorter than two items carry no conditional to learn (the
-    objective sums from the second step), so they signal a skip.
-    """
+    """Uniform random order of a basket, or None, a skip, for a basket of
+    fewer than two items, which has no conditional to learn."""
     items = np.asarray(basket_items)
     if items.size < 2:
         return None
@@ -254,12 +140,10 @@ def _forward_rows(seqs, lengths, noise, config, params, use_positions):
 def _context_scores(contexts, logprobs, rows, targets, emb) -> np.ndarray:
     """(contexts, steps) table of per-step scores, computed without a graph.
 
-    contexts is the (contexts, ..., N, d) array of ContextState.values()
-    and logprobs its (contexts, ..., N) log beliefs or None. Entry [h, i]
-    is log p(targets[i] | context h), negated from the kernel of the
-    graph's T.linear_cross_entropy, plus the log belief of context h's
-    sampled pattern at rows[i]; so every entry equals the score a graph
-    would compute, bit for bit.
+    contexts and logprobs are ContextState.values(). Entry [h, i] is
+    log p(targets[i] | context h) by the kernel of T.linear_cross_entropy,
+    plus the log belief of context h's sampled pattern at rows[i]; so every
+    entry equals the score a graph would compute, bit for bit.
     """
     table = np.array([-T._linear_nll(ctx[rows], emb.T, targets)[0] for ctx in contexts])
     if logprobs is not None:
@@ -275,14 +159,50 @@ def _float32_scores(contexts, logprobs, rows, targets, emb):
 
     Returns (table, bound), both (contexts, steps) float64, such that
     |table - _context_scores(...)| <= bound wherever table is finite; an
-    infinite bound marks an entry the derivation in the module docstring
-    does not cover. The log-softmax runs in float32 in one (steps x items)
-    buffer, each row shared by every context; picked - lse is widened to
-    float64 before the log belief is added. A large enough table runs as
-    two row halves on two threads (T._split_rows), all contexts in each
-    half, with the same values as one pass. Overflow to inf or nan raises
-    no warning here: those steps are recomputed in float64, which reports
-    its own.
+    infinite bound marks an entry the derivation below does not cover.
+    picked - lse is widened to float64 before the log belief is added. Two
+    row halves on two threads (T._split_rows) give the values of one pass.
+    Overflow to inf or nan raises no warning here: those steps are
+    recomputed in float64, which reports its own.
+
+    The bound. Let u = 2^-24, d the embedding width, n the item count, c a
+    context row, e_j the output embeddings, a = |c| * max_j |e_j| (Euclidean
+    norms), L the float32 logits of c, m their maximum and p = L[target].
+    Assumptions: numpy's float32 and float64 exp and log are within 4 ulp
+    (its AVX2/AVX-512 float32 kernels are documented at 2.52 and 3.83 ulp,
+    libm's at under 1; a test checks the float32 ones on the running
+    machine); one float32 ulp of y is at most 2u|y|; a < 2^100, so no
+    float32 logit overflows; (n + d) u <= 0.01. Entries outside these get
+    an infinite bound, so their steps are recomputed.
+
+    1. Logits. Rounding c and e to float32 moves c.e by at most (2u + u^2) a;
+       the float32 dot product of length d adds gamma_d (1 + u)^2 a in any
+       summation order, gamma_d = d u / (1 - d u), and the float64 one its
+       own gamma_d a. Together eps <= 1.02 (d + 2) u a.
+    2. L[t] - logsumexp(L) moves by at most twice the largest logit change:
+       2 eps <= 2.04 (d + 2) u a.
+    3. The float32 log-softmax of L against its exact value. With
+       x_j = L_j - m, S = sum exp(x_j) in [1, n] and the softmax
+       s_j = exp(x_j) / S, -x_j <= -log s_j, so the subtraction's relative
+       error u moves S by a relative u * H(s) <= u ln n; exp adds 8u and
+       summing non-negative terms gamma_(n-1) <= 1.0102 (n - 1) u. The
+       computed sum is S (1 + r) with r <= 1.01 (gamma_(n-1) + 8u
+       + 1.01 u ln n); its log is off by at most 1.011 r, log's own error
+       adds 8u (ln n + 1), adding m rounds by u (|m| + ln n + 1) and the
+       float64 difference p - lse by 2^-53 (|m| + |p| + ln n + 1). Together
+       at most u (1.04 n + 11 ln n + 16 + 1.01 (|m| + |p|)).
+    4. The float64 table's own log-softmax error is step 3 with 2^-53 in
+       place of u, covered by a factor 1 + 2^-20. Adding the log belief
+       rounds both tables, by at most 2^-51 |score| together. Gradual
+       underflow of rounded inputs, products and exp terms adds at most
+       2^-140 (d + n) (1 + max|e|).
+
+        delta = (1 + 2^-20) (u (2.04 (d + 2) a + 1.04 n + 11 ln n + 16
+                + 1.01 (|m| + |p|)) + 2^-140 (d + n) (1 + max|e|))
+                + 2^-51 |score|
+
+    Two contexts whose float32 scores differ by more than the sum of their
+    deltas are ordered the same way in float64.
     """
     n, d = emb.shape
     emb32 = emb.astype(np.float32)
@@ -326,10 +246,11 @@ def _float32_scores(contexts, logprobs, rows, targets, emb):
 def _winners(contexts, logprobs, rows, targets, emb) -> np.ndarray:
     """Each step's best context, ties to the lowest: the float64 argmax.
 
-    Picked on the float32 table. A step whose best float32 score does not
-    lead the next by more than twice the step's largest bound is
-    recomputed by _context_scores: exact ties (gap 0), nan gaps and
-    infinite bounds included.
+    A step keeps its float32 winner when it leads every other context by
+    more than twice the step's largest bound, which makes it the float64
+    winner too. Every other step, exact ties (gap 0), nan gaps and
+    infinite bounds included, is recomputed by _context_scores. README's
+    Performance section records how many steps that is, and the cost.
     """
     table, bound = _float32_scores(contexts, logprobs, rows, targets, emb)
     top = np.sort(table, axis=0)
@@ -348,14 +269,12 @@ def _winners(contexts, logprobs, rows, targets, emb) -> np.ndarray:
 
 
 def sequence_scores(batch, config, params, rng=None):
-    """Per-step, per-context log scores for a batch of sequences.
+    """Per-step, per-context log scores for a batch, on a pass without dropout.
 
-    Returns (scores, state). scores has one 1-d tensor per prediction
-    context, holding len(seq)-1 entries per sequence, sequence after
-    sequence in batch order; entry t of a sequence's run scores item t+1
-    given the step-t context, on a pass without dropout. The scores carry
-    no autodiff graph; they are for inspection. state is the padded forward
-    pass, with (B, N, ...) tensors.
+    Returns (scores, state). scores has one graph-free 1-d tensor per
+    context, holding len(seq)-1 entries per sequence in batch order; entry
+    t of a sequence's run scores item t+1 given the step-t context. state
+    is the padded forward pass, with (B, N, ...) tensors.
     """
     seqs = _checked_sequences(batch, config)
     lengths = np.array([seq.size for seq in seqs])
@@ -367,13 +286,11 @@ def sequence_scores(batch, config, params, rng=None):
 
 
 def _length_buckets(lengths) -> list:
-    """The batch indices of each length bucket, shortest bucket first.
-
-    Sorted by length, a batch is cut in two where that removes the most
-    padded rows (the short part's rows past its own longest sequence),
-    provided it removes at least SPLIT_PADDED_ROWS; each part is then cut
-    by the same rule. A bucket keeps its sequences in batch order.
-    """
+    """The batch indices of each length bucket, shortest bucket first, each
+    in batch order. Sorted by length, a batch is cut in two where that
+    removes the most padded rows (the short part's rows past its own
+    longest sequence), provided it removes at least SPLIT_PADDED_ROWS; each
+    part is then cut by the same rule."""
     def cut(part):
         sizes = lengths[part]
         removed = np.arange(1, part.size) * (sizes[-1] - sizes[:-1])
@@ -385,13 +302,10 @@ def _length_buckets(lengths) -> list:
 
 
 def _sequence_means(scores, lengths) -> np.ndarray:
-    """The mean of each sequence's run of scores, as np.mean gives it.
-
-    scores holds lengths[b] - 1 entries per sequence, sequence after
-    sequence. The runs of sequences of one length are gathered into the
-    rows of one matrix and summed along them, which adds each row in
-    np.mean's order.
-    """
+    """The mean of each sequence's run of scores (lengths[b] - 1 entries per
+    sequence, in batch order), as np.mean gives it: the runs of sequences
+    of one length are summed along the rows of one matrix, which adds each
+    row in np.mean's order."""
     steps = lengths - 1
     starts = np.cumsum(steps) - steps
     means = np.empty(steps.size)
@@ -438,14 +352,12 @@ def batch_loss(batch, config, params, rng=None, training=False,
                use_positions=None):
     """Mean negative max-pooled score; returns (loss, per-sequence mean NLL floats).
 
-    Each step is scored by its best context. The max-pool only selects, so
-    with several contexts each step's winner (ties to the lowest) is
-    chosen on the graph-free score table, and the graph runs the output
-    head and its cross-entropy once, as one node, over the winners' rows
-    of the stacked contexts. A batch that _length_buckets splits runs each
-    bucket as its own padded graph, and its loss is the buckets'
-    step-weighted mean. The batch's noise is drawn in batch order straight
-    into the buckets' arrays.
+    The batch runs as length buckets (_length_buckets), each one padded
+    graph on its rows of the batch's draws, made once in batch order
+    (model.draw_noise), and the loss is the buckets' step-weighted mean. So
+    it is the step-weighted mean of the sequences' losses run one at a time
+    with the same generator, to rounding, and a batch kept whole computes
+    exactly what one padded graph does.
     """
     return _loss(_checked_sequences(batch, config), config, params, rng, training,
                  use_positions)
@@ -461,9 +373,8 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
     ``baskets``. Training records a graph, so it refuses to start inside
     ``tensor.no_grad``. In any_order mode each basket contributes
     permutations_per_basket fresh orderings per epoch and positions are
-    skipped; temporal mode requires positions.
-    An optimizer may be passed in (its moments are then carried across
-    calls); by default a fresh AdamW over the model parameters is built.
+    skipped; temporal mode requires positions. A passed-in optimizer
+    carries its moments across calls; by default a fresh AdamW is built.
     """
     if not T._grad_enabled:
         raise RuntimeError("train: called inside tensor.no_grad, which records no graph")

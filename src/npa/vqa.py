@@ -8,36 +8,16 @@ extracted pattern vector into a query over the prefix items and mixes
 their value vectors into a context vector: roughly, what the prefix is
 still missing to complete the pattern.
 
-``unit_forward`` evaluates every causal prefix of a sequence in one pass.
-It takes one ``(N, d)`` sequence or a ``(B, N, d)`` batch padded at the
-end to its longest sequence. Padded steps come after every valid step, so
-the causal masks already keep them out of every valid row; their own rows
-hold finite values that callers ignore. It also takes a list of
-equal-shaped heads sharing one codebook in place of one unit's
-parameters: their weights are stacked on a leading heads axis, and every
-output gains that axis in front, one pass for all heads whose per-head
-values are those of each head run alone. Random numbers (attention-dropout
-masks, Gumbel uniforms) are not drawn here: the caller draws them basket
-by basket and passes them in, so a batch sees the same draws as its
-baskets run one at a time.
-
-The unit computes on plain arrays, stage by stage (``project_items``,
-``pattern_attention``, then extraction and the context attention), and
-enters the autodiff graph as one node for its contexts, plus one for the
-sampled patterns' log beliefs when it samples. Their backward passes are
-written out from the unit's equations: the two masked softmaxes, the
-prefix mean, the extraction (gradients reach a sampled or greedy pattern
-only through the codebook row it picks, and sampling's beliefs only
-through the log belief) and the projections. They repeat, operation for
-operation, the arithmetic of the same unit composed one graph node per
-operation and add into shared tensors in that composition's order, so
-values and gradients are bit-identical to it. The composition is the
-oracle in ``tests/test_vqa.py``; its softmax, log and per-row pick are
-test-side primitives (``tests/composed.py``) on the engine's kernels
-``tensor._softmax_rows`` and ``tensor._softmax_grad``. The nodes keep
-the arrays the chain rule needs and recompute the cheap ones (stacked
-weights, pattern keys), and no intermediate gradient outlives the
-backward pass.
+The unit computes on plain arrays and enters the autodiff graph as one
+node for its contexts, plus one for the sampled patterns' log beliefs
+when it samples. Their backward passes are written out from the unit's
+equations: gradients reach a sampled or greedy pattern only through the
+codebook row it picks, and sampling's beliefs only through the log
+belief. They repeat, operation for operation, the arithmetic of the same
+unit composed one graph node per operation and add into shared tensors
+in that composition's order, so values and gradients are bit-identical
+to it; that composition is the oracle in ``tests/test_vqa.py``. No
+intermediate gradient outlives the backward pass.
 """
 
 from __future__ import annotations
@@ -70,13 +50,11 @@ __all__ = [
 
 @dataclass
 class ExtractionStrategy:
-    """How a pattern vector is pulled out of the belief distribution.
-
+    """How a pattern vector is pulled out of the belief distribution:
     greedy takes the argmax codebook row (ties to the lowest index),
-    weighted_average takes the belief-weighted mix of all rows, and
-    sampling draws a row by Gumbel-max over the log belief at the given
-    temperature (temperature 1 is exact categorical sampling).
-    """
+    weighted_average the belief-weighted mix of all rows, and sampling a
+    row drawn by Gumbel-max over the log belief at the given temperature
+    (temperature 1 is exact categorical sampling)."""
 
     kind: str = WEIGHTED_AVERAGE
     gumbel_temperature: float = 1.0
@@ -93,15 +71,12 @@ class ExtractionStrategy:
 
 @dataclass
 class VqaParams:
-    """Parameter group of one unit.
-
-    w_query/w_key/w_value project item vectors; w_pattern_key projects
-    codebook rows to the key space matched against item queries;
-    w_context_query projects an extracted pattern to the query used to
-    highlight prefix items. codebook is the trainable table of
-    combination-pattern vectors, one row per pattern; stacked heads hold
-    one shared codebook tensor.
-    """
+    """Parameter group of one unit: w_query/w_key/w_value project item
+    vectors; w_pattern_key projects codebook rows to the key space matched
+    against item queries; w_context_query projects an extracted pattern to
+    the query used to highlight prefix items. codebook is the trainable
+    table of combination-pattern vectors, one row per pattern; stacked
+    heads hold one shared codebook tensor."""
 
     w_query: Tensor
     w_key: Tensor
@@ -132,15 +107,13 @@ class VqaParams:
 class UnitState:
     """Everything a unit produced for one sequence, one row per step.
 
-    For a padded batch every field gains the leading batch axis, and for
-    stacked heads a heads axis before it; ``head(h)`` is head h's state.
-    Only contexts and pattern_logprob carry gradients; prefix_attention and
-    context_attention are values for inspection.
     contexts[t] is the context of the prefix up to and including step t,
     prefix_attention[t] the pattern belief of that prefix, and
-    context_attention[t, :t+1] the in-prefix item weights.
-    pattern_index/pattern_logprob are set only for index-based extraction
-    (greedy records indices; sampling also records log belief values).
+    context_attention[t, :t+1] the in-prefix item weights; only contexts
+    and pattern_logprob carry gradients. Greedy extraction sets
+    pattern_index, and sampling pattern_index and pattern_logprob. For a
+    padded batch every field gains the leading batch axis, and for stacked
+    heads a heads axis before it; ``head(h)`` is head h's state.
     """
 
     contexts: Tensor
@@ -180,11 +153,9 @@ def init_vqa_params(rng: np.random.Generator, input_dim: int, attn_dim: int,
 
 
 def _stacked(params, name: str, batch: int) -> np.ndarray:
-    """A projection of one unit, or the heads' projections stacked heads-first.
-
-    A stack gets ``batch`` unit axes after the heads axis, so it broadcasts
-    against operands with that many batch axes.
-    """
+    """A projection of one unit, or the heads' projections stacked heads-first
+    with ``batch`` unit axes after the heads axis, so that the stack
+    broadcasts against operands with that many batch axes."""
     if isinstance(params, VqaParams):
         return getattr(params, name).data
     w = np.array([getattr(p, name).data for p in params])
@@ -224,7 +195,7 @@ def project_items(item_vectors, params):
 
     X is an ``(N, d)`` item array or a ``(B, N, d)`` batch of them; params
     is one unit's VqaParams or a list of heads, whose rows come out
-    heads-first. Returns three arrays.
+    heads-first.
     """
     x = np.asarray(item_vectors, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-2] == 0:
@@ -237,11 +208,8 @@ def project_items(item_vectors, params):
 def pattern_attention(q, params, keep_mask=None) -> np.ndarray:
     """Distribution over codebook entries for every item row of the query
     array q (any leading axes; heads-first when params is a list of heads).
-
-    keep_mask, when given, drops codebook entries out of each row's
-    softmax (the renormalizing form of attention dropout), so the output
-    rows remain proper distributions.
-    """
+    keep_mask, when given, drops codebook entries out of each row's softmax,
+    and the rows renormalize."""
     codebook = _codebook(params).data
     # Heads' q is (H, ..., N, d): its batch axes are all but the first and last two.
     keys = codebook @ _stacked(params, "w_pattern_key", q.ndim - 3).swapaxes(-1, -2)
@@ -270,24 +238,19 @@ def unit_forward(inputs: Tensor, params, strategy: ExtractionStrategy,
                  uniforms: np.ndarray | None = None) -> UnitState:
     """Evaluate the unit on every causal prefix of a sequence at once.
 
-    inputs is ``(N, d)`` or a padded ``(B, N, d)`` batch. params is one
-    unit's VqaParams, or a list of equal-shaped heads sharing one codebook,
-    which run as one stacked unit: every output then has a leading heads
-    axis, and head h's slice equals what head h alone gives. Row t of
-    every output concerns the prefix of steps 0..t. The prefix pattern
-    belief is the running mean of the per-item distributions; the context
-    attention row t is masked to items <= t.
+    inputs is ``(N, d)`` or a ``(B, N, d)`` batch padded at the end: the
+    causal masks keep padded steps out of every valid row, and the padded
+    rows' own outputs are finite values to ignore. params is one unit's
+    VqaParams, or a list of equal-shaped heads sharing one codebook, which
+    run as one stacked unit: every output then has a leading heads axis,
+    and head h's slice equals what head h alone gives. Row t of every
+    output concerns the prefix of steps 0..t.
 
     keep_mask, shaped like the pattern beliefs, ``([H,] ..., N,
     num_patterns)``, is the attention dropout of training: False drops a
-    codebook entry out of that item's softmax, and the rows renormalize so
-    beliefs stay distributions. uniforms, of the same shape, are the draws
-    in (0, 1) that sampling extraction turns into Gumbel noise; sampling
-    needs them.
-
-    contexts is one graph node and, when sampling, pattern_logprob a
-    second (see the module docstring); prefix_attention and
-    context_attention are values without a graph.
+    codebook entry out of that item's softmax, and the rows renormalize.
+    uniforms, of the same shape, are the draws in (0, 1) that sampling
+    extraction turns into Gumbel noise; sampling needs them.
     """
     inputs = T._coerce(inputs)
     x = inputs.data

@@ -1,12 +1,20 @@
-"""Every name a library module exports is reached by the library itself.
+"""The library's surface: its exports and its prose.
 
-A name in a module's ``__all__`` passes when library code outside its own
+Every name a library module exports is reached by the library itself. A
+name in a module's ``__all__`` passes when library code outside its own
 definition refers to it, or when ``npa/__init__`` re-exports it as package
 API. Anything else is dead surface and should be deleted, or listed below
 with the reason it stays.
+
+No docstring or comment in the library quotes a measurement: a duration, a
+rate, a memory size or a before/after figure. Those go stale with every
+speed-up; README's Performance section and CHANGES.md keep them.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "npa"
@@ -99,3 +107,47 @@ def test_recursion_is_not_a_use():
     ((key, node),) = [r for r in _references("m", tree) if r[0][1] == "f"]
     assert key == ("m", "f")
     assert _inside(node, _definition(tree, "f"))
+
+
+MEASUREMENT = re.compile(
+    r"\d(?:[\d.,]*\d)?\s*(?:ns|µs|us|ms|sec|seconds?|minutes?|[KMG]i?B)\b"  # duration, size
+    r"|\d\s+s\b"  # "30 s", not "1s" (ones)
+    r"|\w/s\b|per second"  # rate
+    r"|\d\s+vCPUs?\b"  # the host a figure was taken on
+    r"|\bfrom\s+[\d.,]+%?\s+to\s+\d|\bagainst\s+\d|\d\s*(?:→|->)\s*\d"  # before/after
+    r"|\d%\s+(?:faster|slower)|(?:faster|slower)\s+in\s+\d+\s+of\s+\d+")
+
+
+def _prose(path):
+    """(line, text) of every docstring line and comment of a module."""
+    text = path.read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(text, str(path))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = node.body[0] if node.body else None
+            if (isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant)
+                    and isinstance(doc.value.value, str)):
+                for i, line in enumerate(doc.value.value.splitlines()):
+                    yield doc.lineno + i, line
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.start[0], tok.string
+
+
+def test_library_prose_quotes_no_measurement():
+    hits = [f"{p.name}:{line}: {text.strip()}" for p in sorted(SRC.glob("*.py"))
+            for line, text in _prose(p) if MEASUREMENT.search(text)]
+    assert not hits, "measurements in library docstrings or comments:\n" + "\n".join(hits)
+
+
+def test_measurement_pattern():
+    measured = ["the step went from 273 ms to 189 ms", "that takes 4.9-6.1 ms",
+                "7% slower (28.3 against 26.5 ms", "4,979 to 5,652 predictions/s",
+                "peak memory from 386 MB to 212 MB", "pairs of 30 s runs", "on 2 vCPUs",
+                "faster in 12 of 150 interleaved steps", "from 41% to 24% of rows",
+                "about 40 µs a draw", "4.6% slower", "118 -> 107"]
+    contracts = ["at least tensor.SPLIT_CELLS (2^18) cells", "160 padded rows",
+                 "padded with 1s on the left", "bytes 0..3   magic", "at least 2 rows a half",
+                 "u64 64-bit CRC", "within 4 ulp", "u (1.04 n + 11 ln n + 16)",
+                 "(contexts x steps x embedding_dim)", "numerators / total"]
+    assert [m for m in measured if not MEASUREMENT.search(m)] == []
+    assert [c for c in contracts if MEASUREMENT.search(c)] == []
