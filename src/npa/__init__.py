@@ -3,10 +3,10 @@
 The public surface groups into: a minimal autodiff tensor engine
 (``npa.tensor``, ``npa.optim``), the vector-quantized attention unit
 (``npa.vqa``), the multi-layer model (``npa.model``), training
-objectives (``npa.training``), scoring and top-k recommendation
-(``npa.recommend``), datasets and the planted-pattern generator
-(``npa.data``), ranking metrics and baselines (``npa.metrics``), and
-persistence plus attention export (``npa.checkpoint``).
+objectives (``npa.training``), scoring, top-k recommendation and
+attention export (``npa.recommend``), datasets and the planted-pattern
+generator (``npa.data``), ranking metrics and baselines (``npa.metrics``),
+and persistence (``npa.checkpoint``).
 """
 
 from .data import Basket, Catalog, EvalInstance, SynthSpec, gen_synthetic, load_baskets, make_eval_instances, split_dataset

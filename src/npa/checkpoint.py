@@ -1,4 +1,4 @@
-"""Bit-exact model persistence and attention export.
+"""Bit-exact model persistence.
 
 Checkpoint layout (all integers little-endian):
 
@@ -19,6 +19,7 @@ rename).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -26,21 +27,17 @@ import zlib
 import numpy as np
 
 from . import model as npa_model
-from . import recommend as rec
 from .config_io import config_to_kv, model_config_from_kv
-from .errors import CheckpointError, ConfigError
-from .tensor import Tensor, no_grad
+from .errors import CheckpointError
+from .tensor import Tensor
 
 MAGIC = b"NPA1"
 VERSION = 1
-EXPORT_SCHEMA_VERSION = 1
 
 __all__ = [
-    "EXPORT_SCHEMA_VERSION",
     "MAGIC",
     "VERSION",
     "checkpoint_info",
-    "export_attention",
     "load_checkpoint",
     "save_checkpoint",
 ]
@@ -92,8 +89,7 @@ def _unpack_tensors(r: _Reader):
         name = r.take(r.uint(2)).decode("utf-8")
         ndim = r.uint(1)
         shape = tuple(r.uint(4) for _ in range(ndim))
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.take(4 * size)
+        raw = r.take(4 * math.prod(shape))
         arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
         named.append((name, arr))
     return named
@@ -162,59 +158,3 @@ def checkpoint_info(path) -> dict:
         "config_text": config_text,
         "tensors": [(name, tuple(arr.shape)) for name, arr in named],
     }
-
-
-def _fmt(values) -> str:
-    return ",".join(f"{v:.8e}" for v in np.asarray(values, dtype=np.float64))
-
-
-def export_attention(basket, config, params, path, k: int = 10, rng_seed=0,
-                     scoring_kind=None, fesf_temperature: float = 1.0) -> None:
-    """Write one basket's per-step attention records as key=value lines.
-
-    One block per prefix step: the prefix, every layer/channel's pattern
-    belief, the context-attention weights over the prefix items, and the
-    step's top-k recommendations (k >= 1, clipped to the candidate count).
-    The basket is checked as ``recommend_topk`` checks it, and the forward
-    pass runs inside ``tensor.no_grad``.
-    """
-    items = [int(i) for i in basket]
-    if not items:
-        raise ConfigError("export_attention: empty basket")
-    npa_model.check_baskets([items], [",".join(map(str, items))], config, "export_attention")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    with no_grad():
-        state = npa_model.forward(items, config, params, rng_seed=rng_seed)
-    emb = npa_model.output_embeddings(params).data
-    plan = npa_model.layer_channel_plan(config)
-
-    lines = [
-        f"schema_version={EXPORT_SCHEMA_VERSION}",
-        f"basket={','.join(str(i) for i in items)}",
-        f"variant={config.variant}",
-        f"num_layers={config.num_layers}",
-        f"channels={','.join(str(c) for c, _, _ in plan)}",
-        f"num_patterns={config.num_patterns}",
-        f"steps={len(items)}",
-    ]
-    final = state.context.data  # (contexts, steps, dim)
-    for t in range(len(items)):
-        prefix = items[:t + 1]
-        lines.append(f"step={t} prefix={','.join(str(i) for i in prefix)}")
-        for li, states in enumerate(state.unit_states):
-            for ci, unit_state in enumerate(states):
-                abar = unit_state.prefix_attention.data[t]
-                lines.append(f"pattern step={t} layer={li} channel={ci} probs={_fmt(abar)}")
-                b_row = unit_state.context_attention.data[t, :t + 1]
-                lines.append(f"context step={t} layer={li} channel={ci} weights={_fmt(b_row)}")
-        vec = rec.score_contexts(final[:, t, :], emb, scoring_kind, fesf_temperature)
-        # The prefix holds t + 1 distinct items, so as many candidates drop out.
-        ranked = rec.rank_items(vec.scores, exclude=prefix, k=min(k, config.num_items - t - 1))
-        lines.append(
-            f"topk step={t} items={','.join(str(i) for i in ranked)}"
-            f" scores={_fmt([vec.scores[i] for i in ranked])}")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)

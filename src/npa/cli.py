@@ -184,10 +184,10 @@ def cmd_recommend(args) -> int:
 def cmd_inspect_attention(args) -> int:
     config, params = _load_model(args)
     basket = _parse_basket(args.basket)
-    ckpt.export_attention(basket, config, params, args.out, k=args.k,
-                          rng_seed=args.seed,
-                          scoring_kind=args.scoring or None,
-                          fesf_temperature=args.fesf_temperature)
+    rec.export_attention(basket, config, params, args.out, k=args.k,
+                         rng_seed=args.seed,
+                         scoring_kind=args.scoring or None,
+                         fesf_temperature=args.fesf_temperature)
     print(f"wrote attention={args.out} steps={len(basket)}")
     return 0
 
@@ -206,6 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npa", description="Codebook-attention basket completion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options of every subcommand that serves baskets from a checkpoint.
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--scoring", choices=(rec.SOFTMAX, rec.MEAN_AGGREGATE, rec.FESF),
+                         default=None)
+    serving.add_argument("--fesf-temperature", type=float, default=1.0)
+    serving.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen-synth", help="generate a planted-pattern synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
@@ -231,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="rank held-out items and report metrics")
+    p = sub.add_parser("evaluate", parents=[serving], help="rank held-out items and report metrics")
     p.add_argument("--data", required=True, help="test basket file")
     p.add_argument("--ckpt", default=None)
     p.add_argument("--baseline", choices=("pop", "cp", "itemcf"), default=None)
@@ -241,31 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-fraction", type=float, default=0.5)
     p.add_argument("--instances-per-basket", type=int, default=1)
     p.add_argument("--temporal", action="store_true")
-    p.add_argument("--scoring", choices=(rec.SOFTMAX, rec.MEAN_AGGREGATE, rec.FESF),
-                   default=None)
-    p.add_argument("--fesf-temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("recommend", help="complete one basket")
+    p = sub.add_parser("recommend", parents=[serving], help="complete one basket")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--basket", required=True, help="comma-separated item ids")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--scoring", choices=(rec.SOFTMAX, rec.MEAN_AGGREGATE, rec.FESF),
-                   default=None)
-    p.add_argument("--fesf-temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("inspect-attention", help="export per-step attention records")
+    p = sub.add_parser("inspect-attention", parents=[serving],
+                       help="export per-step attention records")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--basket", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--scoring", choices=(rec.SOFTMAX, rec.MEAN_AGGREGATE, rec.FESF),
-                   default=None)
-    p.add_argument("--fesf-temperature", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_inspect_attention)
 
     p = sub.add_parser("checkpoint-info", help="print config and tensor shapes")

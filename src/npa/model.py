@@ -328,9 +328,9 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
             seen.add(item)
 
 
-def embed_inputs(item_ids, config: ModelConfig, params: NpaParams,
-                 use_positions: bool | None = None, lengths=None) -> Tensor:
-    """Item embedding rows, plus the learned position row when enabled.
+def embed_inputs(item_ids, config: ModelConfig, params: NpaParams, lengths=None) -> Tensor:
+    """Item embedding rows, plus the learned position row when
+    config.use_positions.
 
     item_ids is a 1-d id sequence or a (B, N) array padded at the end, with
     lengths[b] the valid steps of row b (default: all N). Padded rows are
@@ -358,7 +358,7 @@ def embed_inputs(item_ids, config: ModelConfig, params: NpaParams,
         bad = ids[(ids < 0) | (ids >= config.num_items)][0]
         raise ConfigError(f"item id {bad} out of range [0, {config.num_items})")
     x = T.gather_rows(params.item_embeddings, ids)
-    if config.use_positions if use_positions is None else use_positions:
+    if config.use_positions:
         p = T.gather_rows(params.positional_embeddings, np.arange(n))
         x = T.add(x, p)
     if pad is not None:
@@ -444,7 +444,7 @@ def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionSt
 
 
 def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
-            use_positions: bool | None = None, lengths=None, noise=None) -> ContextState:
+            lengths=None, noise=None) -> ContextState:
     """Contexts for every causal prefix of a basket, or of a padded batch.
 
     basket is a 1-d id sequence, or a (B, N) id array padded at the end
@@ -457,7 +457,7 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
     when drawn at a positive rate.
     """
     ids = np.asarray(basket, dtype=np.int64)
-    x = embed_inputs(ids, config, params, use_positions=use_positions, lengths=lengths)
+    x = embed_inputs(ids, config, params, lengths=lengths)
     batched = ids.ndim == 2
     if noise is None:
         if lengths is None:

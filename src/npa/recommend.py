@@ -1,4 +1,4 @@
-"""Turn contexts into item scores and top-k recommendations.
+"""Serve a basket: item scores, top-k recommendations and attention export.
 
 Three scoring functions share the same contract (higher is better, the
 ranking is what matters):
@@ -11,31 +11,37 @@ ranking is what matters):
   by the best single context (max-pool), which damps popularity bias.
 
 Scoring is inference only and works on plain numpy values, with one
-``(contexts, items)`` logit product per call.
+``(contexts, items)`` logit product per call. ``recommend_topk`` and
+``export_attention`` check a basket, run it forward inside
+``tensor.no_grad`` and rank a step's contexts by the same routines.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as npa_model
 from .errors import ConfigError
-from .tensor import no_grad
+from .tensor import _softmax_rows, no_grad
 
 SOFTMAX = "softmax"
 MEAN_AGGREGATE = "mean_aggregate"
 FESF = "fesf"
 _KINDS = (SOFTMAX, MEAN_AGGREGATE, FESF)
+EXPORT_SCHEMA_VERSION = 1
 
 __all__ = [
+    "EXPORT_SCHEMA_VERSION",
     "FESF",
     "MEAN_AGGREGATE",
     "Recommendation",
     "SOFTMAX",
     "ScoreVector",
     "check_scoring",
+    "export_attention",
     "rank_items",
     "recommend_topk",
     "score_contexts",
@@ -67,30 +73,27 @@ def _context_matrix(contexts) -> np.ndarray:
     return c
 
 
+def _logits(contexts, embeddings, caller: str) -> np.ndarray:
+    """(contexts, items) dot products of a context stack with the item embeddings."""
+    c = _context_matrix(contexts)
+    e = np.asarray(embeddings, dtype=np.float64)
+    if e.ndim != 2 or e.shape[1] != c.shape[1]:
+        raise ConfigError(f"{caller}: embeddings {e.shape} vs contexts {c.shape}")
+    return c @ e.T
+
+
 def score_softmax(context, embeddings) -> ScoreVector:
     """p(item | context): softmax over the item-embedding dot products."""
     c = np.asarray(context, dtype=np.float64)
     e = np.asarray(embeddings, dtype=np.float64)
     if c.ndim != 1 or e.ndim != 2 or e.shape[1] != c.shape[0]:
         raise ConfigError(f"score_softmax: embeddings {e.shape} vs context {c.shape}")
-    logits = e @ c
-    logits -= logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
-    return ScoreVector(p)
+    return ScoreVector(_softmax_rows(e @ c))
 
 
 def score_mean(contexts, embeddings) -> ScoreVector:
     """Average of the per-context softmax distributions."""
-    c = _context_matrix(contexts)
-    e = np.asarray(embeddings, dtype=np.float64)
-    if e.ndim != 2 or e.shape[1] != c.shape[1]:
-        raise ConfigError(f"score_mean: embeddings {e.shape} vs contexts {c.shape}")
-    p = c @ e.T  # (contexts, items)
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    return ScoreVector(p.mean(axis=0))
+    return ScoreVector(_softmax_rows(_logits(contexts, embeddings, "score_mean")).mean(axis=0))
 
 
 def score_fesf(contexts, embeddings, temperature: float = 1.0) -> ScoreVector:
@@ -100,11 +103,7 @@ def score_fesf(contexts, embeddings, temperature: float = 1.0) -> ScoreVector:
         raise ConfigError("fesf temperature must be positive")
     if temperature == float("inf"):
         raise ConfigError("fesf temperature must be finite")
-    c = _context_matrix(contexts)
-    e = np.asarray(embeddings, dtype=np.float64)
-    if e.ndim != 2 or e.shape[1] != c.shape[1]:
-        raise ConfigError(f"score_fesf: embeddings {e.shape} vs contexts {c.shape}")
-    logits = c @ e.T  # (contexts, items)
+    logits = _logits(contexts, embeddings, "score_fesf")
     if temperature != 1.0:
         logits /= temperature
     m = logits.max(axis=0)
@@ -168,28 +167,89 @@ def rank_items(scores: np.ndarray, exclude=(), k: int | None = None):
     return order.tolist()
 
 
+def _checked_basket(basket, config, caller: str) -> list:
+    """The basket's ids as ints, checked as training checks its baskets."""
+    items = [int(i) for i in basket]
+    if not items:
+        raise ConfigError(f"{caller}: empty basket")
+    npa_model.check_baskets([items], [",".join(map(str, items))], config, caller)
+    return items
+
+
+def _ranked(contexts, emb, exclude, k: int, scoring_kind, fesf_temperature) -> Recommendation:
+    """The best k items for one step's contexts, excluded ids left out."""
+    vec = score_contexts(contexts, emb, scoring_kind, fesf_temperature)
+    ranked = rank_items(vec.scores, exclude=exclude, k=k)
+    return Recommendation(item_ids=ranked, scores=vec.scores[ranked].tolist())
+
+
 def recommend_topk(basket, config, params, k: int,
                    scoring_kind: str | None = None,
                    fesf_temperature: float = 1.0,
                    rng_seed=None) -> Recommendation:
     """Top-k completion of a basket; basket members never appear.
 
-    The basket is checked as training checks its baskets, then run forward
-    inside ``tensor.no_grad``. The final step's contexts are scored by
-    score_contexts, and the best k non-members are returned, ties to the
-    lower item id. rng_seed drives MC pattern sampling; None means the
-    fixed seed 0, so unseeded calls repeat.
+    The final step's contexts are scored by score_contexts, and the best k
+    non-members are returned, ties to the lower item id. rng_seed drives
+    MC pattern sampling; None means the fixed seed 0, so unseeded calls
+    repeat.
     """
-    items = [int(i) for i in basket]
-    if not items:
-        raise ConfigError("recommend_topk: empty basket (cold start is out of scope)")
-    npa_model.check_baskets([items], [",".join(map(str, items))], config, "recommend_topk")
+    items = _checked_basket(basket, config, "recommend_topk")
     if k < 1 or k > config.num_items - len(items):
         raise ConfigError(f"k must be in [1, {config.num_items - len(items)}], got {k}")
     with no_grad():
         state = npa_model.forward(items, config, params, rng_seed=rng_seed)
-    final = state.context.data[:, -1]  # (contexts, embedding_dim)
+    return _ranked(state.context.data[:, -1], npa_model.output_embeddings(params).data,
+                   items, k, scoring_kind, fesf_temperature)
+
+
+def _fmt(values) -> str:
+    return ",".join(f"{v:.8e}" for v in np.asarray(values, dtype=np.float64))
+
+
+def export_attention(basket, config, params, path, k: int = 10, rng_seed=None,
+                     scoring_kind=None, fesf_temperature: float = 1.0) -> None:
+    """Write one basket's per-step attention records as key=value lines.
+
+    One block per prefix step: the prefix, every layer/channel's pattern
+    belief, the context-attention weights over the prefix items, and the
+    step's top-k recommendations (k >= 1, clipped to the candidate count),
+    ranked as ``recommend_topk`` ranks them. rng_seed is
+    ``recommend_topk``'s.
+    """
+    items = _checked_basket(basket, config, "export_attention")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    with no_grad():
+        state = npa_model.forward(items, config, params, rng_seed=rng_seed)
     emb = npa_model.output_embeddings(params).data
-    vec = score_contexts(final, emb, scoring_kind, fesf_temperature)
-    ranked = rank_items(vec.scores, exclude=items, k=k)
-    return Recommendation(item_ids=ranked, scores=vec.scores[ranked].tolist())
+    plan = npa_model.layer_channel_plan(config)
+
+    lines = [
+        f"schema_version={EXPORT_SCHEMA_VERSION}",
+        f"basket={','.join(str(i) for i in items)}",
+        f"variant={config.variant}",
+        f"num_layers={config.num_layers}",
+        f"channels={','.join(str(c) for c, _, _ in plan)}",
+        f"num_patterns={config.num_patterns}",
+        f"steps={len(items)}",
+    ]
+    final = state.context.data  # (contexts, steps, dim)
+    for t in range(len(items)):
+        prefix = items[:t + 1]
+        lines.append(f"step={t} prefix={','.join(str(i) for i in prefix)}")
+        for li, states in enumerate(state.unit_states):
+            for ci, unit_state in enumerate(states):
+                abar = unit_state.prefix_attention.data[t]
+                lines.append(f"pattern step={t} layer={li} channel={ci} probs={_fmt(abar)}")
+                b_row = unit_state.context_attention.data[t, :t + 1]
+                lines.append(f"context step={t} layer={li} channel={ci} weights={_fmt(b_row)}")
+        # The prefix holds t + 1 distinct items, so as many candidates drop out.
+        top = _ranked(final[:, t, :], emb, prefix, min(k, config.num_items - t - 1),
+                      scoring_kind, fesf_temperature)
+        lines.append(f"topk step={t} items={','.join(str(i) for i in top.item_ids)}"
+                     f" scores={_fmt(top.scores)}")
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)

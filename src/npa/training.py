@@ -25,7 +25,7 @@ order-invariant conditionals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,7 +121,7 @@ def _checked_sequences(batch, config):
     return seqs
 
 
-def _forward_rows(seqs, lengths, noise, config, params, use_positions):
+def _forward_rows(seqs, lengths, noise, config, params):
     """Padded forward pass of sequences on their noise; returns (state, rows, targets).
 
     rows is the (sequence, step) index pair of every predicted step,
@@ -131,8 +131,7 @@ def _forward_rows(seqs, lengths, noise, config, params, use_positions):
     valid = steps < lengths[:, None]
     ids = np.zeros((len(seqs), steps.size), dtype=np.int64)
     ids[valid] = np.concatenate(seqs)
-    state = npa_model.forward(ids, config, params, use_positions=use_positions,
-                              lengths=lengths, noise=noise)
+    state = npa_model.forward(ids, config, params, lengths=lengths, noise=noise)
     rows = np.nonzero(steps < lengths[:, None] - 1)
     return state, rows, ids[rows[0], rows[1] + 1]
 
@@ -279,7 +278,7 @@ def sequence_scores(batch, config, params, rng=None):
     seqs = _checked_sequences(batch, config)
     lengths = np.array([seq.size for seq in seqs])
     noise = npa_model.draw_noise(lengths, config, rng, 0.0)
-    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, None)
+    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params)
     table = _context_scores(*state.values(), rows, targets,
                             npa_model.output_embeddings(params).data)
     return [Tensor(s) for s in table], state
@@ -315,10 +314,10 @@ def _sequence_means(scores, lengths) -> np.ndarray:
     return means
 
 
-def _padded_loss(seqs, lengths, noise, config, params, use_positions):
+def _padded_loss(seqs, lengths, noise, config, params):
     """(loss, per-sequence mean NLL) over one padded graph of sequences
     with their noise."""
-    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, use_positions)
+    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params)
     emb = npa_model.output_embeddings(params)
     head = np.zeros(targets.size, dtype=np.int64)
     if state.context.shape[0] > 1:
@@ -331,7 +330,7 @@ def _padded_loss(seqs, lengths, noise, config, params, use_positions):
     return T.scale(T.mean(scores), -1.0), -_sequence_means(scores.data, lengths)
 
 
-def _loss(seqs, config, params, rng, training, use_positions):
+def _loss(seqs, config, params, rng, training):
     """batch_loss over checked id arrays."""
     lengths = np.array([seq.size for seq in seqs])
     buckets = _length_buckets(lengths)
@@ -341,7 +340,7 @@ def _loss(seqs, config, params, rng, training, use_positions):
     loss, details = None, np.empty(len(seqs))
     for index, part_noise in zip(buckets, noise):
         part, details[index] = _padded_loss([seqs[i] for i in index], lengths[index],
-                                            part_noise, config, params, use_positions)
+                                            part_noise, config, params)
         if len(buckets) > 1:
             part = T.scale(part, steps[index].sum() / steps.sum())
         loss = part if loss is None else T.add(loss, part)
@@ -357,10 +356,12 @@ def batch_loss(batch, config, params, rng=None, training=False,
     (model.draw_noise), and the loss is the buckets' step-weighted mean. So
     it is the step-weighted mean of the sequences' losses run one at a time
     with the same generator, to rounding, and a batch kept whole computes
-    exactly what one padded graph does.
+    exactly what one padded graph does. use_positions, when given, runs the
+    batch on a copy of config with that setting.
     """
-    return _loss(_checked_sequences(batch, config), config, params, rng, training,
-                 use_positions)
+    if use_positions not in (None, config.use_positions):
+        config = replace(config, use_positions=use_positions)
+    return _loss(_checked_sequences(batch, config), config, params, rng, training)
 
 
 def train(baskets, config, params, train_config: TrainConfig, log=None,
@@ -416,7 +417,7 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
                         batch.append(sample_permutation(items, rng))
                 else:
                     batch.append(items)
-            loss, details = _loss(batch, config, params, rng, True, config.use_positions)
+            loss, details = _loss(batch, config, params, rng, True)
             if not np.isfinite(loss.data):
                 raise FloatingPointError(
                     f"non-finite loss in epoch {epoch}, batch starting at {start}")

@@ -1,8 +1,11 @@
 """Shared fixtures: small model factories and the trained synthetic experiment."""
 
+import struct
+
 import pytest
 
 from npa import tensor as T
+from npa.checkpoint import VERSION
 from npa.data import SynthSpec, gen_synthetic, split_dataset
 from npa.model import ModelConfig, init_params
 from npa.training import TrainConfig, train
@@ -41,6 +44,13 @@ def force_split(monkeypatch, cpus):
     real = T._concurrently
     monkeypatch.setattr(T, "_concurrently", lambda *fns: calls.append(1) or real(*fns))
     return calls
+
+
+def one_tensor_payload(dims):
+    """A checkpoint payload (what the checksum covers) of an empty config
+    and one tensor with these dims and no values."""
+    return (struct.pack("<III", VERSION, 0, 1) + struct.pack("<H", 1) + b"w"
+            + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims))
 
 
 def small_mc_config(**overrides):

@@ -20,12 +20,12 @@ import numpy as np
 import pytest
 
 from npa import tensor as T
-from npa.checkpoint import export_attention, load_checkpoint, save_checkpoint
+from npa.checkpoint import load_checkpoint, save_checkpoint
 from npa.data import SynthSpec, make_eval_instances
 from npa.metrics import CP, POP, CountBaseline, compute_metrics
 from npa.model import (ModelConfig, forward, init_params, named_parameters,
                        output_embeddings)
-from npa.recommend import recommend_topk, score_fesf, score_softmax
+from npa.recommend import export_attention, recommend_topk, score_fesf, score_softmax
 from npa.training import TrainConfig, batch_loss, sequence_scores, train
 
 from conftest import EXPERIMENT, small_mc_config, small_sc_config

@@ -1,5 +1,6 @@
 """Checkpoint container and attention export."""
 
+import re
 import struct
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from npa.checkpoint import checkpoint_info, export_attention, load_checkpoint, save_checkpoint
+from npa.checkpoint import MAGIC, _checksum64, checkpoint_info, load_checkpoint, save_checkpoint
 from npa.errors import CheckpointError, ConfigError
 import npa.model
 from npa.model import ModelConfig, init_params, named_parameters, parameter_shapes
+from npa.recommend import export_attention
 
-from conftest import small_mc_config, small_sc_config
+from conftest import one_tensor_payload, small_mc_config, small_sc_config
 
 
 def test_round_trip_exact_after_float32(tmp_path):
@@ -75,6 +77,20 @@ def test_version_mismatch_rejected(tmp_path):
     (tmp_path / "v99.ckpt").write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version 99"):
         load_checkpoint(tmp_path / "v99.ckpt")
+
+
+# The element counts overflow int64: 65536^4 wraps to 0, and (2^32 - 1)^4
+# to a negative number.
+@pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1,) * 4],
+                         ids=["wraps_to_zero", "wraps_negative"])
+def test_tensor_too_large_for_int64_reads_as_truncated(tmp_path, dims):
+    payload = one_tensor_payload(dims)
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(MAGIC + payload + struct.pack("<Q", _checksum64(payload)))
+    for read in (load_checkpoint, checkpoint_info):
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: truncated checkpoint file$"):
+            read(path)
 
 
 def test_checkpoint_info_matches_construction(tmp_path):

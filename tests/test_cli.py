@@ -21,6 +21,8 @@ from npa.config_io import config_to_kv, parse_config_file, parse_kv_text
 from npa.model import ModelConfig, init_params, named_parameters
 from npa.training import TrainConfig
 
+from conftest import one_tensor_payload
+
 CONFIG_TEXT = """\
 # tiny model for CLI tests
 embedding_dim = 8
@@ -508,6 +510,17 @@ def test_checkpoint_info_names_file_of_malformed_payload(workspace, capsys, cut,
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {path}: {message}\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1,) * 4],
+                         ids=["wraps_to_zero", "wraps_negative"])
+def test_checkpoint_info_rejects_tensor_too_large_for_int64(workspace, capsys, dims):
+    path = _rechecksummed(workspace / "huge.ckpt", one_tensor_payload(dims))
+    rc = main(["checkpoint-info", "--ckpt", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: truncated checkpoint file\n"
     assert not captured.out
 
 

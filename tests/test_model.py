@@ -30,7 +30,7 @@ def test_embed_zero_position_table_matches_disabled():
     params = init_params(cfg, seed=0)
     params.positional_embeddings.data = np.zeros_like(params.positional_embeddings.data)
     with_pos = embed_inputs([4, 2], cfg, params).data
-    without = embed_inputs([4, 2], cfg, params, use_positions=False).data
+    without = embed_inputs([4, 2], dataclasses.replace(cfg, use_positions=False), params).data
     np.testing.assert_array_equal(with_pos, without)
 
 

@@ -5,13 +5,11 @@ import contextlib
 import numpy as np
 import pytest
 
-import npa.checkpoint
 import npa.recommend
 import npa.training
 from npa import tensor as T
-from npa.checkpoint import export_attention
 from npa.model import draw_noise, forward, init_params, named_parameters
-from npa.recommend import FESF, MEAN_AGGREGATE, recommend_topk
+from npa.recommend import FESF, MEAN_AGGREGATE, export_attention, recommend_topk
 from npa.tensor import Tensor, no_grad
 from npa.training import TrainConfig, batch_loss, train
 
@@ -60,7 +58,7 @@ def test_export_attention_bit_identical_to_recording_pass(tmp_path, monkeypatch,
     params = init_params(cfg, seed=32)
     free, recorded = tmp_path / "free.txt", tmp_path / "recorded.txt"
     export_attention(BASKET, cfg, params, free, k=6, rng_seed=3)
-    _recording(monkeypatch, npa.checkpoint)
+    _recording(monkeypatch, npa.recommend)
     export_attention(BASKET, cfg, params, recorded, k=6, rng_seed=3)
     assert free.read_bytes() == recorded.read_bytes()
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from npa import model as npa_model
 from npa.errors import ConfigError
 from npa.model import init_params
-from npa.recommend import (MEAN_AGGREGATE, rank_items, recommend_topk,
+from npa.recommend import (FESF, MEAN_AGGREGATE, export_attention, rank_items, recommend_topk,
                            score_contexts, score_fesf, score_mean, score_softmax)
 
 from conftest import small_mc_config, small_sc_config
@@ -259,6 +259,23 @@ def test_recommend_k_validation_and_empty_basket():
         recommend_topk([], cfg, params, 3)
     with pytest.raises(ConfigError, match="k must be"):
         recommend_topk([1, 2], cfg, params, 19)
+
+
+@pytest.mark.parametrize("cfg, scoring", [
+    (small_sc_config(), None),
+    (small_mc_config(mc_last_layer_heads=3), FESF),
+    (small_mc_config(mc_last_layer_heads=3), MEAN_AGGREGATE),
+], ids=["sc_default", "mc_fesf", "mc_mean_aggregate"])
+def test_export_last_step_equals_recommend_topk(tmp_path, cfg, scoring):
+    params = init_params(cfg, seed=21)
+    basket, k, seed = [3, 1, 2, 9, 7], 6, 13
+    path = tmp_path / "att.txt"
+    export_attention(basket, cfg, params, path, k=k, rng_seed=seed, scoring_kind=scoring)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    last = [ln for ln in lines if ln.startswith("topk ")][-1]
+    out = recommend_topk(basket, cfg, params, k, scoring_kind=scoring, rng_seed=seed)
+    assert last == (f"topk step={len(basket) - 1} items={','.join(map(str, out.item_ids))}"
+                    f" scores={','.join(f'{v:.8e}' for v in out.scores)}")
 
 
 def test_recommend_rejects_repeated_id():

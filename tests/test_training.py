@@ -366,6 +366,24 @@ def test_unseeded_mc_batch_loss_repeats():
     assert details == details_again
 
 
+@pytest.mark.parametrize("use_positions", [False, True])
+def test_batch_loss_use_positions_runs_on_replaced_config(use_positions):
+    # The keyword is kept for callers that pass it; a value that differs
+    # from the config's is the config with that setting, to the bit.
+    cfg = small_mc_config(mc_last_layer_heads=2, use_positions=not use_positions)
+    params = init_params(cfg, seed=23)
+    batch = [[3, 1, 2, 8], [5, 6, 9]]
+    got, details = batch_loss(batch, cfg, params, rng=np.random.default_rng(4),
+                              use_positions=use_positions)
+    other = dataclasses.replace(cfg, use_positions=use_positions)
+    want, want_details = batch_loss(batch, other, params, rng=np.random.default_rng(4))
+    same, _ = batch_loss(batch, cfg, params, rng=np.random.default_rng(4),
+                         use_positions=cfg.use_positions)
+    plain, _ = batch_loss(batch, cfg, params, rng=np.random.default_rng(4))
+    assert float(got.data) == float(want.data) and details == want_details
+    assert float(same.data) == float(plain.data) != float(got.data)
+
+
 def _grads(loss, params, cfg):
     T.backward(loss)
     out = {}
@@ -500,11 +518,11 @@ def test_split_batch_matches_sequences_run_alone(variant, training, tied):
         assert np.abs(g - expected[name]).max() <= 1e-12 * scale, name
 
 
-def _composed_padded_loss(seqs, lengths, noise, config, params, use_positions):
+def _composed_padded_loss(seqs, lengths, noise, config, params):
     """training._padded_loss with the output head as two graph nodes, a
     matmul on the transposed table and then the cross entropy, and the
     details as one np.mean per sequence."""
-    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params, use_positions)
+    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params)
     emb = output_embeddings(params)
     head = np.zeros(targets.size, dtype=np.int64)
     if state.context.shape[0] > 1:
