@@ -20,13 +20,21 @@ plain tensor with no parents and no backward closure, and runs the same
 numpy operations, so every value is bit-identical to a recording pass.
 :func:`backward` and training refuse to run inside it.
 
-Single-threaded by contract: graph construction and backward are not
-thread safe, but tensors are immutable after the forward pass and may be
-shared read-only. The graph-free mode is one module-wide flag, so a thread
-inside ``no_grad`` turns recording off for every other thread too. Inside
-one call, the output head's kernels may run two row halves on two threads
-(``_split_rows``); the worker touches only numpy arrays and is joined
-before the call returns.
+Concurrency. Graph construction is single-threaded: the graph-free mode
+is one module-wide flag, so a thread inside ``no_grad`` turns recording
+off for every other thread too. Tensors are immutable after the forward
+pass and may be shared read-only. Three things run on a second thread,
+each through ``_concurrently``, which joins its worker before returning:
+the catalog-wide kernels' row halves (``_split_rows``); training's winner
+table of one length bucket beside the next bucket's forward pass; and,
+when the loss adds two subgraphs that share only leaves, the sweep of the
+second beside the sweep of the first (:func:`backward`). A worker calls
+only numpy and this module's private helpers, and while one runs no
+kernel splits again, so at most two threads run. Leaf gradients keep
+their order: the one-thread sweep runs every node under the first operand
+before any node under the second, so the second's worker defers its
+additions into leaves and the caller makes them, in order, after the
+first's.
 """
 
 from __future__ import annotations
@@ -115,10 +123,23 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
+# backward's worker sets .deferred to a list while it sweeps; it then
+# collects its additions into leaves there instead of making them.
+_local = threading.local()
+
+
 def _accumulate(t: Tensor, g, fresh: bool = False):
     """Add g into t.grad. The first gradient is copied, since g may be a view
     or an array handed to another operand; ``fresh=True`` promises that g is
-    a new float64 array of t's shape that nothing else holds, and keeps it."""
+    a new float64 array of t's shape that nothing else holds, and keeps it.
+    On backward's worker, an addition into a leaf is deferred as a fresh
+    array of t's shape."""
+    if t._backward is None:
+        deferred = getattr(_local, "deferred", None)
+        if deferred is not None:
+            deferred.append((t, g if fresh else np.array(np.broadcast_to(g, t.data.shape),
+                                                          dtype=np.float64)))
+            return
     if t.grad is None:
         t.grad = g if fresh else np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
     else:
@@ -366,6 +387,21 @@ def _add_rows(shape, idx, g):
 # Performance section has the measurements. Serving never reaches the split.
 SPLIT_CELLS = 2 ** 18
 
+# _linear_nll multiplies its rows in blocks of this many, the last block
+# padded with zero rows, so that a row's logits do not depend on which rows
+# share the product: numpy's BLAS rounds a row differently by the size of
+# the call and by the row's place in it. On numpy 2.4's OpenBLAS (x86-64,
+# AVX-512) no row's bits depended on its place in a block of 8, 12 or any
+# multiple of 24 rows, while blocks of 16, 32 or 64 rows gave some rows
+# other bits. 48 is a multiple of 24 and of 16; README's Performance
+# section has the scan and the timings. _split_rows cuts at a block
+# boundary where it can.
+BLOCK_ROWS = 48
+
+# True while _concurrently runs its two functions: _splits then says no,
+# so no kernel starts a third thread.
+_concurrent = False
+
 
 def _allowed_cpus() -> int:
     """The CPUs this process may run on."""
@@ -380,9 +416,11 @@ def _concurrently(first, second):
 
     The worker runs under the caller's numpy error state, is joined before
     this returns, whichever side raised, and its exception is raised here.
-    Workers may call only numpy and this package's private kernels: a
-    benchmark tracer keeps one span stack and patches public functions.
+    Until then _splits says no, on both threads. Workers may call only
+    numpy and this package's private kernels: a benchmark tracer keeps one
+    span stack and patches public functions.
     """
+    global _concurrent
     errors = np.geterr()
     failed = []
 
@@ -393,43 +431,69 @@ def _concurrently(first, second):
         except BaseException as exc:  # re-raised on the caller's thread
             failed.append(exc)
 
-    worker = threading.Thread(target=work)
-    worker.start()
+    outer, _concurrent = _concurrent, True
     try:
-        first()
+        worker = threading.Thread(target=work)
+        worker.start()
+        try:
+            first()
+        finally:
+            worker.join()
     finally:
-        worker.join()
+        _concurrent = outer
     if failed:
         raise failed[0]
 
 
 def _splits(rows: int, width: int) -> bool:
     """Whether a kernel over rows x width cells runs in two row halves:
-    at least 2 rows a half, SPLIT_CELLS cells and two allowed CPUs."""
-    return rows >= 4 and rows * width >= SPLIT_CELLS and _allowed_cpus() > 1
+    at least 2 rows a half, SPLIT_CELLS cells and two allowed CPUs, outside
+    another concurrent section."""
+    return (rows >= 4 and rows * width >= SPLIT_CELLS and not _concurrent
+            and _allowed_cpus() > 1)
 
 
 def _split_rows(fn, rows: int, width: int):
     """Run fn(lo, hi) over the rows [0, rows), as two halves on two threads
     when _splits says so, else once. fn writes its rows of buffers the
     caller allocated (glibc gives each allocating thread its own arena).
-    Each half keeps at least 2 rows, since numpy multiplies a single row by
-    a matrix-vector product, whose rounding can differ from a matrix
-    product's."""
+    The halves meet at the multiple of BLOCK_ROWS nearest the middle when
+    each keeps 2 rows or more, else at rows // 2; each half keeps at least
+    2 rows, since numpy multiplies a single row by a matrix-vector product,
+    whose rounding can differ from a matrix product's."""
     if _splits(rows, width):
-        half = rows // 2
+        half = round(rows / (2 * BLOCK_ROWS)) * BLOCK_ROWS
+        if not 2 <= half <= rows - 2:
+            half = rows // 2
         _concurrently(lambda: fn(0, half), lambda: fn(half, rows))
     else:
         fn(0, rows)
 
 
+def _block_matmul(x, w, out):
+    """out = x @ w, as products of BLOCK_ROWS rows each, the last block
+    padded with zero rows: every row's values are those it gets in any
+    other block."""
+    n, k = x.shape
+    whole = n - n % BLOCK_ROWS
+    if whole:
+        np.matmul(x[:whole].reshape(-1, BLOCK_ROWS, k), w,
+                  out=out[:whole].reshape(-1, BLOCK_ROWS, w.shape[1]))
+    if whole < n:
+        pad = np.zeros((BLOCK_ROWS, k))
+        pad[:n - whole] = x[whole:]
+        out[whole:] = (pad @ w)[:n - whole]
+
+
 def _linear_nll(x, w, targets):
     """linear_cross_entropy's kernel on plain arrays: (nll, numerators, total).
 
-    nll[t] = logsumexp(z[t]) - z[t, targets[t]] with z = x @ w. The softmax
-    numerators exp(z - max) are built in place in the logits buffer, and
-    total holds their (rows, 1) sums. Run as two row halves (_split_rows),
-    every row's arithmetic, and so every value, is the same as in one pass.
+    nll[t] = logsumexp(z[t]) - z[t, targets[t]] with z = x @ w, multiplied
+    in blocks (_block_matmul), so a row's values do not depend on the other
+    rows of x. The softmax numerators exp(z - max) are built in place in the
+    logits buffer, and total holds their (rows, 1) sums. Run as two row
+    halves (_split_rows), every row's arithmetic, and so every value, is
+    the same as in one pass.
     """
     n = x.shape[0]
     z = np.empty((n, w.shape[1]))
@@ -439,7 +503,7 @@ def _linear_nll(x, w, targets):
 
     def part(lo, hi):
         zp = z[lo:hi]
-        np.matmul(x[lo:hi], w, out=zp)
+        _block_matmul(x[lo:hi], w, zp)
         picked[lo:hi] = zp[np.arange(hi - lo), targets[lo:hi]]
         np.max(zp, axis=1, keepdims=True, out=m[lo:hi])
         np.subtract(zp, m[lo:hi], out=zp)
@@ -521,26 +585,13 @@ def dropout(a, rate: float, uniforms) -> Tensor:
     return _make(a.data * m, (a,), back)
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a finite scalar loss: fills ``.grad`` on every
-    tensor with ``requires_grad`` reachable from ``loss``, adding across
-    uses. Leaves (tensors without a backward closure) keep accumulating
-    across sweeps; an inner node's ``.grad`` is cleared first, so a second
-    sweep through a shared subgraph does not re-add the previous sweep's."""
-    if not _grad_enabled:
-        raise RuntimeError("backward: called inside no_grad, which records no graph")
-    if not isinstance(loss, Tensor) or loss.data.ndim != 0:
-        got = loss.data.shape if isinstance(loss, Tensor) else type(loss)
-        raise ShapeError(f"backward: loss must be a scalar tensor, got {got}")
-    if not np.isfinite(loss.data):
-        raise FloatingPointError("backward: loss is not finite")
-    if not loss.requires_grad:
-        return
-
-    # Iterative topological order (graphs can be deep for long baskets).
+def _post_order(root: Tensor, seen: set) -> list:
+    """The tensors needing a gradient that root reaches without passing one
+    whose id is in seen, root included, each after its parents; their ids
+    join seen. Iterative depth-first search: graphs can be deep for long
+    baskets."""
     order = []
-    seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -553,11 +604,72 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
+    return order
 
-    for node in order:
-        if node._backward is not None:
-            node.grad = None
+
+def _apart(later: list, first: list) -> bool:
+    """Whether two parts of a sweep (_post_order's, later found first) both
+    hold nodes with a backward closure and share none: no node of first has
+    a parent with a closure in later."""
+    inner = {id(n) for n in later if n._backward is not None}
+    return (bool(inner) and any(n._backward is not None for n in first)
+            and not any(id(p) in inner for n in first for p in n._parents))
+
+
+def _sweep(nodes: list, deferred: list | None = None):
+    """Run the backward closures of nodes, last first; with deferred, the
+    additions into leaves are appended to it instead (_accumulate)."""
+    _local.deferred = deferred
+    try:
+        for node in reversed(nodes):
+            if node._backward is not None:
+                node._backward(node.grad)
+    finally:
+        _local.deferred = None
+
+
+def backward(loss: Tensor) -> None:
+    """Reverse-mode sweep from a finite scalar loss: fills ``.grad`` on every
+    tensor with ``requires_grad`` reachable from ``loss``, adding across
+    uses. Leaves (tensors without a backward closure) keep accumulating
+    across sweeps; an inner node's ``.grad`` is cleared first, so a second
+    sweep through a shared subgraph does not re-add the previous sweep's.
+
+    Nodes run in reverse depth-first post-order from the loss, which puts
+    every node under a loss's first operand before any node under its
+    second. When the loss has two operands whose subgraphs share no node
+    with a backward closure, and two CPUs are allowed, a worker sweeps the
+    second operand's nodes while this thread sweeps the first's; the
+    worker's additions into leaves are made here after both finish, in
+    the order it made them, so every gradient is the one-thread sweep's.
+    """
+    if not _grad_enabled:
+        raise RuntimeError("backward: called inside no_grad, which records no graph")
+    if not isinstance(loss, Tensor) or loss.data.ndim != 0:
+        got = loss.data.shape if isinstance(loss, Tensor) else type(loss)
+        raise ShapeError(f"backward: loss must be a scalar tensor, got {got}")
+    if not np.isfinite(loss.data):
+        raise FloatingPointError("backward: loss is not finite")
+    if not loss.requires_grad:
+        return
+
+    # One part per operand, the last operand's first, as a depth-first
+    # search from the loss visits them.
+    seen = {id(loss)}
+    parts = [_post_order(p, seen) for p in reversed(loss._parents) if p.requires_grad]
+    for part in parts + [[loss]]:
+        for node in part:
+            if node._backward is not None:
+                node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+    if loss._backward is not None:
+        loss._backward(loss.grad)
+    if len(parts) == 2 and _allowed_cpus() > 1 and _apart(*parts):
+        later, first = parts
+        deferred = []
+        _concurrently(lambda: _sweep(first), lambda: _sweep(later, deferred))
+        for t, g in deferred:
+            _accumulate(t, g, fresh=True)
+    else:
+        for part in reversed(parts):
+            _sweep(part)

@@ -248,17 +248,14 @@ def _winners(contexts, logprobs, rows, targets, emb) -> np.ndarray:
     A step keeps its float32 winner when it leads every other context by
     more than twice the step's largest bound, which makes it the float64
     winner too. Every other step, exact ties (gap 0), nan gaps and
-    infinite bounds included, is recomputed by _context_scores. README's
-    Performance section records how many steps that is, and the cost.
+    infinite bounds included, is recomputed by _context_scores, whose rows
+    get the full table's bits however few are recomputed (T.BLOCK_ROWS).
+    README's Performance section records how many steps that is, and the
+    cost.
     """
     table, bound = _float32_scores(contexts, logprobs, rows, targets, emb)
     top = np.sort(table, axis=0)
     refine = ~(top[-1] - top[-2] > 2.0 * bound.max(axis=0))
-    if refine.sum() == 1 and refine.size > 1:
-        # numpy multiplies a single row by a matrix-vector product, whose
-        # rounding can differ from the full table's matrix product; a second
-        # row keeps the recomputation a matrix product.
-        refine[np.argmin(refine)] = True
     head = np.argmax(table, axis=0)
     if refine.any():
         sub = tuple(r[refine] for r in rows)
@@ -314,14 +311,9 @@ def _sequence_means(scores, lengths) -> np.ndarray:
     return means
 
 
-def _padded_loss(seqs, lengths, noise, config, params):
-    """(loss, per-sequence mean NLL) over one padded graph of sequences
-    with their noise."""
-    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params)
-    emb = npa_model.output_embeddings(params)
-    head = np.zeros(targets.size, dtype=np.int64)
-    if state.context.shape[0] > 1:
-        head = _winners(*state.values(), rows, targets, emb.data)
+def _padded_loss(state, rows, targets, head, lengths, emb):
+    """(loss, per-sequence mean NLL) of one bucket's padded forward pass,
+    with the output head over each step's winning context head[i]."""
     at = (head,) + rows
     scores = T.scale(T.linear_cross_entropy(T.gather_rows(state.context, at), T.transpose(emb),
                                             targets), -1.0)
@@ -331,16 +323,46 @@ def _padded_loss(seqs, lengths, noise, config, params):
 
 
 def _loss(seqs, config, params, rng, training):
-    """batch_loss over checked id arrays."""
+    """batch_loss over checked id arrays.
+
+    Each bucket's forward pass runs, then its winners, in bucket order, and
+    the output heads are built after the last, in bucket order. With two
+    allowed CPUs, a cut MC batch runs each bucket's winners on a worker
+    (T._concurrently) while this thread runs the next bucket's forward
+    pass. The winners read only that pass's arrays and the draws are made
+    before, so every value is the one of running them in turn.
+    """
     lengths = np.array([seq.size for seq in seqs])
     buckets = _length_buckets(lengths)
     noise = npa_model.draw_noise(lengths, config, rng,
                                  config.dropout_rate if training else 0.0, buckets)
+    emb = npa_model.output_embeddings(params)
+
+    def forward(b):
+        index = buckets[b]
+        passes.append(_forward_rows([seqs[i] for i in index], lengths[index], noise[b],
+                                    config, params))
+
+    def winners(b):
+        state, rows, targets = passes[b]
+        heads.append(np.zeros(targets.size, dtype=np.int64) if state.context.shape[0] == 1
+                     else _winners(*state.values(), rows, targets, emb.data))
+
+    passes, heads = [], []
+    forward(0)
+    overlap = passes[0][0].context.shape[0] > 1 and T._allowed_cpus() > 1
+    for b in range(1, len(buckets)):
+        if overlap:
+            T._concurrently(lambda: forward(b), lambda: winners(b - 1))
+        else:
+            winners(b - 1)
+            forward(b)
+    winners(len(buckets) - 1)
+
     steps = lengths - 1
     loss, details = None, np.empty(len(seqs))
-    for index, part_noise in zip(buckets, noise):
-        part, details[index] = _padded_loss([seqs[i] for i in index], lengths[index],
-                                            part_noise, config, params)
+    for index, (state, rows, targets), head in zip(buckets, passes, heads):
+        part, details[index] = _padded_loss(state, rows, targets, head, lengths[index], emb)
         if len(buckets) > 1:
             part = T.scale(part, steps[index].sum() / steps.sum())
         loss = part if loss is None else T.add(loss, part)

@@ -35,9 +35,11 @@ def small_sc_config(**overrides):
 
 
 def force_split(monkeypatch, cpus):
-    """Run tensor._split_rows as if on ``cpus`` allowed CPUs, with no size
-    floor: with 2, every kernel of 4 rows or more splits; with 1, none does.
-    Returns a list that grows by one entry per call of _concurrently."""
+    """Run as if on ``cpus`` allowed CPUs, with no size floor for
+    tensor._split_rows: with 2, every kernel of 4 rows or more outside a
+    concurrent section splits, and training overlaps a cut MC batch's
+    buckets; with 1, nothing runs on a second thread. Returns a list that
+    grows by one entry per call of _concurrently."""
     monkeypatch.setattr(T, "SPLIT_CELLS", 0)
     monkeypatch.setattr(T, "_allowed_cpus", lambda: cpus)
     calls = []

@@ -570,3 +570,134 @@ def test_split_head_bit_identical_under_frequent_thread_switches(monkeypatch):
         sys.setswitchinterval(interval)
     assert len(calls) == 25
     assert all(g == want for g in got)
+
+
+
+def _two_operand_loss(shared_inner=False):
+    """A scalar loss add(a, b) whose operands share the leaves table and w,
+    and the leaves each reaches. Only b reaches bias; b's transpose and
+    concat nodes hand views of their gradients to w. With shared_inner,
+    both operands also read one inner node."""
+    rng = np.random.default_rng(12)
+    table = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    x = T.gather_rows(table, [0, 2, 2, 5, 7, 1])
+    a = T.mean(T.linear_cross_entropy(T.scale(x, 1.5), T.transpose(table), [1, 0, 8, 3, 3, 2]))
+    xb = T.gather_rows(x, [1, 4, 5]) if shared_inner else T.gather_rows(table, [4, 2, 6])
+    c = T.concat([T.add(T.matmul(xb, T.transpose(w)), bias), w])
+    return T.add(a, T.mean(T.scale(c, 0.25))), [table, w, bias]
+
+
+def _two_sweeps(shared_inner=False):
+    loss, leaves = _two_operand_loss(shared_inner)
+    out = []
+    for _ in range(2):
+        T.backward(loss)
+        out += [t.grad.tobytes() for t in leaves]
+    return out
+
+
+@pytest.mark.parametrize("shared_inner", [False, True], ids=["apart", "shared"])
+def test_backward_over_two_operands_bit_identical_on_two_cpus(monkeypatch, shared_inner):
+    # Operands that share only leaves are swept on two threads, and the
+    # head inside the first does not split again. Operands that share an
+    # inner node are swept on one thread, where the head's backward splits
+    # its logits gradient and runs its two products at once.
+    runs = {}
+    for cpus in (1, 2):
+        calls = force_split(monkeypatch, cpus)
+        loss, _ = _two_operand_loss(shared_inner)
+        calls.clear()  # the forward's head splits
+        T.backward(loss)
+        assert len(calls) == (0 if cpus == 1 else 2 if shared_inner else 1)
+        runs[cpus] = _two_sweeps(shared_inner)
+    assert runs[1] == runs[2]
+
+
+def test_backward_over_two_operands_bit_identical_under_frequent_thread_switches(monkeypatch):
+    # A switch interval of a microsecond hands the interpreter lock between
+    # the two sweeps between almost every bytecode.
+    force_split(monkeypatch, 1)
+    want = _two_sweeps()
+    force_split(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [_two_sweeps() for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g == want for g in got)
+
+
+def test_backward_without_two_separate_operands_uses_one_thread(monkeypatch):
+    calls = force_split(monkeypatch, 2)
+    w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    loss = T.add(T.mean(T.scale(w, 2.0)), T.mean(Tensor(np.ones((2, 3)))))
+    T.backward(loss)
+    m = T.mean(w)
+    T.backward(T.add(m, m))  # one inner node, read twice
+    assert calls == []
+    assert w.grad.tolist() == [[2 / 6 + 2 / 6] * 3] * 2
+
+
+def _raising(x, message):
+    """A node whose backward raises KeyError(message)."""
+    def back(g):
+        raise KeyError(message)
+    return T._make(x.data.copy(), (x,), back)
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_backward_sweep_exception_is_raised_after_join(monkeypatch, side):
+    force_split(monkeypatch, 2)
+    w = Tensor(np.ones((2, 3)), requires_grad=True)
+    parts = [T.mean(T.scale(w, 2.0)), T.mean(T.scale(w, 3.0))]
+    index = 0 if side == "first" else 1
+    parts[index] = T.mean(_raising(T.scale(w, 4.0), side))
+    before = threading.active_count()
+    with pytest.raises(KeyError, match=side):
+        T.backward(T.add(*parts))
+    assert threading.active_count() == before
+
+
+def test_no_split_inside_a_concurrent_section(monkeypatch):
+    calls = force_split(monkeypatch, 2)
+    rng = np.random.default_rng(13)
+    x, w, targets = rng.normal(size=(100, 5)), rng.normal(size=(5, 30)), rng.integers(0, 30, 100)
+    want = T._linear_nll(x, w, targets)
+    assert len(calls) == 1
+    calls.clear()
+    got = []
+    T._concurrently(lambda: got.append(T._linear_nll(x, w, targets)),
+                    lambda: got.append(T._linear_nll(x, w, targets)))
+    assert len(calls) == 1  # the section itself
+    for result in got:
+        assert [r.tobytes() for r in result] == [r.tobytes() for r in want]
+    assert not T._concurrent
+
+
+def test_split_rows_halves_meet_at_a_block_boundary(monkeypatch):
+    force_split(monkeypatch, 2)
+    block = T.BLOCK_ROWS
+    for rows, half in [(300, 3 * block), (7 * block, 4 * block), (block + 1, (block + 1) // 2),
+                       (2 * block, block), (7, 3)]:
+        seen = []
+        T._split_rows(lambda lo, hi: seen.append((lo, hi)), rows, 1)
+        assert sorted(seen) == [(0, half), (half, rows)], rows
+
+
+@pytest.mark.parametrize("items,width", [(2, 8), (20, 8), (300, 8), (300, 32), (2001, 32)])
+def test_linear_nll_rows_do_not_depend_on_the_other_rows(items, width):
+    # The float64 winners recompute a subset of a table's rows; each row
+    # must keep its bits, whichever rows share the product and where.
+    rng = np.random.default_rng(items + width)
+    w = rng.normal(size=(items, width)).T
+    x = rng.normal(size=(150, width)) * 7
+    targets = rng.integers(0, items, size=150)
+    full = T._linear_nll(x, w, targets)
+    for size in (1, 2, 13, 49, 97):
+        sub = np.sort(rng.choice(150, size=size, replace=False))
+        part = T._linear_nll(x[sub], w, targets[sub])
+        assert part[0].tobytes() == full[0][sub].tobytes()
+        assert part[1].tobytes() == full[1][sub].tobytes()

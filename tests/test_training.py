@@ -2,6 +2,8 @@
 
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from npa.model import (draw_noise, forward, init_params, named_parameters,
                        output_embeddings, trainable_parameters)
 from npa.optim import AdamW, clip_grad_norm
 from npa.training import (ANY_ORDER, SPLIT_PADDED_ROWS, TEMPORAL, TrainConfig,
-                          _context_scores, _float32_scores, _forward_rows, _length_buckets,
+                          _context_scores, _float32_scores, _length_buckets,
                           _sequence_means, _winners, batch_loss, sample_permutation,
                           sequence_scores, train)
 
@@ -518,15 +520,10 @@ def test_split_batch_matches_sequences_run_alone(variant, training, tied):
         assert np.abs(g - expected[name]).max() <= 1e-12 * scale, name
 
 
-def _composed_padded_loss(seqs, lengths, noise, config, params):
+def _composed_padded_loss(state, rows, targets, head, lengths, emb):
     """training._padded_loss with the output head as two graph nodes, a
     matmul on the transposed table and then the cross entropy, and the
     details as one np.mean per sequence."""
-    state, rows, targets = _forward_rows(seqs, lengths, noise, config, params)
-    emb = output_embeddings(params)
-    head = np.zeros(targets.size, dtype=np.int64)
-    if state.context.shape[0] > 1:
-        head = _winners(*state.values(), rows, targets, emb.data)
     at = (head,) + rows
     logits = T.matmul(T.gather_rows(state.context, at), T.transpose(emb))
     scores = T.scale(C.cross_entropy_with_logits(logits, targets), -1.0)
@@ -772,6 +769,10 @@ def test_float32_exp_and_log_within_four_ulp():
        extra_heads=st.integers(0, 2), eps=st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1e-5, 1e-3]),
        scale=st.floats(0.05, 50.0), slack=st.sampled_from([0.0, 1e-15, 1e-9, 1e-6]),
        seed=st.integers(0, 2**32 - 1))
+# Step 11's heads 0 and 1 tie exactly in the full table; the winners'
+# recomputation of that step multiplies a two-row subset, which rounded
+# head 0 differently until the logits were multiplied in fixed-size blocks.
+@example(n=300, steps=30, extra_heads=1, eps=1e-13, scale=13.640625, slack=0.0, seed=6036)
 def test_float32_winners_equal_float64_argmax_on_near_ties(n, steps, extra_heads, eps,
                                                            scale, slack, seed):
     # Head 1 is head 0 moved by eps along v, and its log belief cancels the
@@ -871,3 +872,51 @@ def test_mc_training_split_leaves_parameters_byte_equal(monkeypatch):
         assert bool(calls) == (cpus == 2)
     assert len(cuts) == 40 and min(cuts) > 1
     assert runs[1] == runs[2]
+
+
+def test_winners_worker_exception_is_raised_after_join(monkeypatch):
+    # A cut MC batch with two CPUs picks bucket 0's winners on a worker
+    # beside bucket 1's forward pass; the worker's error reaches the caller.
+    force_split(monkeypatch, 2)
+    cfg = small_mc_config(num_items=30, dropout_rate=0.3, max_sequence_length=24)
+    params = init_params(cfg, seed=23)
+    batch = _split_batch(np.random.default_rng(4), cfg.num_items)
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread() is threading.main_thread())
+        raise KeyError("winners")
+
+    monkeypatch.setattr(training_mod, "_winners", failing)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="winners"):
+        batch_loss(batch, cfg, params, rng=np.random.default_rng(5), training=True)
+    assert threads == [False]
+    assert threading.active_count() == before
+
+
+def test_mc_training_calls_public_functions_on_the_calling_thread(monkeypatch):
+    # Workers call only numpy and private kernels: a tracer that wraps the
+    # public functions (benchmarks/tracing.py) keeps one span stack.
+    calls = force_split(monkeypatch, 2)
+    modules = [m for name, m in sys.modules.items() if name == "npa" or name.startswith("npa.")]
+    public = {id(getattr(m, name)) for m in modules for name in getattr(m, "__all__", ())
+              if callable(getattr(m, name)) and not isinstance(getattr(m, name), type)}
+    threads = set()
+
+    def watching(fn):
+        def wrapper(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if id(value) in public:
+                monkeypatch.setattr(module, attr, watching(value))
+    cfg = small_mc_config(num_items=30, dropout_rate=0.3, max_sequence_length=24)
+    params = init_params(cfg, seed=23)
+    baskets = _split_batch(np.random.default_rng(4), cfg.num_items)
+    train(baskets, cfg, params, TrainConfig(epochs=1, batch_size=len(baskets), seed=3))
+    assert len(calls) > 2
+    assert threads == {threading.main_thread().name}
