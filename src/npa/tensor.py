@@ -129,19 +129,25 @@ _local = threading.local()
 
 
 def _accumulate(t: Tensor, g, fresh: bool = False):
-    """Add g into t.grad. The first gradient is copied, since g may be a view
-    or an array handed to another operand; ``fresh=True`` promises that g is
-    a new float64 array of t's shape that nothing else holds, and keeps it.
+    """Add g, an array of t's shape, into t.grad.
+
+    The first gradient is copied, since g may be a view or an array handed
+    to another operand. Pass ``fresh=True`` only for a new float64 array of
+    t's shape that nothing else holds or will write, such as the result of
+    an arithmetic operation on the incoming gradient: it is kept as t.grad
+    and later gradients are added into it in place. A gradient that is not
+    fresh must have t's shape, else ShapeError; a fresh one is not checked.
     On backward's worker, an addition into a leaf is deferred as a fresh
-    array of t's shape."""
+    array."""
+    if not fresh and g.shape != t.data.shape:
+        raise ShapeError(f"gradient: shape {g.shape} for a tensor of shape {t.data.shape}")
     if t._backward is None:
         deferred = getattr(_local, "deferred", None)
         if deferred is not None:
-            deferred.append((t, g if fresh else np.array(np.broadcast_to(g, t.data.shape),
-                                                          dtype=np.float64)))
+            deferred.append((t, g if fresh else np.array(g, dtype=np.float64)))
             return
     if t.grad is None:
-        t.grad = g if fresh else np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+        t.grad = g if fresh else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -173,7 +179,7 @@ def _right_grad(x, g, shape):
         j -= 1
     rows = x.reshape(xl[:j] + (-1, x.shape[-1]))
     full = rows.swapaxes(-1, -2) @ g.reshape(g.shape[:j] + (-1, g.shape[-1]))
-    return _reduce(full, yl[:j] + shape[-2:]).reshape(shape)
+    return (_reduce(full, yl[:j] + shape[-2:]) if j else full).reshape(shape)
 
 
 def matmul(a, b) -> Tensor:
@@ -242,7 +248,7 @@ def scale(a, s: float) -> Tensor:
     s = float(s)
 
     def back(g):
-        _accumulate(a, g * s)
+        _accumulate(a, np.asarray(g * s), fresh=True)  # g * s is a scalar when g is 0-d
 
     return _make(a.data * s, (a,), back)
 
@@ -268,31 +274,42 @@ def concat(parts) -> Tensor:
 
 def _softmax_rows(x, mask=None):
     """Softmax over the last axis of a numpy array, with max subtraction.
+
     ``mask`` (optional, True where entries participate) has the input's
-    shape or its trailing axes'; masked entries get exactly zero, and every
-    row must keep at least one entry."""
+    shape or its trailing axes'. Masked entries are set to -inf before the
+    row max, and exp(-inf - max) is exactly 0, so they come out exactly
+    zero and their logits enter no arithmetic. An empty row, or a row that
+    keeps no entry, raises ShapeError. A row whose kept logits are all
+    -inf or include +inf comes out all NaN with numpy's invalid-value
+    warning; one whose kept logits include NaN comes out all NaN silently.
+    """
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ShapeError(f"softmax: expected non-empty rows, got shape {x.shape}")
-    if mask is not None:
+    if mask is None:
+        e = x - x.max(axis=-1, keepdims=True)
+    else:
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim > x.ndim or mask.shape != x.shape[x.ndim - mask.ndim:]:
             raise ShapeError(f"softmax: mask shape {mask.shape} does not match {x.shape}")
-        if not mask.any(axis=-1).all():
+        e = np.where(mask, x, -np.inf)
+        m = e.max(axis=-1, keepdims=True)
+        # Only a row with no kept entry, or whose kept entries are all -inf,
+        # has a -inf max.
+        if np.isneginf(m).any() and not mask.any(axis=-1).all():
             raise ShapeError("softmax: a row has no unmasked entries")
-        neg = np.where(mask, x, -np.inf)
-        m = neg.max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(x - m), 0.0)
-    else:
-        m = x.max(axis=-1, keepdims=True)
-        e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+        e -= m
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(p, g):
     """Gradient at the logits of rows p = softmax(...) given g at p:
     p * (g - sum(g * p)); masked entries have p == 0."""
-    inner = (g * p).sum(axis=-1, keepdims=True)
-    return p * (g - inner)
+    gp = g * p
+    inner = gp.sum(axis=-1, keepdims=True)
+    np.subtract(g, inner, out=gp)
+    return np.multiply(p, gp, out=gp)
 
 
 def mean(a) -> Tensor:
@@ -303,7 +320,7 @@ def mean(a) -> Tensor:
         raise ShapeError("mean: empty reduction")
 
     def back(g):
-        _accumulate(a, np.full_like(a.data, g / n))
+        _accumulate(a, np.full_like(a.data, g / n), fresh=True)
 
     return _make(a.data.mean(), (a,), back)
 
@@ -317,7 +334,7 @@ def masked_fill(a, mask, value: float) -> Tensor:
     out_data = np.where(mask, float(value), a.data)
 
     def back(g):
-        _accumulate(a, np.where(mask, 0.0, g))
+        _accumulate(a, np.where(mask, 0.0, g), fresh=True)
 
     return _make(out_data, (a,), back)
 
@@ -395,7 +412,10 @@ SPLIT_CELLS = 2 ** 18
 # multiple of 24 rows, while blocks of 16, 32 or 64 rows gave some rows
 # other bits. 48 is a multiple of 24 and of 16; README's Performance
 # section has the scan and the timings. _split_rows cuts at a block
-# boundary where it can.
+# boundary where it can. This holds only with one BLAS thread
+# (OPENBLAS_NUM_THREADS=1, as the benchmark and the tests set it): a
+# threaded BLAS divides each product among its threads, and a row's bits
+# can then depend on its place in the block whatever the block's size.
 BLOCK_ROWS = 48
 
 # True while _concurrently runs its two functions: _splits then says no,
@@ -489,11 +509,11 @@ def _linear_nll(x, w, targets):
     """linear_cross_entropy's kernel on plain arrays: (nll, numerators, total).
 
     nll[t] = logsumexp(z[t]) - z[t, targets[t]] with z = x @ w, multiplied
-    in blocks (_block_matmul), so a row's values do not depend on the other
-    rows of x. The softmax numerators exp(z - max) are built in place in the
-    logits buffer, and total holds their (rows, 1) sums. Run as two row
-    halves (_split_rows), every row's arithmetic, and so every value, is
-    the same as in one pass.
+    in blocks (_block_matmul), so that, with one BLAS thread, a row's
+    values do not depend on the other rows of x (BLOCK_ROWS). The softmax
+    numerators exp(z - max) are built in place in the logits buffer, and
+    total holds their (rows, 1) sums. Run as two row halves (_split_rows),
+    every row's arithmetic, and so every value, is the same as in one pass.
     """
     n = x.shape[0]
     z = np.empty((n, w.shape[1]))
@@ -580,7 +600,7 @@ def dropout(a, rate: float, uniforms) -> Tensor:
     m = (uniforms >= rate) / (1.0 - rate)
 
     def back(g):
-        _accumulate(a, g * m)
+        _accumulate(a, np.asarray(g * m), fresh=True)
 
     return _make(a.data * m, (a,), back)
 

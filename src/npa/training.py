@@ -249,7 +249,10 @@ def _winners(contexts, logprobs, rows, targets, emb) -> np.ndarray:
     more than twice the step's largest bound, which makes it the float64
     winner too. Every other step, exact ties (gap 0), nan gaps and
     infinite bounds included, is recomputed by _context_scores, whose rows
-    get the full table's bits however few are recomputed (T.BLOCK_ROWS).
+    get the full table's bits however few are recomputed, provided BLAS
+    runs on one thread (T.BLOCK_ROWS). With a threaded BLAS a recomputed
+    row can differ from the full table's in its last bit, so a float64 tie
+    may resolve to another context than the full table's argmax.
     README's Performance section records how many steps that is, and the
     cost.
     """

@@ -213,7 +213,8 @@ def pattern_attention(q, params, keep_mask=None) -> np.ndarray:
     codebook = _codebook(params).data
     # Heads' q is (H, ..., N, d): its batch axes are all but the first and last two.
     keys = codebook @ _stacked(params, "w_pattern_key", q.ndim - 3).swapaxes(-1, -2)
-    logits = (q @ keys.swapaxes(-1, -2)) * float(1.0 / np.sqrt(q.shape[-1]))
+    logits = q @ keys.swapaxes(-1, -2)
+    logits *= float(1.0 / np.sqrt(q.shape[-1]))
     return T._softmax_rows(logits, keep_mask)
 
 
@@ -272,14 +273,21 @@ def unit_forward(inputs: Tensor, params, strategy: ExtractionStrategy,
             if uniforms is None:
                 raise ValueError("sampling extraction needs Gumbel uniforms")
             with np.errstate(divide="ignore"):
-                logp = np.log(abar)
-            g = -np.log(-np.log(uniforms))
-            idx = np.argmax(logp / strategy.gumbel_temperature + g, axis=-1)
+                perturbed = np.log(abar)
+            gumbel = np.log(uniforms)  # -log(-log(u)), in place
+            np.negative(gumbel, out=gumbel)
+            np.log(gumbel, out=gumbel)
+            np.negative(gumbel, out=gumbel)
+            perturbed /= strategy.gumbel_temperature
+            perturbed += gumbel
+            idx = np.argmax(perturbed, axis=-1)
             picked = np.take_along_axis(abar, idx[..., None], axis=-1)[..., 0]
         z = c[idx]
     rho = z @ _stacked(params, "w_context_query", batch).swapaxes(-1, -2)
     context_scale = float(1.0 / np.sqrt(rho.shape[-1]))
-    b = T._softmax_rows((rho @ k.swapaxes(-1, -2)) * context_scale, causal_mask(n))
+    logits = rho @ k.swapaxes(-1, -2)
+    logits *= context_scale
+    b = T._softmax_rows(logits, causal_mask(n))
     contexts = b @ v
 
     pattern_scale = float(1.0 / np.sqrt(q.shape[-1]))  # as in pattern_attention
@@ -293,7 +301,8 @@ def unit_forward(inputs: Tensor, params, strategy: ExtractionStrategy,
     def beliefs_back(g_abar: np.ndarray):
         """From the prefix beliefs down to the codebook, w_pattern_key,
         w_query and the inputs."""
-        g_logits = T._softmax_grad(a, mean.swapaxes(-1, -2) @ g_abar) * pattern_scale
+        g_logits = T._softmax_grad(a, mean.swapaxes(-1, -2) @ g_abar)
+        g_logits *= pattern_scale
         wpk_t = _stacked(params, "w_pattern_key", batch).swapaxes(-1, -2)
         keys = c @ wpk_t  # recomputed
         g_q = g_logits @ keys
@@ -304,7 +313,8 @@ def unit_forward(inputs: Tensor, params, strategy: ExtractionStrategy,
 
     def contexts_back(g: np.ndarray):
         g_v = b.swapaxes(-1, -2) @ g
-        g_logits = T._softmax_grad(b, g @ v.swapaxes(-1, -2)) * context_scale
+        g_logits = T._softmax_grad(b, g @ v.swapaxes(-1, -2))
+        g_logits *= context_scale
         g_rho = g_logits @ k
         g_k = (rho.swapaxes(-1, -2) @ g_logits).swapaxes(-1, -2)
         wcq = _stacked(params, "w_context_query", batch)

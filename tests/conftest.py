@@ -1,14 +1,26 @@
-"""Shared fixtures: small model factories and the trained synthetic experiment."""
+"""Shared fixtures: small model factories and the trained synthetic experiment.
 
-import struct
+BLAS is pinned to one thread before numpy is first imported, as the
+benchmark pins it: with a threaded BLAS a row of a product can round
+differently by the rows beside it, and the kernels' promise that a row's
+bits do not depend on the other rows (``tensor.BLOCK_ROWS``) holds only
+with one thread.
+"""
 
-import pytest
+import os
 
-from npa import tensor as T
-from npa.checkpoint import VERSION
-from npa.data import SynthSpec, gen_synthetic, split_dataset
-from npa.model import ModelConfig, init_params
-from npa.training import TrainConfig, train
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import struct  # noqa: E402
+
+import pytest  # noqa: E402
+
+from npa import tensor as T  # noqa: E402
+from npa.checkpoint import VERSION  # noqa: E402
+from npa.data import SynthSpec, gen_synthetic, split_dataset  # noqa: E402
+from npa.model import ModelConfig, init_params  # noqa: E402
+from npa.training import TrainConfig, train  # noqa: E402
 
 # Constants of the synthetic recovery experiment; the generator profile and
 # training pacing were fixed once against the brute-force conditional oracle
