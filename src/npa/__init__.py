@@ -7,7 +7,22 @@ objectives (``npa.training``), scoring, top-k recommendation and
 attention export (``npa.recommend``), datasets and the planted-pattern
 generator (``npa.data``), ranking metrics and baselines (``npa.metrics``),
 and persistence (``npa.checkpoint``).
+
+Importing the package pins BLAS to one thread, unless the process already
+set a count: it sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 where they are unset, before numpy loads. The
+output head's promise that a row's bits do not depend on the other rows
+(``tensor.BLOCK_ROWS``) holds only with one BLAS thread. A caller that
+imports numpy before ``npa`` must set the variables itself. The
+variables stay set for the rest of the process and are inherited by its
+child processes, so an OpenMP or MKL library loaded after ``npa`` (torch
+or scikit-learn, say) runs on one thread too.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .data import Basket, Catalog, EvalInstance, SynthSpec, gen_synthetic, load_baskets, make_eval_instances, split_dataset
 from .metrics import CountBaseline, MetricReport, compute_metrics

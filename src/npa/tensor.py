@@ -25,16 +25,17 @@ is one module-wide flag, so a thread inside ``no_grad`` turns recording
 off for every other thread too. Tensors are immutable after the forward
 pass and may be shared read-only. Three things run on a second thread,
 each through ``_concurrently``, which joins its worker before returning:
-the catalog-wide kernels' row halves (``_split_rows``); training's winner
-table of one length bucket beside the next bucket's forward pass; and,
-when the loss adds two subgraphs that share only leaves, the sweep of the
-second beside the sweep of the first (:func:`backward`). A worker calls
-only numpy and this module's private helpers, and while one runs no
-kernel splits again, so at most two threads run. Leaf gradients keep
-their order: the one-thread sweep runs every node under the first operand
-before any node under the second, so the second's worker defers its
-additions into leaves and the caller makes them, in order, after the
-first's.
+the row halves of the two forward kernels that span the catalog, the
+output head's and training's float32 winner table (``_split_rows``);
+training's winner table of one length bucket beside the next bucket's
+forward pass; and, when the loss adds two subgraphs that share only
+leaves, the sweep of the second beside the sweep of the first
+(:func:`backward`). A worker calls only numpy and this module's private
+helpers, and while one runs no kernel splits again, so at most two
+threads run. Leaf gradients keep their order: the one-thread sweep runs
+every node under the first operand before any node under the second, so
+the second's worker defers its additions into leaves and the caller
+makes them, in order, after the first's.
 """
 
 from __future__ import annotations
@@ -401,7 +402,10 @@ def _add_rows(shape, idx, g):
 # at which a timed split of the output head was slower than one thread
 # (256,000 cells) and below train_mc_temporal's buckets (600,000 cells or
 # more); train_sc_anyorder's head (about 90,000) stays whole. README's
-# Performance section has the measurements. Serving never reaches the split.
+# Performance section has the measurements. Those timings split the head's
+# forward and backward together; now that only forward kernels split, the
+# break-even was not re-measured, so the threshold is inherited. No workload
+# lies near it. Serving never reaches the split.
 SPLIT_CELLS = 2 ** 18
 
 # _linear_nll multiplies its rows in blocks of this many, the last block
@@ -413,13 +417,13 @@ SPLIT_CELLS = 2 ** 18
 # other bits. 48 is a multiple of 24 and of 16; README's Performance
 # section has the scan and the timings. _split_rows cuts at a block
 # boundary where it can. This holds only with one BLAS thread
-# (OPENBLAS_NUM_THREADS=1, as the benchmark and the tests set it): a
-# threaded BLAS divides each product among its threads, and a row's bits
-# can then depend on its place in the block whatever the block's size.
+# (OPENBLAS_NUM_THREADS=1, which importing npa sets unless the process set
+# a count): a threaded BLAS divides each product among its threads, and a
+# row's bits can then depend on its place in the block whatever its size.
 BLOCK_ROWS = 48
 
-# True while _concurrently runs its two functions: _splits then says no,
-# so no kernel starts a third thread.
+# True while _concurrently runs its two functions: _split_rows then runs
+# whole, so no kernel starts a third thread.
 _concurrent = False
 
 
@@ -436,9 +440,9 @@ def _concurrently(first, second):
 
     The worker runs under the caller's numpy error state, is joined before
     this returns, whichever side raised, and its exception is raised here.
-    Until then _splits says no, on both threads. Workers may call only
-    numpy and this package's private kernels: a benchmark tracer keeps one
-    span stack and patches public functions.
+    Until then _split_rows runs whole, on both threads. Workers may call
+    only numpy and this package's private kernels: a benchmark tracer keeps
+    one span stack and patches public functions.
     """
     global _concurrent
     errors = np.geterr()
@@ -465,23 +469,19 @@ def _concurrently(first, second):
         raise failed[0]
 
 
-def _splits(rows: int, width: int) -> bool:
-    """Whether a kernel over rows x width cells runs in two row halves:
-    at least 2 rows a half, SPLIT_CELLS cells and two allowed CPUs, outside
-    another concurrent section."""
-    return (rows >= 4 and rows * width >= SPLIT_CELLS and not _concurrent
-            and _allowed_cpus() > 1)
-
-
 def _split_rows(fn, rows: int, width: int):
     """Run fn(lo, hi) over the rows [0, rows), as two halves on two threads
-    when _splits says so, else once. fn writes its rows of buffers the
+    when the kernel has at least 4 rows and SPLIT_CELLS rows x width cells,
+    two CPUs are allowed and no other concurrent section runs; else once.
+    Its kernels are forward ones: the output head's (_linear_nll) and
+    training's float32 winner table. fn writes its rows of buffers the
     caller allocated (glibc gives each allocating thread its own arena).
     The halves meet at the multiple of BLOCK_ROWS nearest the middle when
     each keeps 2 rows or more, else at rows // 2; each half keeps at least
     2 rows, since numpy multiplies a single row by a matrix-vector product,
     whose rounding can differ from a matrix product's."""
-    if _splits(rows, width):
+    if (rows >= 4 and rows * width >= SPLIT_CELLS and not _concurrent
+            and _allowed_cpus() > 1):
         half = round(rows / (2 * BLOCK_ROWS)) * BLOCK_ROWS
         if not 2 <= half <= rows - 2:
             half = rows // 2
@@ -543,9 +543,9 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
     cross-entropy node, also when w is the transpose of a table that feeds
     x too. The node keeps only the softmax numerators; its backward
     allocates the logits' gradient afresh, so a second sweep sees the same
-    numerators. When _splits allows it, the forward and the backward's
-    logits gradient run as two row halves on two threads, and the x and w
-    gradient products run at the same time, each one whole.
+    numerators. The forward may run as two row halves on two threads
+    (_split_rows); the backward is one pass on one thread, the x gradient
+    product before the w one.
     """
     x, w = _coerce(x), _coerce(w)
     targets = np.asarray(targets, dtype=np.int64)
@@ -559,28 +559,13 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
     nll, e, total = _linear_nll(a, b, targets)
 
     def back(g):
-        gz = np.empty_like(e)
-
-        def part(lo, hi):
-            np.divide(e[lo:hi], total[lo:hi], out=gz[lo:hi])
-            gz[lo:hi] *= g[lo:hi, None]
-            gz[np.arange(hi - lo) + lo, targets[lo:hi]] -= g[lo:hi]
-
-        _split_rows(part, *e.shape)
-        grads = []  # (operand, its gradient's buffer, the product filling it)
+        gz = e / total
+        gz *= g[:, None]
+        gz[np.arange(len(targets)), targets] -= g
         if x.requires_grad:
-            gx = np.empty(a.shape)
-            grads.append((x, gx, lambda: np.matmul(gz, b.swapaxes(-1, -2), out=gx)))
+            _accumulate(x, gz @ b.swapaxes(-1, -2), fresh=True)
         if w.requires_grad:
-            gw = np.empty(b.shape)
-            grads.append((w, gw, lambda: np.matmul(a.swapaxes(-1, -2), gz, out=gw)))
-        if len(grads) == 2 and _splits(*e.shape):
-            _concurrently(grads[0][2], grads[1][2])
-        else:
-            for _, _, product in grads:
-                product()
-        for operand, grad, _ in grads:
-            _accumulate(operand, grad, fresh=True)
+            _accumulate(w, a.swapaxes(-1, -2) @ gz, fresh=True)
 
     return _make(nll, (x, w), back)
 

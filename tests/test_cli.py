@@ -633,3 +633,30 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           timeout=60)
     assert done.returncode == 1
     assert done.stderr == "error: num_baskets must be >= 1\n"
+
+
+# Records each BLAS variable as numpy starts to load, then imports npa.
+_BLAS_AT_NUMPY_LOAD = """
+import os, sys
+BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in BLAS])
+sys.meta_path.insert(0, Watch())
+import npa
+print(*seen[0])
+"""
+
+
+@pytest.mark.parametrize("preset, want", [({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 1 1")],
+                         ids=["unset", "user_count_wins"])
+def test_npa_pins_blas_before_numpy_loads(preset, want):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", _BLAS_AT_NUMPY_LOAD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want + "\n"

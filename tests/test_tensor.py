@@ -485,26 +485,60 @@ def _head_bytes(rows, tied):
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("rows", [4, 5, 7, 64, 129])
 def test_linear_cross_entropy_split_is_bit_identical(monkeypatch, rows, tied):
-    # Split, the forward runs two row halves, and each backward sweep splits
-    # the logits gradient and runs the two gradient products at once.
+    # Split, the forward runs two row halves; the backward sweeps run whole.
     runs = {}
     for cpus in (1, 2):
         calls = force_split(monkeypatch, cpus)
         runs[cpus] = _head_bytes(rows, tied)
-        assert len(calls) == (5 if cpus == 2 else 0)
+        assert len(calls) == (1 if cpus == 2 else 0)
     assert runs[1] == runs[2]
+
+
+def test_head_backward_starts_no_thread(monkeypatch):
+    # The head's backward is one pass on the calling thread, even where the
+    # forward splits; its gradients are the one-CPU run's to the bit.
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def run():
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(130, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 50)), requires_grad=True)
+        loss = T.mean(T.linear_cross_entropy(x, w, rng.integers(0, 50, size=130)))
+        started.clear()
+        T.backward(loss)
+        assert started == []
+        return [x.grad.tobytes(), w.grad.tobytes()]
+
+    monkeypatch.setattr(T.threading, "Thread", Recording)
+    force_split(monkeypatch, 1)
+    want = run()
+    calls = force_split(monkeypatch, 2)
+    assert run() == want
+    assert len(calls) == 1  # the forward's halves
+
+
+def _halves(rows, width):
+    """How many parts _split_rows runs a kernel of rows x width cells in."""
+    seen = []
+    T._split_rows(lambda lo, hi: seen.append((lo, hi)), rows, width)
+    return len(seen)
 
 
 def test_splits_rule(monkeypatch):
     # SC's head (about 450 rows x 200 items) stays on one thread, MC's
     # buckets (300-600 rows x 2,000 items) split; a half keeps 2 rows.
     monkeypatch.setattr(T, "_allowed_cpus", lambda: 2)
-    assert not T._splits(450, 200)
-    assert T._splits(300, 2000)
-    assert T._splits(4, T.SPLIT_CELLS // 4)
-    assert not T._splits(3, T.SPLIT_CELLS)
+    assert _halves(450, 200) == 1
+    assert _halves(300, 2000) == 2
+    assert _halves(4, T.SPLIT_CELLS // 4) == 2
+    assert _halves(3, T.SPLIT_CELLS) == 1
     monkeypatch.setattr(T, "_allowed_cpus", lambda: 1)
-    assert not T._splits(600, 2000)
+    assert _halves(600, 2000) == 1
 
 
 def test_split_rows_covers_each_row_once(monkeypatch):
@@ -568,7 +602,7 @@ def test_split_head_bit_identical_under_frequent_thread_switches(monkeypatch):
         got = [_head_bytes(129, tied=True) for _ in range(5)]
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == 25
+    assert len(calls) == 5
     assert all(g == want for g in got)
 
 
@@ -600,17 +634,16 @@ def _two_sweeps(shared_inner=False):
 
 @pytest.mark.parametrize("shared_inner", [False, True], ids=["apart", "shared"])
 def test_backward_over_two_operands_bit_identical_on_two_cpus(monkeypatch, shared_inner):
-    # Operands that share only leaves are swept on two threads, and the
-    # head inside the first does not split again. Operands that share an
-    # inner node are swept on one thread, where the head's backward splits
-    # its logits gradient and runs its two products at once.
+    # Operands that share only leaves are swept on two threads. Operands
+    # that share an inner node are swept on one thread, and the head's
+    # backward inside them runs whole.
     runs = {}
     for cpus in (1, 2):
         calls = force_split(monkeypatch, cpus)
         loss, _ = _two_operand_loss(shared_inner)
         calls.clear()  # the forward's head splits
         T.backward(loss)
-        assert len(calls) == (0 if cpus == 1 else 2 if shared_inner else 1)
+        assert len(calls) == (0 if cpus == 1 or shared_inner else 1)
         runs[cpus] = _two_sweeps(shared_inner)
     assert runs[1] == runs[2]
 
