@@ -290,6 +290,24 @@ def output_embeddings(params: NpaParams) -> Tensor:
     return params.output_embeddings if params.output_embeddings is not None else params.item_embeddings
 
 
+def _item_ids(values, caller: str, name=None) -> np.ndarray:
+    """values as an int64 id array. A float id that is fractional, not
+    finite or out of int64's range raises ConfigError naming the basket
+    (name; by default the ids of a 1-d basket, the row of a batch) and the
+    id."""
+    ids = np.asarray(values)
+    if ids.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            bad = np.flatnonzero(ids.astype(np.int64) != ids)
+        if bad.size:
+            if name is None:
+                name = (bad[0] // ids.shape[1] if ids.ndim == 2
+                        else ",".join(map(str, ids.ravel().tolist())))
+            raise ConfigError(f"{caller}: basket {name}: item id {ids.flat[bad[0]]} "
+                              "is not an integer")
+    return np.asarray(ids, dtype=np.int64)
+
+
 def check_baskets(baskets, names, config: ModelConfig, caller: str):
     """Reject, before any model work, a basket the model cannot take.
 
@@ -456,7 +474,7 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
     these rows (each LayerNoise's rows(0) for a 1-d basket), with dropout
     when drawn at a positive rate.
     """
-    ids = np.asarray(basket, dtype=np.int64)
+    ids = _item_ids(basket, "forward")
     x = embed_inputs(ids, config, params, lengths=lengths)
     batched = ids.ndim == 2
     if noise is None:

@@ -11,9 +11,13 @@ ranking is what matters):
   by the best single context (max-pool), which damps popularity bias.
 
 Scoring is inference only and works on plain numpy values, with one
-``(contexts, items)`` logit product per call. ``recommend_topk`` and
-``export_attention`` check a basket, run it forward inside
-``tensor.no_grad`` and rank a step's contexts by the same routines.
+``(contexts, items)`` logit product per call, against a row-major
+transposed copy of the item embeddings. Inside ``tensor.no_grad`` that
+copy is kept and reused while the embeddings are the same array, which
+is then read-only (``tensor._kept``); outside it the copy is made per
+call, so both give the same bits. ``recommend_topk`` and
+``export_attention`` check a basket, run it forward and rank a step's
+contexts inside ``tensor.no_grad``, by the same routines.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import model as npa_model
 from .errors import ConfigError
-from .tensor import _softmax_rows, no_grad
+from .tensor import _kept, _softmax_rows, no_grad
 
 SOFTMAX = "softmax"
 MEAN_AGGREGATE = "mean_aggregate"
@@ -74,12 +78,13 @@ def _context_matrix(contexts) -> np.ndarray:
 
 
 def _logits(contexts, embeddings, caller: str) -> np.ndarray:
-    """(contexts, items) dot products of a context stack with the item embeddings."""
+    """(contexts, items) dot products of a context stack with the item
+    embeddings, through their row-major transposed copy (module docstring)."""
     c = _context_matrix(contexts)
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] != c.shape[1]:
         raise ConfigError(f"{caller}: embeddings {e.shape} vs contexts {c.shape}")
-    return c @ e.T
+    return c @ _kept("transpose", [e], e.T.copy)
 
 
 def score_softmax(context, embeddings) -> ScoreVector:
@@ -169,7 +174,10 @@ def rank_items(scores: np.ndarray, exclude=(), k: int | None = None):
 
 def _checked_basket(basket, config, caller: str) -> list:
     """The basket's ids as ints, checked as training checks its baskets."""
-    items = [int(i) for i in basket]
+    ids = npa_model._item_ids(basket, caller)
+    if ids.ndim != 1:
+        raise ConfigError(f"{caller}: expected a 1-d id sequence, got shape {ids.shape}")
+    items = ids.tolist()
     if not items:
         raise ConfigError(f"{caller}: empty basket")
     npa_model.check_baskets([items], [",".join(map(str, items))], config, caller)
@@ -199,8 +207,8 @@ def recommend_topk(basket, config, params, k: int,
         raise ConfigError(f"k must be in [1, {config.num_items - len(items)}], got {k}")
     with no_grad():
         state = npa_model.forward(items, config, params, rng_seed=rng_seed)
-    return _ranked(state.context.data[:, -1], npa_model.output_embeddings(params).data,
-                   items, k, scoring_kind, fesf_temperature)
+        return _ranked(state.context.data[:, -1], npa_model.output_embeddings(params).data,
+                       items, k, scoring_kind, fesf_temperature)
 
 
 def _fmt(values) -> str:
@@ -222,7 +230,11 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=None,
         raise ConfigError(f"k must be >= 1, got {k}")
     with no_grad():
         state = npa_model.forward(items, config, params, rng_seed=rng_seed)
-    emb = npa_model.output_embeddings(params).data
+        final = state.context.data  # (contexts, steps, dim)
+        emb = npa_model.output_embeddings(params).data
+        # The prefix of step t holds t + 1 distinct items, so as many candidates drop out.
+        tops = [_ranked(final[:, t, :], emb, items[:t + 1], min(k, config.num_items - t - 1),
+                        scoring_kind, fesf_temperature) for t in range(len(items))]
     plan = npa_model.layer_channel_plan(config)
 
     lines = [
@@ -234,19 +246,14 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=None,
         f"num_patterns={config.num_patterns}",
         f"steps={len(items)}",
     ]
-    final = state.context.data  # (contexts, steps, dim)
-    for t in range(len(items)):
-        prefix = items[:t + 1]
-        lines.append(f"step={t} prefix={','.join(str(i) for i in prefix)}")
+    for t, top in enumerate(tops):
+        lines.append(f"step={t} prefix={','.join(str(i) for i in items[:t + 1])}")
         for li, states in enumerate(state.unit_states):
             for ci, unit_state in enumerate(states):
                 abar = unit_state.prefix_attention.data[t]
                 lines.append(f"pattern step={t} layer={li} channel={ci} probs={_fmt(abar)}")
                 b_row = unit_state.context_attention.data[t, :t + 1]
                 lines.append(f"context step={t} layer={li} channel={ci} weights={_fmt(b_row)}")
-        # The prefix holds t + 1 distinct items, so as many candidates drop out.
-        top = _ranked(final[:, t, :], emb, prefix, min(k, config.num_items - t - 1),
-                      scoring_kind, fesf_temperature)
         lines.append(f"topk step={t} items={','.join(str(i) for i in top.item_ids)}"
                      f" scores={_fmt(top.scores)}")
     tmp = f"{path}.tmp"

@@ -20,6 +20,13 @@ plain tensor with no parents and no backward closure, and runs the same
 numpy operations, so every value is bit-identical to a recording pass.
 :func:`backward` and training refuse to run inside it.
 
+Graph-free calls may keep arrays built from parameter arrays alone, such
+as a transposed output table or a stack of heads' projections, and reuse
+them while each parameter array is the same object (``_kept``). Keeping
+one makes those parameter arrays read-only: update a weight by rebinding
+its tensor's ``.data``, as AdamW does, not by writing into the array. A
+recording pass keeps nothing and freezes nothing.
+
 Concurrency. Graph construction is single-threaded: the graph-free mode
 is one module-wide flag, so a thread inside ``no_grad`` turns recording
 off for every other thread too. Tensors are immutable after the forward
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -109,6 +117,43 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+# _kept's arrays: (key, id of each source) -> (weak references to the
+# sources, the kept array).
+_kept_arrays = {}
+
+
+def _kept(key, sources, build):
+    """build(), an array made from the parameter arrays ``sources`` alone.
+
+    While no graph is recorded the result is kept, read-only, and returned
+    again as long as each source is the same array object. Keeping it marks
+    every source that owns its data read-only, so an in-place write raises
+    instead of leaving a stale kept array; a tensor's ``.data`` is updated
+    by rebinding it, as AdamW does, and the next call then builds afresh.
+    No entry outlives a source. While a graph is recorded nothing is kept
+    or marked, and build() runs on every call.
+    """
+    if _grad_enabled:
+        return build()
+    # An entry goes when one of its sources is freed, so the sources of an
+    # entry found here are alive, and live arrays with these ids are these.
+    ident = (key, *map(id, sources))
+    entry = _kept_arrays.get(ident)
+    if entry is not None:
+        return entry[1]
+    value = build()
+    value.flags.writeable = False
+
+    def drop(_ref):
+        _kept_arrays.pop(ident, None)
+
+    for s in sources:
+        if s.flags.owndata:
+            s.flags.writeable = False
+    _kept_arrays[ident] = ([weakref.ref(s, drop) for s in sources], value)
+    return value
 
 
 def _make(data, parents, backward_fn) -> Tensor:

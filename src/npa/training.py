@@ -111,7 +111,7 @@ def sample_permutation(basket_items, rng: np.random.Generator):
 def _checked_sequences(batch, config):
     """The id arrays of a batch, checked by check_baskets so that a failure
     names the sequence's index in the batch."""
-    seqs = [np.asarray(seq, dtype=np.int64) for seq in batch]
+    seqs = [npa_model._item_ids(seq, "batch_loss", i) for i, seq in enumerate(batch)]
     if not seqs:
         raise ConfigError("empty batch")
     for i, seq in enumerate(seqs):
@@ -411,18 +411,18 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
     if train_config.mode == ANY_ORDER and config.use_positions:
         raise ConfigError("any_order training requires use_positions=false")
 
-    rng = np.random.default_rng(train_config.seed)
-    if optimizer is None:
-        optimizer = AdamW(npa_model.trainable_parameters(params, config),
-                          lr=train_config.learning_rate,
-                          weight_decay=train_config.weight_decay)
-    arrays = [np.asarray(b.items if hasattr(b, "items") else b, dtype=np.int64)
-              for b in baskets]
+    arrays = [npa_model._item_ids(b.items if hasattr(b, "items") else b, "train", i)
+              for i, b in enumerate(baskets)]
     index = [i for i, b in enumerate(arrays) if b.size >= 2]
     usable = [arrays[i] for i in index]
     if not usable:
         raise ConfigError("train: every basket is shorter than two items")
     npa_model.check_baskets(usable, index, config, "train")
+    rng = np.random.default_rng(train_config.seed)
+    if optimizer is None:
+        optimizer = AdamW(npa_model.trainable_parameters(params, config),
+                          lr=train_config.learning_rate,
+                          weight_decay=train_config.weight_decay)
 
     reports = []
     for epoch in range(1, train_config.epochs + 1):

@@ -18,6 +18,11 @@ unit composed one graph node per operation and add into shared tensors
 in that composition's order, so values and gradients are bit-identical
 to it; that composition is the oracle in ``tests/test_vqa.py``. No
 intermediate gradient outlives the backward pass.
+
+Outside a recorded graph, the stacked heads' projections and the pattern
+keys (codebook rows projected by w_pattern_key) are kept between calls
+and reused while the weight arrays are the same objects, which are then
+read-only (``tensor._kept``).
 """
 
 from __future__ import annotations
@@ -158,7 +163,8 @@ def _stacked(params, name: str, batch: int) -> np.ndarray:
     broadcasts against operands with that many batch axes."""
     if isinstance(params, VqaParams):
         return getattr(params, name).data
-    w = np.array([getattr(p, name).data for p in params])
+    sources = [getattr(p, name).data for p in params]
+    w = T._kept("stack", sources, lambda: np.array(sources))
     return w.reshape(w.shape[:1] + (1,) * batch + w.shape[1:]) if batch else w
 
 
@@ -212,7 +218,10 @@ def pattern_attention(q, params, keep_mask=None) -> np.ndarray:
     and the rows renormalize."""
     codebook = _codebook(params).data
     # Heads' q is (H, ..., N, d): its batch axes are all but the first and last two.
-    keys = codebook @ _stacked(params, "w_pattern_key", q.ndim - 3).swapaxes(-1, -2)
+    batch = max(q.ndim - 3, 0)
+    units = [params] if isinstance(params, VqaParams) else params
+    keys = T._kept(("pattern_keys", batch), [codebook] + [u.w_pattern_key.data for u in units],
+                   lambda: codebook @ _stacked(params, "w_pattern_key", batch).swapaxes(-1, -2))
     logits = q @ keys.swapaxes(-1, -2)
     logits *= float(1.0 / np.sqrt(q.shape[-1]))
     return T._softmax_rows(logits, keep_mask)

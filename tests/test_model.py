@@ -1,18 +1,21 @@
 """Model composition: embedding, layers, variants, causality, determinism."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+import npa.model
 from npa import tensor as T
 from npa import vqa
 from npa.errors import ConfigError
 from npa.model import (LayerNoise, check_baskets, draw_noise, embed_inputs, forward,
                        forward_layer, init_params, layer_channel_plan, named_parameters,
                        trainable_parameters)
+from npa.recommend import export_attention, recommend_topk
 from npa.tensor import Tensor
-from npa.training import batch_loss
+from npa.training import TrainConfig, batch_loss, sequence_scores, train
 
 import composed as C
 from conftest import small_mc_config, small_sc_config
@@ -72,6 +75,36 @@ def test_check_baskets_names_first_basket_and_id_that_repeat():
         check_baskets([[1, 2], [3, 4, 5, 4, 3], [6], [7, 7]], names, cfg, "evaluate")
     # The same id in two different baskets is no repeat.
     check_baskets([[1, 2], [2, 1]], names[:2], cfg, "evaluate")
+
+
+@pytest.mark.parametrize("bad", [1.7, float("nan"), float("inf")], ids=["fraction", "nan", "inf"])
+@pytest.mark.parametrize("entry, name", [
+    ("recommend_topk", None), ("export_attention", None), ("forward", None),
+    ("batch_loss", "1"), ("sequence_scores", "1"), ("train", "1"),
+])
+def test_fractional_and_non_finite_ids_fail_before_model_work(monkeypatch, tmp_path, entry,
+                                                             name, bad):
+    cfg = small_sc_config()
+    params = init_params(cfg, seed=0)
+    basket = [2.0, bad, 5.0]
+    batch = [[1, 3, 4], basket]
+
+    def no_model_work(*args, **kwargs):
+        raise AssertionError("model work before the id check")
+
+    monkeypatch.setattr(npa.model, "embed_inputs", no_model_work)
+    call = {
+        "recommend_topk": lambda: recommend_topk(basket, cfg, params, 3),
+        "export_attention": lambda: export_attention(basket, cfg, params, tmp_path / "a.txt"),
+        "forward": lambda: forward(basket, cfg, params),
+        "batch_loss": lambda: batch_loss(batch, cfg, params),
+        "sequence_scores": lambda: sequence_scores(batch, cfg, params),
+        "train": lambda: train(batch, cfg, params, TrainConfig(epochs=1)),
+    }[entry]
+    shown = name or ",".join(str(v) for v in basket)
+    message = f"basket {shown}: item id {bad} is not an integer"
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        call()
 
 
 def test_check_baskets_rejects_no_baskets_and_an_empty_one():
