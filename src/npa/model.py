@@ -18,11 +18,17 @@ with the log belief of each sampled pattern retained for the training
 objective. The heads run as one stacked unit. ``layer_channel_plan`` is
 the one place that decides each layer's role, and both variants give
 their contexts heads-first, SC's with a contexts axis of 1.
+
+Outside a recorded graph (``tensor.no_grad``) the embedding gather, the
+channel merge and the residual sums run on plain arrays, by the same
+numpy operations as the recorded primitives, so every value is
+bit-identical to a recording pass.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -317,33 +323,34 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
     outside [0, num_items), or repeats an id (the first id seen twice is
     named).
     """
-    baskets = [np.asarray(b, dtype=np.int64) for b in baskets]
-    if not baskets:
+    if not len(baskets):
         raise ConfigError(f"{caller}: no baskets")
-    sizes = [b.size for b in baskets]
-    flat = np.concatenate(baskets)
-    if (0 < min(sizes) and max(sizes) <= config.max_sequence_length
-            and flat.min() >= 0 and flat.max() < config.num_items):
-        # One key per (basket, id): a repeat within a basket is an equal pair.
-        keys = np.sort(np.repeat(np.arange(len(baskets)), sizes) * config.num_items + flat)
-        if not (keys[1:] == keys[:-1]).any():
-            return
-    for name, items in zip(names, baskets):
-        if not items.size:
+    for name, basket in zip(names, baskets):
+        items = np.asarray(basket, dtype=np.int64).tolist()
+        if not items:
             raise ConfigError(f"{caller}: basket {name}: empty")
-        if items.size > config.max_sequence_length:
+        if len(items) > config.max_sequence_length:
             raise ConfigError(
-                f"{caller}: basket {name}: sequence of {items.size} items exceeds "
+                f"{caller}: basket {name}: sequence of {len(items)} items exceeds "
                 f"max_sequence_length {config.max_sequence_length}")
-        bad = items[(items < 0) | (items >= config.num_items)]
-        if bad.size:
-            raise ConfigError(f"{caller}: basket {name}: item id {bad[0]} out of range "
+        if min(items) < 0 or max(items) >= config.num_items:
+            bad = next(i for i in items if not 0 <= i < config.num_items)
+            raise ConfigError(f"{caller}: basket {name}: item id {bad} out of range "
                               f"[0, {config.num_items})")
-        seen = set()
-        for item in items.tolist():
-            if item in seen:
-                raise ConfigError(f"{caller}: basket {name}: item id {item} repeats")
-            seen.add(item)
+        if len(set(items)) < len(items):
+            seen = set()
+            for item in items:
+                if item in seen:
+                    raise ConfigError(f"{caller}: basket {name}: item id {item} repeats")
+                seen.add(item)
+
+
+@dataclass(frozen=True)
+class _Checked:
+    """A 1-d int64 id array that check_baskets accepted under the config it
+    is run with: forward and embed_inputs take it without checking again."""
+
+    ids: np.ndarray
 
 
 def embed_inputs(item_ids, config: ModelConfig, params: NpaParams, lengths=None) -> Tensor:
@@ -355,26 +362,39 @@ def embed_inputs(item_ids, config: ModelConfig, params: NpaParams, lengths=None)
     zeroed with a select, so a non-finite table row they gather never
     spreads; their ids are ignored.
     """
-    ids = np.asarray(item_ids, dtype=np.int64)
-    if ids.ndim not in (1, 2) or ids.size == 0:
-        raise ConfigError(f"embed_inputs: expected a non-empty id sequence, got shape {ids.shape}")
-    n = ids.shape[-1]
-    if n > config.max_sequence_length:
-        raise ConfigError(
-            f"sequence of {n} items exceeds max_sequence_length {config.max_sequence_length}")
     pad = None
-    if lengths is not None:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if ids.ndim != 2 or lengths.shape != ids.shape[:1] or lengths.min() < 1 or lengths.max() > n:
-            raise ConfigError(f"embed_inputs: lengths {lengths.tolist()} do not fit ids {ids.shape}")
-        pad = np.arange(n) >= lengths[:, None]
-        if pad.any():
-            ids = np.where(pad, 0, ids)
-        else:
-            pad = None
-    if ids.min() < 0 or ids.max() >= config.num_items:
-        bad = ids[(ids < 0) | (ids >= config.num_items)][0]
-        raise ConfigError(f"item id {bad} out of range [0, {config.num_items})")
+    if isinstance(item_ids, _Checked):
+        ids = item_ids.ids
+        n = ids.size
+    else:
+        ids = np.asarray(item_ids, dtype=np.int64)
+        if ids.ndim not in (1, 2) or ids.size == 0:
+            raise ConfigError(
+                f"embed_inputs: expected a non-empty id sequence, got shape {ids.shape}")
+        n = ids.shape[-1]
+        if n > config.max_sequence_length:
+            raise ConfigError(
+                f"sequence of {n} items exceeds max_sequence_length {config.max_sequence_length}")
+        if lengths is not None:
+            lengths = np.asarray(lengths, dtype=np.int64)
+            if (ids.ndim != 2 or lengths.shape != ids.shape[:1] or lengths.min() < 1
+                    or lengths.max() > n):
+                raise ConfigError(
+                    f"embed_inputs: lengths {lengths.tolist()} do not fit ids {ids.shape}")
+            pad = np.arange(n) >= lengths[:, None]
+            if pad.any():
+                ids = np.where(pad, 0, ids)
+            else:
+                pad = None
+        if ids.min() < 0 or ids.max() >= config.num_items:
+            bad = ids[(ids < 0) | (ids >= config.num_items)][0]
+            raise ConfigError(f"item id {bad} out of range [0, {config.num_items})")
+    if not T._grad_enabled:
+        # No graph: the same gathers and sums on plain arrays, the ids checked.
+        x = params.item_embeddings.data[ids]
+        if config.use_positions:
+            x = x + params.positional_embeddings.data[:n]
+        return Tensor(x if pad is None else np.where(pad[..., None], 0.0, x))
     x = T.gather_rows(params.item_embeddings, ids)
     if config.use_positions:
         p = T.gather_rows(params.positional_embeddings, np.arange(n))
@@ -396,7 +416,8 @@ def draw_noise(lengths, config: ModelConfig, rng_seed, dropout_rate: float,
     the baskets one at a time, so a basket's draws do not depend on its
     batch. The arrays are channels first, (channels, B, N, width) with
     N = max(lengths), and the keep masks boolean; padded rows keep every
-    entry.
+    entry. A batch or bucket of one basket needs no padding: its uniforms
+    and merge draws are views of the generator's output.
 
     buckets, when given, are index arrays that partition the batch; the
     result is then one such list per bucket, over its baskets in the order
@@ -405,44 +426,61 @@ def draw_noise(lengths, config: ModelConfig, rng_seed, dropout_rate: float,
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(
         0 if rng_seed is None else rng_seed)
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64).tolist()
     p, d = config.num_patterns, config.embedding_dim
     dropout = dropout_rate > 0
     # Per layer: its channels, whether they sample, whether its merge drops out.
     plan = [(channels, kind == vqa.SAMPLING, merges and dropout)
             for channels, merges, kind in layer_channel_plan(config)]
-    out, home = [], [None] * lengths.size
-    for group in [np.arange(lengths.size)] if buckets is None else buckets:
-        shape = (len(group), int(lengths[group].max()))
-        layers = [LayerNoise(dropout_rate,
-                             np.ones((channels,) + shape + (p,), dtype=bool) if dropout else None,
-                             np.full((channels,) + shape + (p,), 0.5) if sampling else None,
-                             np.ones(shape + (d,)) if merge else None)
-                  for channels, sampling, merge in plan]
-        out.append(layers)
-        for row, b in enumerate(group.tolist()):
-            home[b] = (layers, row)
     per_step = sum(channels * (dropout + sampling) * p + merge * d
                    for channels, sampling, merge in plan)
-    draws = rng.random(int(lengths.sum()) * per_step)
-    at = 0
-    for (layers, row), n in zip(home, lengths.tolist()):
-        for noise, (channels, sampling, merge) in zip(layers, plan):
+    draws = rng.random(sum(lengths) * per_step)
+    starts = list(itertools.accumulate(lengths, initial=0))
+
+    def layer_draws(b):
+        """Basket b's draws per layer: a (channels, dropout + sampling, n, p)
+        block of keep-mask and Gumbel draws, then the merge's (n, d) block."""
+        at, n = starts[b] * per_step, lengths[b]
+        for channels, sampling, merge in plan:
             size = channels * (dropout + sampling) * n * p
-            if size:
-                block = draws[at:at + size].reshape(channels, dropout + sampling, n, p)
-                if dropout:
-                    np.greater_equal(block[:, 0], dropout_rate, out=noise.keep_masks[:, row, :n])
-                if sampling:
-                    noise.uniforms[:, row, :n] = block[:, -1]
-                at += size
-            if merge:
-                noise.merge_uniforms[row, :n] = draws[at:at + n * d].reshape(n, d)
-                at += n * d
-    for layers in out:
+            block = draws[at:at + size].reshape(channels, dropout + sampling, n, p)
+            at += size
+            yield block, draws[at:at + merge * n * d].reshape(merge * n, d)
+            at += merge * n * d
+
+    out = []
+    for group in [range(len(lengths))] if buckets is None else buckets:
+        group = list(group)
+        if len(group) == 1:
+            # One basket needs no padding: its uniforms view its draws.
+            layers = [LayerNoise(dropout_rate,
+                                 block[:, :1] >= dropout_rate if dropout else None,
+                                 block[:, -1:] if sampling else None,
+                                 merge_block[None] if merge else None)
+                      for (block, merge_block), (_, sampling, merge)
+                      in zip(layer_draws(group[0]), plan)]
+        else:
+            shape = (len(group), max(lengths[b] for b in group))
+            layers = [LayerNoise(dropout_rate,
+                                 np.ones((channels,) + shape + (p,), dtype=bool) if dropout else None,
+                                 np.full((channels,) + shape + (p,), 0.5) if sampling else None,
+                                 np.ones(shape + (d,)) if merge else None)
+                      for channels, sampling, merge in plan]
+            for row, b in enumerate(group):
+                n = lengths[b]
+                for noise, (block, merge_block), (_, sampling, merge) in zip(
+                        layers, layer_draws(b), plan):
+                    if dropout:
+                        np.greater_equal(block[:, 0], dropout_rate,
+                                         out=noise.keep_masks[:, row, :n])
+                    if sampling:
+                        noise.uniforms[:, row, :n] = block[:, -1]
+                    if merge:
+                        noise.merge_uniforms[row, :n] = merge_block
         for noise in layers:
             if noise.keep_masks is not None:
                 noise.keep_masks[~noise.keep_masks.any(axis=-1)] = True  # never empty a row
+        out.append(layers)
     return out[0] if buckets is None else out
 
 
@@ -454,8 +492,12 @@ def forward_layer(inputs: Tensor, layer: LayerParams, strategy: vqa.ExtractionSt
     keep = noise.keep_masks
     states = [vqa.unit_forward(inputs, unit, strategy, None if keep is None else keep[c])
               for c, unit in enumerate(layer.channels)]
-    stacked = states[0].contexts if len(states) == 1 else T.concat([s.contexts for s in states])
-    merged = T.matmul(stacked, T.transpose(layer.merge))
+    if T._grad_enabled:
+        stacked = states[0].contexts if len(states) == 1 else T.concat([s.contexts for s in states])
+        merged = T.matmul(stacked, T.transpose(layer.merge))
+    else:  # no graph: the same concatenation and product on plain arrays
+        stacked = np.concatenate([s.contexts.data for s in states], axis=-1)
+        merged = Tensor(stacked @ layer.merge.data.swapaxes(-1, -2))
     if noise.merge_uniforms is not None:
         merged = T.dropout(merged, noise.dropout_rate, noise.merge_uniforms)
     return merged, states
@@ -474,8 +516,9 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
     these rows (each LayerNoise's rows(0) for a 1-d basket), with dropout
     when drawn at a positive rate.
     """
-    ids = _item_ids(basket, "forward")
-    x = embed_inputs(ids, config, params, lengths=lengths)
+    checked = isinstance(basket, _Checked)
+    ids = basket.ids if checked else _item_ids(basket, "forward")
+    x = embed_inputs(basket if checked else ids, config, params, lengths=lengths)
     batched = ids.ndim == 2
     if noise is None:
         if lengths is None:
@@ -499,6 +542,7 @@ def forward(basket, config: ModelConfig, params: NpaParams, rng_seed=None,
         layer_states.append(states)
         if li < config.num_layers - 1:
             # Residual feed: the next layer consumes C(l) + C(l-1).
-            current_input = T.add(merged, prev_raw)
+            current_input = (T.add(merged, prev_raw) if T._grad_enabled
+                             else Tensor(merged.data + prev_raw.data))
             prev_raw = merged
     return ContextState(T.reshape(merged, (1,) + merged.shape), None, layer_states)

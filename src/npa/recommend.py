@@ -154,9 +154,9 @@ def rank_items(scores: np.ndarray, exclude=(), k: int | None = None):
         raise ConfigError(f"rank_items: k must be >= 0, got {k}")
     neg = -np.asarray(scores, dtype=np.float64)
     neg[~np.isfinite(neg)] = np.inf
-    drop = np.asarray([int(i) for i in exclude], dtype=np.int64)
-    bad = drop[(drop < 0) | (drop >= neg.size)]
-    if bad.size:
+    drop = [int(i) for i in exclude]
+    bad = [i for i in drop if not 0 <= i < neg.size]
+    if bad:
         raise ConfigError(f"rank_items: excluded item id {bad[0]} out of range [0, {neg.size})")
     neg[drop] = np.inf
     limit = np.finfo(np.float64).max  # every finite score is a candidate
@@ -172,16 +172,17 @@ def rank_items(scores: np.ndarray, exclude=(), k: int | None = None):
     return order.tolist()
 
 
-def _checked_basket(basket, config, caller: str) -> list:
-    """The basket's ids as ints, checked as training checks its baskets."""
+def _checked_basket(basket, config, caller: str):
+    """The basket's ids as ints, checked as training checks its baskets, and
+    the same ids as forward takes them without checking again."""
     ids = npa_model._item_ids(basket, caller)
     if ids.ndim != 1:
         raise ConfigError(f"{caller}: expected a 1-d id sequence, got shape {ids.shape}")
     items = ids.tolist()
     if not items:
         raise ConfigError(f"{caller}: empty basket")
-    npa_model.check_baskets([items], [",".join(map(str, items))], config, caller)
-    return items
+    npa_model.check_baskets([ids], [",".join(map(str, items))], config, caller)
+    return items, npa_model._Checked(ids)
 
 
 def _ranked(contexts, emb, exclude, k: int, scoring_kind, fesf_temperature) -> Recommendation:
@@ -202,11 +203,11 @@ def recommend_topk(basket, config, params, k: int,
     MC pattern sampling; None means the fixed seed 0, so unseeded calls
     repeat.
     """
-    items = _checked_basket(basket, config, "recommend_topk")
+    items, checked = _checked_basket(basket, config, "recommend_topk")
     if k < 1 or k > config.num_items - len(items):
         raise ConfigError(f"k must be in [1, {config.num_items - len(items)}], got {k}")
     with no_grad():
-        state = npa_model.forward(items, config, params, rng_seed=rng_seed)
+        state = npa_model.forward(checked, config, params, rng_seed=rng_seed)
         return _ranked(state.context.data[:, -1], npa_model.output_embeddings(params).data,
                        items, k, scoring_kind, fesf_temperature)
 
@@ -225,11 +226,11 @@ def export_attention(basket, config, params, path, k: int = 10, rng_seed=None,
     ranked as ``recommend_topk`` ranks them. rng_seed is
     ``recommend_topk``'s.
     """
-    items = _checked_basket(basket, config, "export_attention")
+    items, checked = _checked_basket(basket, config, "export_attention")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     with no_grad():
-        state = npa_model.forward(items, config, params, rng_seed=rng_seed)
+        state = npa_model.forward(checked, config, params, rng_seed=rng_seed)
         final = state.context.data  # (contexts, steps, dim)
         emb = npa_model.output_embeddings(params).data
         # The prefix of step t holds t + 1 distinct items, so as many candidates drop out.

@@ -19,15 +19,17 @@ in that composition's order, so values and gradients are bit-identical
 to it; that composition is the oracle in ``tests/test_vqa.py``. No
 intermediate gradient outlives the backward pass.
 
-Outside a recorded graph, the stacked heads' projections and the pattern
-keys (codebook rows projected by w_pattern_key) are kept between calls
-and reused while the weight arrays are the same objects, which are then
+Outside a recorded graph the unit builds no backward pass and returns
+plain tensors, and the stacked heads' projections and the pattern keys
+(codebook rows projected by w_pattern_key) are kept between calls and
+reused while the weight arrays are the same objects, which are then
 read-only (``tensor._kept``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -191,9 +193,11 @@ def _add_grad(t: Tensor, g: np.ndarray):
 def _codebook(params) -> Tensor:
     if isinstance(params, VqaParams):
         return params.codebook
-    if any(p.codebook is not params[0].codebook for p in params):
-        raise ValueError("stacked heads must share one codebook")
-    return params[0].codebook
+    codebook = params[0].codebook
+    for p in params:
+        if p.codebook is not codebook:
+            raise ValueError("stacked heads must share one codebook")
+    return codebook
 
 
 def project_items(item_vectors, params):
@@ -207,8 +211,9 @@ def project_items(item_vectors, params):
     if x.ndim not in (2, 3) or x.shape[-2] == 0:
         raise T.ShapeError(f"project_items: expected non-empty item matrix, got {x.shape}")
     batch = x.ndim - 2
-    return tuple(x @ _stacked(params, name, batch).swapaxes(-1, -2)
-                 for name in ("w_query", "w_key", "w_value"))
+    return (x @ _stacked(params, "w_query", batch).swapaxes(-1, -2),
+            x @ _stacked(params, "w_key", batch).swapaxes(-1, -2),
+            x @ _stacked(params, "w_value", batch).swapaxes(-1, -2))
 
 
 def pattern_attention(q, params, keep_mask=None) -> np.ndarray:
@@ -223,7 +228,7 @@ def pattern_attention(q, params, keep_mask=None) -> np.ndarray:
     keys = T._kept(("pattern_keys", batch), [codebook] + [u.w_pattern_key.data for u in units],
                    lambda: codebook @ _stacked(params, "w_pattern_key", batch).swapaxes(-1, -2))
     logits = q @ keys.swapaxes(-1, -2)
-    logits *= float(1.0 / np.sqrt(q.shape[-1]))
+    logits *= 1.0 / math.sqrt(q.shape[-1])
     return T._softmax_rows(logits, keep_mask)
 
 
@@ -287,19 +292,26 @@ def unit_forward(inputs: Tensor, params, strategy: ExtractionStrategy,
             np.negative(gumbel, out=gumbel)
             np.log(gumbel, out=gumbel)
             np.negative(gumbel, out=gumbel)
-            perturbed /= strategy.gumbel_temperature
+            if strategy.gumbel_temperature != 1.0:
+                perturbed /= strategy.gumbel_temperature
             perturbed += gumbel
             idx = np.argmax(perturbed, axis=-1)
-            picked = np.take_along_axis(abar, idx[..., None], axis=-1)[..., 0]
+            picked = abar.reshape(-1, abar.shape[-1])[np.arange(idx.size), idx.ravel()]
+            picked = picked.reshape(idx.shape)
         z = c[idx]
     rho = z @ _stacked(params, "w_context_query", batch).swapaxes(-1, -2)
-    context_scale = float(1.0 / np.sqrt(rho.shape[-1]))
+    context_scale = 1.0 / math.sqrt(rho.shape[-1])
     logits = rho @ k.swapaxes(-1, -2)
     logits *= context_scale
-    b = T._softmax_rows(logits, causal_mask(n))
+    # Every row keeps its own step, so the causal mask needs no check.
+    b = T._softmax_rows(np.where(causal_mask(n), logits, -np.inf))
     contexts = b @ v
+    if not T._grad_enabled:
+        return UnitState(contexts=Tensor(contexts), prefix_attention=Tensor(abar),
+                         context_attention=Tensor(b), pattern_index=idx,
+                         pattern_logprob=None if picked is None else Tensor(np.log(picked)))
 
-    pattern_scale = float(1.0 / np.sqrt(q.shape[-1]))  # as in pattern_attention
+    pattern_scale = 1.0 / math.sqrt(q.shape[-1])  # as in pattern_attention
 
     def project_back(name: str, g: np.ndarray):
         """Backward of X W^T: into the inputs, then into each unit's W."""
