@@ -68,7 +68,12 @@ class AdamW:
 
 
 def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm > 0."""
+    """Scale all gradients so their global L2 norm is at most max_norm > 0.
+
+    A norm that is not finite raises FloatingPointError and leaves every
+    gradient as it was. The message names the first parameter whose
+    gradient holds an inf or NaN, or says that the norm of finite gradients
+    overflows."""
     if not max_norm > 0:
         raise ValueError("max_norm must be positive")
     total = 0.0
@@ -76,6 +81,11 @@ def clip_grad_norm(params, max_norm: float) -> float:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = total ** 0.5
+    if not np.isfinite(norm):
+        bad = next((name for name, p in params
+                    if p.grad is not None and not np.isfinite(p.grad).all()), None)
+        raise FloatingPointError(f"gradient of {bad} is not finite" if bad is not None
+                                 else "gradient norm overflows float64")
     if norm > max_norm:
         factor = max_norm / norm
         for _, p in params:

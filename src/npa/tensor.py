@@ -550,7 +550,7 @@ def _block_matmul(x, w, out):
         out[whole:] = (pad @ w)[:n - whole]
 
 
-def _linear_nll(x, w, targets):
+def _linear_nll(x, w, targets, split: bool = True):
     """linear_cross_entropy's kernel on plain arrays: (nll, numerators, total).
 
     nll[t] = logsumexp(z[t]) - z[t, targets[t]] with z = x @ w, multiplied
@@ -558,7 +558,8 @@ def _linear_nll(x, w, targets):
     values do not depend on the other rows of x (BLOCK_ROWS). The softmax
     numerators exp(z - max) are built in place in the logits buffer, and
     total holds their (rows, 1) sums. Run as two row halves (_split_rows),
-    every row's arithmetic, and so every value, is the same as in one pass.
+    every row's arithmetic, and so every value, is the same as in one pass;
+    with split=False it runs as one pass on the calling thread.
     """
     n = x.shape[0]
     z = np.empty((n, w.shape[1]))
@@ -575,7 +576,10 @@ def _linear_nll(x, w, targets):
         np.exp(zp, out=zp)
         np.sum(zp, axis=1, keepdims=True, out=total[lo:hi])
 
-    _split_rows(part, n, w.shape[1])
+    if split:
+        _split_rows(part, n, w.shape[1])
+    else:
+        part(0, n)
     return np.log(total[:, 0]) + m[:, 0] - picked, z, total
 
 
@@ -586,11 +590,13 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
     x is (rows, k), w is (k, classes) and targets holds one class per row.
     Values and gradients are bit-identical to a matmul node followed by a
     cross-entropy node, also when w is the transpose of a table that feeds
-    x too. The node keeps only the softmax numerators; its backward
-    allocates the logits' gradient afresh, so a second sweep sees the same
-    numerators. The forward may run as two row halves on two threads
-    (_split_rows); the backward is one pass on one thread, the x gradient
-    product before the w one.
+    x too. The node keeps only the softmax numerators, and the first
+    backward sweep consumes them: it turns them into the logits' gradient
+    in place, so backward allocates no (rows, classes) array. A later sweep
+    first recomputes them, whole and on the calling thread, to the forward's
+    bits, so every sweep gives the same gradients. The forward may run as
+    two row halves on two threads (_split_rows); the backward is one pass
+    on one thread, the x gradient product before the w one.
     """
     x, w = _coerce(x), _coerce(w)
     targets = np.asarray(targets, dtype=np.int64)
@@ -604,7 +610,10 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
     nll, e, total = _linear_nll(a, b, targets)
 
     def back(g):
-        gz = e / total
+        nonlocal e
+        gz = e if e is not None else _linear_nll(a, b, targets, split=False)[1]
+        e = None
+        gz /= total
         gz *= g[:, None]
         gz[np.arange(len(targets)), targets] -= g
         if x.requires_grad:

@@ -129,3 +129,28 @@ def test_clip_grad_norm_rejects_non_positive_bound(max_norm):
         clip_grad_norm([("w", w)], max_norm)
     assert str(err.value) == "max_norm must be positive"
     np.testing.assert_array_equal(w.grad, [3.0, 4.0])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_clip_grad_norm_raises_on_non_finite_gradient(bad):
+    # Scaling by max_norm / inf would zero every other gradient and turn the
+    # inf into NaN; a NaN norm would skip clipping. Either way AdamW would
+    # then write NaN into a weight.
+    params = [(name, Tensor(np.zeros(3), requires_grad=True)) for name in "abc"]
+    params[0][1].grad = np.array([3.0, 4.0, 0.0])
+    params[1][1].grad = np.array([1.0, bad, 2.0])
+    params[2][1].grad = np.array([bad, 0.0, 0.0])
+    before = [p.grad.copy() for _, p in params]
+    with pytest.raises(FloatingPointError, match="^gradient of b is not finite$"):
+        clip_grad_norm(params, 1.0)
+    for (_, p), want in zip(params, before):
+        assert p.grad.tobytes() == want.tobytes()
+
+
+def test_clip_grad_norm_raises_when_the_norm_overflows():
+    w = Tensor(np.zeros(2), requires_grad=True)
+    w.grad = np.array([1e200, 1e200])
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match="^gradient norm overflows float64$"):
+        clip_grad_norm([("w", w)], 1.0)
+    np.testing.assert_array_equal(w.grad, [1e200, 1e200])

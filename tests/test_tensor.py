@@ -10,6 +10,7 @@ way.
 
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -496,7 +497,9 @@ def test_linear_cross_entropy_split_is_bit_identical(monkeypatch, rows, tied):
 
 def test_head_backward_starts_no_thread(monkeypatch):
     # The head's backward is one pass on the calling thread, even where the
-    # forward splits; its gradients are the one-CPU run's to the bit.
+    # forward splits; its gradients are the one-CPU run's to the bit. The
+    # first sweep consumes the numerators, and each later sweep rebuilds
+    # them whole on this thread: the second sweep adds exactly the first's.
     started = []
 
     class Recording(threading.Thread):
@@ -510,9 +513,14 @@ def test_head_backward_starts_no_thread(monkeypatch):
         w = Tensor(rng.normal(size=(4, 50)), requires_grad=True)
         loss = T.mean(T.linear_cross_entropy(x, w, rng.integers(0, 50, size=130)))
         started.clear()
-        T.backward(loss)
+        grads = []
+        for _ in range(3):
+            T.backward(loss)
+            grads.append([x.grad.copy(), w.grad.copy()])
         assert started == []
-        return [x.grad.tobytes(), w.grad.tobytes()]
+        for once, twice in zip(*grads[:2]):
+            assert (2 * once).tobytes() == twice.tobytes()
+        return [g.tobytes() for sweep in grads for g in sweep]
 
     monkeypatch.setattr(T.threading, "Thread", Recording)
     force_split(monkeypatch, 1)
@@ -520,6 +528,23 @@ def test_head_backward_starts_no_thread(monkeypatch):
     calls = force_split(monkeypatch, 2)
     assert run() == want
     assert len(calls) == 1  # the forward's halves
+
+
+def test_head_first_backward_allocates_no_logits_sized_array():
+    # The first sweep turns the kept softmax numerators into the logits'
+    # gradient in place, so its peak stays below one (rows, classes) array.
+    rng = np.random.default_rng(15)
+    rows, classes = 300, 4000
+    x = Tensor(rng.normal(size=(rows, 8)), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, classes)) * 0.1, requires_grad=True)
+    loss = T.mean(T.linear_cross_entropy(x, w, rng.integers(0, classes, size=rows)))
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * classes * 8
 
 
 def _halves(rows, width):
