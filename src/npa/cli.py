@@ -149,13 +149,13 @@ def cmd_evaluate(args) -> int:
         if not args.ckpt:
             raise ConfigError("either --ckpt or --baseline is required")
         config, params = _load_model(args)
-        model_mod.check_baskets([inst.inputs for inst in instances],
-                                [inst.basket_id for inst in instances], config, "evaluate")
+        checked = [model_mod._item_ids(i.inputs, "evaluate", i.basket_id) for i in instances]
+        model_mod.check_baskets(checked, [i.basket_id for i in instances], config, "evaluate")
         _check_cutoffs(config.num_items, instances)
         _echo_config(config_to_kv(config))
-        for i, inst in enumerate(instances):
+        for i, (inst, ids) in enumerate(zip(instances, checked)):
             k = min(args.k, config.num_items - len(set(inst.inputs)))
-            out = rec.recommend_topk(inst.inputs, config, params, k,
+            out = rec.recommend_topk(model_mod._Checked(ids), config, params, k,
                                      scoring_kind=args.scoring or None,
                                      fesf_temperature=args.fesf_temperature,
                                      rng_seed=args.seed + i)

@@ -297,21 +297,23 @@ def output_embeddings(params: NpaParams) -> Tensor:
 
 
 def _item_ids(values, caller: str, name=None) -> np.ndarray:
-    """values as an int64 id array. A float id that is fractional, not
-    finite or out of int64's range raises ConfigError naming the basket
-    (name; by default the ids of a 1-d basket, the row of a batch) and the
-    id."""
+    """values as an int64 id array. An id that is not a number, fractional,
+    not finite or outside int64's range raises ConfigError naming the
+    basket (name; by default the ids of a 1-d basket, the row of a batch)
+    and the id, both as given."""
     ids = np.asarray(values)
-    if ids.dtype.kind == "f":
-        with np.errstate(invalid="ignore"):
-            bad = np.flatnonzero(ids.astype(np.int64) != ids)
-        if bad.size:
-            if name is None:
-                name = (bad[0] // ids.shape[1] if ids.ndim == 2
-                        else ",".join(map(str, ids.ravel().tolist())))
-            raise ConfigError(f"{caller}: basket {name}: item id {ids.flat[bad[0]]} "
-                              "is not an integer")
-    return np.asarray(ids, dtype=np.int64)
+    if ids.dtype.kind not in "bi":
+        ids = np.asarray(values, dtype=object)  # the ids as given, not as numpy rounds them
+        for at, value in enumerate(ids.flat):
+            whole = isinstance(value, (int, np.integer)) or (
+                isinstance(value, (float, np.floating)) and value.is_integer())
+            if not whole or not -2 ** 63 <= value < 2 ** 63:
+                if name is None:
+                    name = (at // ids.shape[1] if ids.ndim == 2
+                            else ",".join(map(str, ids.ravel().tolist())))
+                fault = "is outside int64's range" if whole else "is not an integer"
+                raise ConfigError(f"{caller}: basket {name}: item id {value} {fault}")
+    return ids.astype(np.int64, copy=False)
 
 
 def check_baskets(baskets, names, config: ModelConfig, caller: str):
@@ -319,14 +321,16 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
 
     baskets are id sequences and names[j] identifies baskets[j] in the
     message. Raises ConfigError when there is no basket, and for the first
-    basket that is empty, longer than max_sequence_length, holds an id
-    outside [0, num_items), or repeats an id (the first id seen twice is
-    named).
+    basket that holds an id int64 cannot hold (_item_ids), is empty, is
+    longer than max_sequence_length, holds an id outside [0, num_items), or
+    repeats an id (the first id seen twice is named).
     """
     if not len(baskets):
         raise ConfigError(f"{caller}: no baskets")
     for name, basket in zip(names, baskets):
-        items = np.asarray(basket, dtype=np.int64).tolist()
+        if not (isinstance(basket, np.ndarray) and basket.dtype == np.int64):
+            basket = _item_ids(basket, caller, name)  # not converted by the caller
+        items = basket.tolist()
         if not items:
             raise ConfigError(f"{caller}: basket {name}: empty")
         if len(items) > config.max_sequence_length:
@@ -338,11 +342,8 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
             raise ConfigError(f"{caller}: basket {name}: item id {bad} out of range "
                               f"[0, {config.num_items})")
         if len(set(items)) < len(items):
-            seen = set()
-            for item in items:
-                if item in seen:
-                    raise ConfigError(f"{caller}: basket {name}: item id {item} repeats")
-                seen.add(item)
+            bad = next(item for at, item in enumerate(items) if item in items[:at])
+            raise ConfigError(f"{caller}: basket {name}: item id {bad} repeats")
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ def embed_inputs(item_ids, config: ModelConfig, params: NpaParams, lengths=None)
         ids = item_ids.ids
         n = ids.size
     else:
-        ids = np.asarray(item_ids, dtype=np.int64)
+        ids = _item_ids(item_ids, "embed_inputs")
         if ids.ndim not in (1, 2) or ids.size == 0:
             raise ConfigError(
                 f"embed_inputs: expected a non-empty id sequence, got shape {ids.shape}")

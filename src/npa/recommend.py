@@ -174,7 +174,11 @@ def rank_items(scores: np.ndarray, exclude=(), k: int | None = None):
 
 def _checked_basket(basket, config, caller: str):
     """The basket's ids as ints, checked as training checks its baskets, and
-    the same ids as forward takes them without checking again."""
+    the same ids as forward takes them without checking again. A basket
+    that check_baskets already accepted (model._Checked) is not checked
+    again."""
+    if isinstance(basket, npa_model._Checked):
+        return basket.ids.tolist(), basket
     ids = npa_model._item_ids(basket, caller)
     if ids.ndim != 1:
         raise ConfigError(f"{caller}: expected a 1-d id sequence, got shape {ids.shape}")

@@ -30,19 +30,22 @@ recording pass keeps nothing and freezes nothing.
 Concurrency. Graph construction is single-threaded: the graph-free mode
 is one module-wide flag, so a thread inside ``no_grad`` turns recording
 off for every other thread too. Tensors are immutable after the forward
-pass and may be shared read-only. Three things run on a second thread,
-each through ``_concurrently``, which joins its worker before returning:
-the row halves of the two forward kernels that span the catalog, the
-output head's and training's float32 winner table (``_split_rows``);
-training's winner table of one length bucket beside the next bucket's
-forward pass; and, when the loss adds two subgraphs that share only
-leaves, the sweep of the second beside the sweep of the first
-(:func:`backward`). A worker calls only numpy and this module's private
-helpers, and while one runs no kernel splits again, so at most two
+pass and may be shared read-only. Three things run as two concurrent
+pieces, each through ``_concurrently``: the row halves of the two forward
+kernels that span the catalog, the output head's and training's float32
+winner table (``_split_rows``); training's winner table of one length
+bucket beside the next bucket's forward pass; and, when the loss adds two
+subgraphs that share only leaves, the sweep of the second beside the
+sweep of the first (:func:`backward`). The CPU count decides only whether
+a thread starts: ``_concurrently`` runs the second piece on a worker when
+two CPUs are allowed, and after the first on the calling thread when one
+is, so the same pieces run in the same order and give the same bits on
+any CPU count. A worker calls only numpy and this module's private
+helpers, and while a section runs no kernel splits again, so at most two
 threads run. Leaf gradients keep their order: the one-thread sweep runs
 every node under the first operand before any node under the second, so
-the second's worker defers its additions into leaves and the caller
-makes them, in order, after the first's.
+the second's sweep defers its additions into leaves and the caller makes
+them, in order, after the first's.
 """
 
 from __future__ import annotations
@@ -442,15 +445,17 @@ def _add_rows(shape, idx, g):
     return np.bincount(at, weights=np.ravel(g), minlength=total).reshape(shape)
 
 
-# _split_rows runs a kernel as two row halves on two threads when its rows
-# times width reach this many cells. 2^18 lies just above the largest size
-# at which a timed split of the output head was slower than one thread
-# (256,000 cells) and below train_mc_temporal's buckets (600,000 cells or
-# more); train_sc_anyorder's head (about 90,000) stays whole. README's
-# Performance section has the measurements. Those timings split the head's
-# forward and backward together; now that only forward kernels split, the
-# break-even was not re-measured, so the threshold is inherited. No workload
-# lies near it. Serving never reaches the split.
+# _split_rows runs a kernel as two row halves when its rows times width
+# reach this many cells: the size alone decides the split, and the halves
+# run on two threads when two CPUs are allowed (_concurrently). 2^18 lies
+# just above the largest size at which a timed split of the output head was
+# slower than one thread (256,000 cells) and below train_mc_temporal's
+# buckets (600,000 cells or more); train_sc_anyorder's head (about 90,000)
+# stays whole. README's Performance section has the measurements. Those
+# timings split the head's forward and backward together; now that only
+# forward kernels split, the break-even was not re-measured, so the
+# threshold is inherited. No workload lies near it. Serving never reaches
+# the split.
 SPLIT_CELLS = 2 ** 18
 
 # _linear_nll multiplies its rows in blocks of this many, the last block
@@ -474,20 +479,22 @@ _concurrent = False
 
 def _allowed_cpus() -> int:
     """The CPUs this process may run on."""
-    try:
+    if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return os.cpu_count() or 1  # no affinity call on this platform
 
 
 def _concurrently(first, second):
-    """Run second() on a worker thread while first() runs on this one.
+    """Run first() and second(); both have finished when this returns.
 
-    The worker runs under the caller's numpy error state, is joined before
-    this returns, whichever side raised, and its exception is raised here.
-    Until then _split_rows runs whole, on both threads. Workers may call
-    only numpy and this package's private kernels: a benchmark tracer keeps
-    one span stack and patches public functions.
+    The CPU count decides only whether a thread starts: with two allowed
+    CPUs second() runs on a worker thread, under the caller's numpy error
+    state, while first() runs on this one; with one, or inside another
+    concurrent section, first() and then second() run on this thread. Until
+    both return _split_rows runs whole. A worker is joined whichever side
+    raised, and its exception is raised here. Workers may call only numpy
+    and this package's private kernels: a benchmark tracer keeps one span
+    stack and patches public functions.
     """
     global _concurrent
     errors = np.geterr()
@@ -502,6 +509,9 @@ def _concurrently(first, second):
 
     outer, _concurrent = _concurrent, True
     try:
+        if outer or _allowed_cpus() < 2:
+            first()
+            return second()
         worker = threading.Thread(target=work)
         worker.start()
         try:
@@ -515,18 +525,19 @@ def _concurrently(first, second):
 
 
 def _split_rows(fn, rows: int, width: int):
-    """Run fn(lo, hi) over the rows [0, rows), as two halves on two threads
-    when the kernel has at least 4 rows and SPLIT_CELLS rows x width cells,
-    two CPUs are allowed and no other concurrent section runs; else once.
-    Its kernels are forward ones: the output head's (_linear_nll) and
-    training's float32 winner table. fn writes its rows of buffers the
-    caller allocated (glibc gives each allocating thread its own arena).
-    The halves meet at the multiple of BLOCK_ROWS nearest the middle when
-    each keeps 2 rows or more, else at rows // 2; each half keeps at least
-    2 rows, since numpy multiplies a single row by a matrix-vector product,
-    whose rounding can differ from a matrix product's."""
-    if (rows >= 4 and rows * width >= SPLIT_CELLS and not _concurrent
-            and _allowed_cpus() > 1):
+    """Run fn(lo, hi) over the rows [0, rows), as two halves through
+    _concurrently when the kernel has at least 4 rows and SPLIT_CELLS rows x
+    width cells and no other concurrent section runs; else once. The size
+    alone decides the split; the CPU count decides only whether the second
+    half runs on a worker (_concurrently). Its kernels are forward ones: the
+    output head's (_linear_nll) and training's float32 winner table. fn
+    writes its rows of buffers the caller allocated (glibc gives each
+    allocating thread its own arena). The halves meet at the multiple of
+    BLOCK_ROWS nearest the middle when each keeps 2 rows or more, else at
+    rows // 2; each half keeps at least 2 rows, since numpy multiplies a
+    single row by a matrix-vector product, whose rounding can differ from a
+    matrix product's."""
+    if rows >= 4 and rows * width >= SPLIT_CELLS and not _concurrent:
         half = round(rows / (2 * BLOCK_ROWS)) * BLOCK_ROWS
         if not 2 <= half <= rows - 2:
             half = rows // 2
@@ -697,9 +708,9 @@ def backward(loss: Tensor) -> None:
     Nodes run in reverse depth-first post-order from the loss, which puts
     every node under a loss's first operand before any node under its
     second. When the loss has two operands whose subgraphs share no node
-    with a backward closure, and two CPUs are allowed, a worker sweeps the
-    second operand's nodes while this thread sweeps the first's; the
-    worker's additions into leaves are made here after both finish, in
+    with a backward closure, the two sweeps run through _concurrently: the
+    CPU count decides only whether the second operand's runs on a worker.
+    That sweep's additions into leaves are made here after both finish, in
     the order it made them, so every gradient is the one-thread sweep's.
     """
     if not _grad_enabled:
@@ -723,7 +734,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     if loss._backward is not None:
         loss._backward(loss.grad)
-    if len(parts) == 2 and _allowed_cpus() > 1 and _apart(*parts):
+    if len(parts) == 2 and _apart(*parts):
         later, first = parts
         deferred = []
         _concurrently(lambda: _sweep(first), lambda: _sweep(later, deferred))

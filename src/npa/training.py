@@ -329,11 +329,12 @@ def _loss(seqs, config, params, rng, training):
     """batch_loss over checked id arrays.
 
     Each bucket's forward pass runs, then its winners, in bucket order, and
-    the output heads are built after the last, in bucket order. With two
-    allowed CPUs, a cut MC batch runs each bucket's winners on a worker
-    (T._concurrently) while this thread runs the next bucket's forward
-    pass. The winners read only that pass's arrays and the draws are made
-    before, so every value is the one of running them in turn.
+    the output heads are built after the last, in bucket order. A cut batch
+    passes each bucket's winners and the next bucket's forward pass to
+    T._concurrently; the CPU count decides only whether the winners run on
+    a worker beside that pass. The winners read only their own pass's
+    arrays and the draws are made before, so every value is the one of
+    running them in turn.
     """
     lengths = np.array([seq.size for seq in seqs])
     buckets = _length_buckets(lengths)
@@ -353,13 +354,8 @@ def _loss(seqs, config, params, rng, training):
 
     passes, heads = [], []
     forward(0)
-    overlap = passes[0][0].context.shape[0] > 1 and T._allowed_cpus() > 1
     for b in range(1, len(buckets)):
-        if overlap:
-            T._concurrently(lambda: forward(b), lambda: winners(b - 1))
-        else:
-            winners(b - 1)
-            forward(b)
+        T._concurrently(lambda: forward(b), lambda: winners(b - 1))
     winners(len(buckets) - 1)
 
     steps = lengths - 1

@@ -13,6 +13,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import struct  # noqa: E402
+import sys  # noqa: E402
+import threading  # noqa: E402
 
 import pytest  # noqa: E402
 
@@ -46,18 +48,33 @@ def small_sc_config(**overrides):
     return ModelConfig(**base)
 
 
+_THREAD = threading.Thread
+
+
+def count_threads(monkeypatch):
+    """A list that grows by one entry per thread started, such as
+    tensor._concurrently's worker."""
+    started = []
+
+    class Counted(_THREAD):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(T.threading, "Thread", Counted)
+    return started
+
+
 def force_split(monkeypatch, cpus):
-    """Run as if on ``cpus`` allowed CPUs, with no size floor for
-    tensor._split_rows: with 2, every kernel of 4 rows or more outside a
-    concurrent section splits, and training overlaps a cut MC batch's
-    buckets; with 1, nothing runs on a second thread. Returns a list that
-    grows by one entry per call of _concurrently."""
-    monkeypatch.setattr(T, "SPLIT_CELLS", 0)
+    """Run as if on ``cpus`` allowed CPUs. With 2, tensor._split_rows has
+    no size floor: every kernel of 4 rows or more outside a concurrent
+    section splits into halves on two threads, and training's cut batches
+    and backward's apart operands run on two threads too. With 1,
+    SPLIT_CELLS lies above every kernel, so nothing splits and no thread
+    starts: an unsplit one-thread reference. Returns count_threads' list."""
+    monkeypatch.setattr(T, "SPLIT_CELLS", 0 if cpus > 1 else sys.maxsize)
     monkeypatch.setattr(T, "_allowed_cpus", lambda: cpus)
-    calls = []
-    real = T._concurrently
-    monkeypatch.setattr(T, "_concurrently", lambda *fns: calls.append(1) or real(*fns))
-    return calls
+    return count_threads(monkeypatch)
 
 
 def one_tensor_payload(dims):

@@ -188,6 +188,23 @@ def test_evaluate_model_metrics_in_range(workspace, capsys):
     assert values and all(0.0 <= v <= 1.0 for v in values)
 
 
+def test_evaluate_checks_each_instance_once(workspace, capsys, monkeypatch):
+    # evaluate checks every instance up front, then serves the ids it
+    # checked, so recommend_topk does not check them again.
+    self_train(workspace)
+    calls = []
+    real = model_mod.check_baskets
+    monkeypatch.setattr(model_mod, "check_baskets",
+                        lambda baskets, *a: calls.append(len(baskets)) or real(baskets, *a))
+    argv = ["evaluate", "--ckpt", str(workspace / "m.ckpt"),
+            "--data", str(workspace / "data" / "baskets.txt"), "--k", "20", "--seed", "2"]
+    for run in (1, 2):
+        assert main(argv) == 0
+        assert len(calls) == run
+    instances = int(re.search(r"^instances=(\d+)", capsys.readouterr().out, re.M).group(1))
+    assert calls == [instances, instances]
+
+
 def test_evaluate_baseline_and_determinism(workspace, capsys):
     data = str(workspace / "data" / "baskets.txt")
     catalog = str(workspace / "data" / "catalog.tsv")
@@ -372,7 +389,17 @@ def _untrained_checkpoint(workspace):
     ("inspect-attention", "3,3", "2", "export_attention: basket 3,3: item id 3 repeats"),
     ("recommend", "3,32", "2", "recommend_topk: basket 3,32: item id 32 out of range [0, 32)"),
     ("inspect-attention", "1,2", "-3", "k must be >= 1, got -3"),
-], ids=["recommend_repeat", "inspect_repeat", "recommend_out_of_range", "inspect_negative_k"])
+    ("recommend", "18446744073709551621,2", "2", "recommend_topk: basket 18446744073709551621,2: "
+                                                 "item id 18446744073709551621 is outside "
+                                                 "int64's range"),
+    ("recommend", "9223372036854775808,2", "2", "recommend_topk: basket 9223372036854775808,2: "
+                                                "item id 9223372036854775808 is outside "
+                                                "int64's range"),
+    ("inspect-attention", "1,-9223372036854775809", "2",
+     "export_attention: basket 1,-9223372036854775809: item id -9223372036854775809 is outside "
+     "int64's range"),
+], ids=["recommend_repeat", "inspect_repeat", "recommend_out_of_range", "inspect_negative_k",
+        "recommend_beyond_uint64", "recommend_beyond_int64", "inspect_below_int64"])
 def test_serving_rejects_bad_request(workspace, capsys, command, basket, k, message):
     out = workspace / "att.txt"
     args = ["--out", str(out)] if command == "inspect-attention" else []

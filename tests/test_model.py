@@ -81,6 +81,7 @@ def test_check_baskets_names_first_basket_and_id_that_repeat():
 @pytest.mark.parametrize("entry, name", [
     ("recommend_topk", None), ("export_attention", None), ("forward", None),
     ("batch_loss", "1"), ("sequence_scores", "1"), ("train", "1"),
+    ("embed_inputs", None), ("check_baskets", "0"),
 ])
 def test_fractional_and_non_finite_ids_fail_before_model_work(monkeypatch, tmp_path, entry,
                                                              name, bad):
@@ -100,11 +101,28 @@ def test_fractional_and_non_finite_ids_fail_before_model_work(monkeypatch, tmp_p
         "batch_loss": lambda: batch_loss(batch, cfg, params),
         "sequence_scores": lambda: sequence_scores(batch, cfg, params),
         "train": lambda: train(batch, cfg, params, TrainConfig(epochs=1)),
+        # The name imported here is the real embed_inputs, not the patched one.
+        "embed_inputs": lambda: embed_inputs(basket, cfg, params),
+        "check_baskets": lambda: check_baskets([basket], [0], cfg, "train"),
     }[entry]
     shown = name or ",".join(str(v) for v in basket)
     message = f"basket {shown}: item id {bad} is not an integer"
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         call()
+
+
+@pytest.mark.parametrize("values, shown", [
+    (np.array([2 ** 63, 3], dtype=np.uint64), "9223372036854775808"),
+    ([3, 2 ** 64 + 5], "18446744073709551621"),
+    ([-2 ** 63 - 1, 3], "-9223372036854775809"),
+    ([2.0 ** 63, 3.0], "9.223372036854776e+18"),
+], ids=["uint64", "beyond_uint64", "below_int64", "float"])
+def test_ids_outside_int64_are_named_as_given(values, shown):
+    with pytest.raises(ConfigError, match=f"^forward: basket .*: item id {re.escape(shown)} "
+                                          "is outside int64's range$"):
+        npa.model._item_ids(values, "forward")
+    edge = npa.model._item_ids([2 ** 63 - 1, -2 ** 63, 2.0 ** 62], "forward")
+    assert edge.dtype == np.int64 and edge.tolist() == [2 ** 63 - 1, -2 ** 63, 2 ** 62]
 
 
 def test_check_baskets_rejects_no_baskets_and_an_empty_one():

@@ -113,7 +113,10 @@ def test_recommend_topk_checks_its_basket_once(monkeypatch):
     ([3, 5, 3, 5], "recommend_topk: basket 3,5,3,5: item id 3 repeats"),
     ([3.0, 2.5], r"recommend_topk: basket 3\.0,2\.5: item id 2\.5 is not an integer"),
     ([[1, 2]], r"recommend_topk: expected a 1-d id sequence, got shape \(1, 2\)"),
-], ids=["empty", "too_long", "above_range", "negative", "repeat", "fraction", "two_d"])
+    ([2 ** 63], "recommend_topk: basket 9223372036854775808: item id 9223372036854775808 "
+                "is outside int64's range"),
+], ids=["empty", "too_long", "above_range", "negative", "repeat", "fraction", "two_d",
+        "beyond_int64"])
 def test_recommend_topk_basket_errors(basket, message):
     cfg = small_sc_config()
     with pytest.raises(ConfigError, match=f"^{message}$"):

@@ -20,7 +20,7 @@ from npa import tensor as T
 from npa.tensor import ShapeError, Tensor
 
 import composed as C
-from conftest import force_split
+from conftest import count_threads, force_split
 
 
 def fd_gradient(fn, x: Tensor, h=1e-6):
@@ -500,34 +500,26 @@ def test_head_backward_starts_no_thread(monkeypatch):
     # forward splits; its gradients are the one-CPU run's to the bit. The
     # first sweep consumes the numerators, and each later sweep rebuilds
     # them whole on this thread: the second sweep adds exactly the first's.
-    started = []
-
-    class Recording(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    def run():
+    def run(started):
         rng = np.random.default_rng(14)
         x = Tensor(rng.normal(size=(130, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 50)), requires_grad=True)
         loss = T.mean(T.linear_cross_entropy(x, w, rng.integers(0, 50, size=130)))
-        started.clear()
+        forward_threads = len(started)
         grads = []
         for _ in range(3):
             T.backward(loss)
             grads.append([x.grad.copy(), w.grad.copy()])
-        assert started == []
+        assert len(started) == forward_threads
         for once, twice in zip(*grads[:2]):
             assert (2 * once).tobytes() == twice.tobytes()
-        return [g.tobytes() for sweep in grads for g in sweep]
+        return forward_threads, [g.tobytes() for sweep in grads for g in sweep]
 
-    monkeypatch.setattr(T.threading, "Thread", Recording)
-    force_split(monkeypatch, 1)
-    want = run()
-    calls = force_split(monkeypatch, 2)
-    assert run() == want
-    assert len(calls) == 1  # the forward's halves
+    threads, want = run(force_split(monkeypatch, 1))
+    assert threads == 0
+    threads, got = run(force_split(monkeypatch, 2))
+    assert got == want
+    assert threads == 1  # the forward's halves
 
 
 def test_head_first_backward_allocates_no_logits_sized_array():
@@ -547,23 +539,29 @@ def test_head_first_backward_allocates_no_logits_sized_array():
     assert peak < rows * classes * 8
 
 
-def _halves(rows, width):
-    """How many parts _split_rows runs a kernel of rows x width cells in."""
+def _parts(rows, width):
+    """The (lo, hi) parts _split_rows runs a kernel of rows x width cells
+    in, in the order they ran."""
     seen = []
     T._split_rows(lambda lo, hi: seen.append((lo, hi)), rows, width)
-    return len(seen)
+    return seen
 
 
 def test_splits_rule(monkeypatch):
-    # SC's head (about 450 rows x 200 items) stays on one thread, MC's
-    # buckets (300-600 rows x 2,000 items) split; a half keeps 2 rows.
-    monkeypatch.setattr(T, "_allowed_cpus", lambda: 2)
-    assert _halves(450, 200) == 1
-    assert _halves(300, 2000) == 2
-    assert _halves(4, T.SPLIT_CELLS // 4) == 2
-    assert _halves(3, T.SPLIT_CELLS) == 1
-    monkeypatch.setattr(T, "_allowed_cpus", lambda: 1)
-    assert _halves(600, 2000) == 1
+    # SC's head (about 450 rows x 200 items) stays whole, MC's buckets
+    # (300-600 rows x 2,000 items) split; a half keeps 2 rows. The size
+    # alone decides: one allowed CPU runs the same halves, first half
+    # first, on this thread.
+    started = count_threads(monkeypatch)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(T, "_allowed_cpus", lambda: cpus)
+        started.clear()
+        runs[cpus] = [_parts(450, 200), _parts(300, 2000), _parts(600, 2000),
+                      _parts(4, T.SPLIT_CELLS // 4), _parts(3, T.SPLIT_CELLS)]
+        assert len(started) == (3 if cpus == 2 else 0)
+    assert [len(p) for p in runs[2]] == [1, 2, 2, 2, 1]
+    assert runs[1] == [sorted(p) for p in runs[2]]
 
 
 def test_split_rows_covers_each_row_once(monkeypatch):

@@ -24,7 +24,7 @@ from npa.training import (ANY_ORDER, SPLIT_PADDED_ROWS, TEMPORAL, TrainConfig,
                           sequence_scores, train)
 
 import composed as C
-from conftest import force_split, small_mc_config, small_sc_config
+from conftest import count_threads, force_split, small_mc_config, small_sc_config
 
 
 def test_sample_permutation_uniform_for_pairs():
@@ -828,30 +828,36 @@ def test_float32_bound_is_infinite_past_its_catalog_size():
                                             axis=0))
 
 
-def test_float32_table_and_winners_split_are_bit_identical(monkeypatch):
+def _winner_inputs():
+    """(contexts, beliefs, rows, targets, emb) of 4 contexts over a padded
+    batch of 3 rows, for _float32_scores and _winners."""
     rng = np.random.default_rng(6)
     emb = rng.normal(size=(300, 8)) / 3
     contexts = rng.normal(size=(4, 3, 20, 8))
     rows = np.nonzero(np.arange(20) < np.array([[19], [7], [12]]))
     targets = rng.integers(0, 300, size=rows[0].size)
-    beliefs = -rng.exponential(size=(4, 3, 20))
-    exact = _context_scores(contexts, beliefs, rows, targets, emb)
+    return contexts, -rng.exponential(size=(4, 3, 20)), rows, targets, emb
+
+
+def test_float32_table_and_winners_split_are_bit_identical(monkeypatch):
+    inputs = _winner_inputs()
+    exact = _context_scores(*inputs)
     runs = {}
     for cpus in (1, 2):
         calls = force_split(monkeypatch, cpus)
-        table, bound = _float32_scores(contexts, beliefs, rows, targets, emb)
+        table, bound = _float32_scores(*inputs)
         assert (np.abs(table - exact) <= bound).all()
-        head = _winners(contexts, beliefs, rows, targets, emb)
+        head = _winners(*inputs)
         np.testing.assert_array_equal(head, np.argmax(exact, axis=0))
         runs[cpus] = (table.tobytes(), bound.tobytes(), head.tobytes())
         assert bool(calls) == (cpus == 2)
     assert runs[1] == runs[2]
 
 
-def test_mc_training_split_leaves_parameters_byte_equal(monkeypatch):
-    # 20 MC steps over 64-basket batches of lengths 4-24, each cut into
-    # length buckets, with dropout and clipping: splitting the output
-    # head and the winner table across two threads changes no bit.
+def _cut_mc_training(monkeypatch):
+    """A function running 20 MC steps over 64-basket batches of lengths
+    4-24, each cut into length buckets, with dropout and clipping; it
+    returns the parameters' bytes and the last epoch's mean NLL (hex)."""
     cfg = small_mc_config(num_items=60, mc_last_layer_heads=3, dropout_rate=0.2,
                           max_sequence_length=24)
     data = np.random.default_rng(41)
@@ -861,16 +867,47 @@ def test_mc_training_split_leaves_parameters_byte_equal(monkeypatch):
     real_buckets = training_mod._length_buckets
     monkeypatch.setattr(training_mod, "_length_buckets",
                         lambda lengths: cuts.append(len(b := real_buckets(lengths))) or b)
-    runs = {}
-    for cpus in (1, 2):
-        calls = force_split(monkeypatch, cpus)
+
+    def run():
+        cuts.clear()
         params = init_params(cfg, seed=42)
         _, reports = train(baskets, cfg, params, TrainConfig(
             epochs=4, batch_size=64, learning_rate=1e-2, seed=43, gradient_clip_norm=1.0))
-        runs[cpus] = [t.data.tobytes() for _, t in named_parameters(params)]
-        runs[cpus].append(float(reports[-1].mean_nll).hex())
-        assert bool(calls) == (cpus == 2)
-    assert len(cuts) == 40 and min(cuts) > 1
+        assert len(cuts) == 20 and min(cuts) > 1
+        return ([t.data.tobytes() for _, t in named_parameters(params)]
+                + [float(reports[-1].mean_nll).hex()])
+
+    return run
+
+
+def test_mc_training_split_leaves_parameters_byte_equal(monkeypatch):
+    # Splitting the output head and the winner table across two threads
+    # changes no bit against an unsplit one-thread run.
+    run = _cut_mc_training(monkeypatch)
+    runs = {}
+    for cpus in (1, 2):
+        started = force_split(monkeypatch, cpus)
+        runs[cpus] = run()
+        assert bool(started) == (cpus == 2)
+    assert runs[1] == runs[2]
+
+
+def test_mc_training_byte_equal_on_one_and_two_cpus(monkeypatch):
+    # With SPLIT_CELLS fixed, the CPU count decides only whether a thread
+    # starts: one CPU runs the same halves, bucket pairs and sweeps in the
+    # same order as two, on this thread, so the bytes agree on any BLAS
+    # kernel, including one that rounds a row by its place in the call
+    # (the float32 winner table's bytes show it there).
+    run = _cut_mc_training(monkeypatch)
+    inputs = _winner_inputs()
+    started = count_threads(monkeypatch)
+    monkeypatch.setattr(T, "SPLIT_CELLS", 0)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(T, "_allowed_cpus", lambda: cpus)
+        started.clear()
+        runs[cpus] = run() + [a.tobytes() for a in _float32_scores(*inputs)]
+        assert bool(started) == (cpus == 2)
     assert runs[1] == runs[2]
 
 
