@@ -342,8 +342,11 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
             raise ConfigError(f"{caller}: basket {name}: item id {bad} out of range "
                               f"[0, {config.num_items})")
         if len(set(items)) < len(items):
-            bad = next(item for at, item in enumerate(items) if item in items[:at])
-            raise ConfigError(f"{caller}: basket {name}: item id {bad} repeats")
+            seen = set()
+            for item in items:
+                if item in seen:
+                    raise ConfigError(f"{caller}: basket {name}: item id {item} repeats")
+                seen.add(item)
 
 
 @dataclass(frozen=True)

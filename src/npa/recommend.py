@@ -177,16 +177,15 @@ def _checked_basket(basket, config, caller: str):
     the same ids as forward takes them without checking again. A basket
     that check_baskets already accepted (model._Checked) is not checked
     again."""
-    if isinstance(basket, npa_model._Checked):
-        return basket.ids.tolist(), basket
-    ids = npa_model._item_ids(basket, caller)
-    if ids.ndim != 1:
-        raise ConfigError(f"{caller}: expected a 1-d id sequence, got shape {ids.shape}")
-    items = ids.tolist()
-    if not items:
-        raise ConfigError(f"{caller}: empty basket")
-    npa_model.check_baskets([ids], [",".join(map(str, items))], config, caller)
-    return items, npa_model._Checked(ids)
+    if not isinstance(basket, npa_model._Checked):
+        ids = npa_model._item_ids(basket, caller)
+        if ids.ndim != 1:
+            raise ConfigError(f"{caller}: expected a 1-d id sequence, got shape {ids.shape}")
+        if not ids.size:
+            raise ConfigError(f"{caller}: empty basket")
+        npa_model.check_baskets([ids], [",".join(map(str, ids.tolist()))], config, caller)
+        basket = npa_model._Checked(ids)
+    return basket.ids.tolist(), basket
 
 
 def _ranked(contexts, emb, exclude, k: int, scoring_kind, fesf_temperature) -> Recommendation:

@@ -172,8 +172,9 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
-# backward's worker sets .deferred to a list while it sweeps; it then
-# collects its additions into leaves there instead of making them.
+# backward's second sweep sets .deferred to a list, on whichever thread
+# runs it; it then collects its additions into leaves there instead of
+# making them.
 _local = threading.local()
 
 
@@ -186,8 +187,8 @@ def _accumulate(t: Tensor, g, fresh: bool = False):
     an arithmetic operation on the incoming gradient: it is kept as t.grad
     and later gradients are added into it in place. A gradient that is not
     fresh must have t's shape, else ShapeError; a fresh one is not checked.
-    On backward's worker, an addition into a leaf is deferred as a fresh
-    array."""
+    In backward's second sweep, an addition into a leaf is deferred as a
+    fresh array."""
     if not fresh and g.shape != t.data.shape:
         raise ShapeError(f"gradient: shape {g.shape} for a tensor of shape {t.data.shape}")
     if t._backward is None:
@@ -489,12 +490,11 @@ def _concurrently(first, second):
 
     The CPU count decides only whether a thread starts: with two allowed
     CPUs second() runs on a worker thread, under the caller's numpy error
-    state, while first() runs on this one; with one, or inside another
-    concurrent section, first() and then second() run on this thread. Until
-    both return _split_rows runs whole. A worker is joined whichever side
-    raised, and its exception is raised here. Workers may call only numpy
-    and this package's private kernels: a benchmark tracer keeps one span
-    stack and patches public functions.
+    state, while first() runs on this one; with one, first() and then
+    second() run on this thread. Until both return _split_rows runs whole.
+    A worker is joined whichever side raised, and its exception is raised
+    here. Workers may call only numpy and this package's private kernels:
+    a benchmark tracer keeps one span stack and patches public functions.
     """
     global _concurrent
     errors = np.geterr()
@@ -509,7 +509,7 @@ def _concurrently(first, second):
 
     outer, _concurrent = _concurrent, True
     try:
-        if outer or _allowed_cpus() < 2:
+        if _allowed_cpus() < 2:
             first()
             return second()
         worker = threading.Thread(target=work)

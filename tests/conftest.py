@@ -65,15 +65,33 @@ def count_threads(monkeypatch):
     return started
 
 
+_APART, _CONCURRENTLY = T._apart, T._concurrently
+
+
+def _in_turn(first, second):
+    """A concurrent section's two pieces one after the other, in plain
+    one-thread order: training._loss pairs the next length bucket's
+    forward pass (first) with this bucket's winners (second), and in turn
+    a bucket's winners run right after its own pass."""
+    second()
+    first()
+
+
 def force_split(monkeypatch, cpus):
     """Run as if on ``cpus`` allowed CPUs. With 2, tensor._split_rows has
     no size floor: every kernel of 4 rows or more outside a concurrent
     section splits into halves on two threads, and training's cut batches
-    and backward's apart operands run on two threads too. With 1,
-    SPLIT_CELLS lies above every kernel, so nothing splits and no thread
-    starts: an unsplit one-thread reference. Returns count_threads' list."""
-    monkeypatch.setattr(T, "SPLIT_CELLS", 0 if cpus > 1 else sys.maxsize)
+    and backward's apart operands run on two threads too. With 1, the plain
+    one-thread code is the reference: SPLIT_CELLS lies above every kernel,
+    so nothing splits; backward sweeps its operands one after the other,
+    with no deferred additions into leaves; training runs each bucket's
+    winners before the next bucket's forward pass; and no thread starts.
+    Returns count_threads' list."""
+    split = cpus > 1
+    monkeypatch.setattr(T, "SPLIT_CELLS", 0 if split else sys.maxsize)
     monkeypatch.setattr(T, "_allowed_cpus", lambda: cpus)
+    monkeypatch.setattr(T, "_apart", _APART if split else lambda *parts: False)
+    monkeypatch.setattr(T, "_concurrently", _CONCURRENTLY if split else _in_turn)
     return count_threads(monkeypatch)
 
 
