@@ -29,7 +29,6 @@ import numpy as np
 from . import model as npa_model
 from .config_io import config_to_kv, model_config_from_kv
 from .errors import CheckpointError
-from .tensor import Tensor
 
 MAGIC = b"NPA1"
 VERSION = 1
@@ -82,16 +81,18 @@ class _Reader:
         return int.from_bytes(self.take(size), "little")
 
 
-def _unpack_tensors(r: _Reader):
+def _unpack_tensors(r: _Reader) -> dict:
+    """The file's tensors by name, in file order; a repeated name is an error."""
     count = r.uint(4)
-    named = []
+    named = {}
     for _ in range(count):
         name = r.take(r.uint(2)).decode("utf-8")
         ndim = r.uint(1)
         shape = tuple(r.uint(4) for _ in range(ndim))
         raw = r.take(4 * math.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        named.append((name, arr))
+        if name in named:
+            raise CheckpointError(f"{r.path}: tensor {name} appears more than once")
+        named[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
     return named
 
 
@@ -131,23 +132,35 @@ def save_checkpoint(path, config, params) -> None:
     _write_container(path, config_to_kv(config), named)
 
 
+class _Placeholders:
+    """A generator that draws nothing: each draw is a read-only placeholder
+    of the drawn shape whose every cell views one zero, so
+    model._build_params lays out the model without random numbers or value
+    arrays."""
+
+    def normal(self, loc, scale, size):
+        return np.ndarray(size, buffer=bytes(8), strides=(0,) * len(size))
+
+
 def load_checkpoint(path):
-    """Rebuild (config, params) from a checkpoint file."""
-    config_text, named = _read_container(path)
+    """Rebuild (config, params) from a checkpoint file: init_params' walk,
+    on a generator that draws nothing, lays out the model, and the file
+    fills its tensors."""
+    config_text, table = _read_container(path)
     config = model_config_from_kv(config_text)
-    table = dict(named)
-    expected = npa_model.parameter_shapes(config)
-    missing = [n for n, _ in expected if n not in table]
-    extra = [n for n in table if n not in {n for n, _ in expected}]
+    params = npa_model._build_params(config, _Placeholders())
+    expected = dict(npa_model.named_parameters(params))
+    missing = [n for n in expected if n not in table]
+    extra = [n for n in table if n not in expected]
     if missing or extra:
         raise CheckpointError(
             f"{path}: tensor names do not match config (missing {missing}, extra {extra})")
-    for name, shape in expected:
-        if table[name].shape != shape:
+    for name, t in expected.items():
+        if table[name].shape != t.shape:
             raise CheckpointError(
-                f"{path}: tensor {name} has shape {table[name].shape}, expected {shape}")
-    return config, npa_model.params_from_tensors(
-        config, {n: Tensor(a, requires_grad=True) for n, a in table.items()})
+                f"{path}: tensor {name} has shape {table[name].shape}, expected {t.shape}")
+        t.data = table[name].astype(np.float64)
+    return config, params
 
 
 def checkpoint_info(path) -> dict:
@@ -156,5 +169,5 @@ def checkpoint_info(path) -> dict:
     return {
         "version": VERSION,
         "config_text": config_text,
-        "tensors": [(name, tuple(arr.shape)) for name, arr in named],
+        "tensors": [(name, tuple(arr.shape)) for name, arr in named.items()],
     }

@@ -28,7 +28,7 @@ def _parse_basket(text: str):
     if not items:
         raise DataError("empty basket argument")
     try:
-        return [int(p) for p in items]
+        return [data_mod.parse_int(p) for p in items]
     except ValueError:
         raise DataError(f"basket must be comma-separated item ids, got {text!r}") from None
 

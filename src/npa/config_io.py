@@ -2,10 +2,11 @@
 
 One ``key = value`` pair per line; ``#`` starts a comment. A key is a
 field of ``ModelConfig`` or ``TrainConfig`` and its type is that field's
-annotation: ``int``, ``float``, ``float | None`` (``none`` clears it),
-``bool`` (``true``/``false``), ``list`` (comma-separated integers) or
-``str``. A field without a default is a required key. Unknown keys are
-rejected outright so a config file can never silently misconfigure a run.
+annotation: ``int`` (an optional sign and ASCII digits), ``float``,
+``float | None`` (``none`` clears it), ``bool`` (``true``/``false``),
+``list`` (comma-separated integers) or ``str``. A field without a default
+is a required key. Unknown keys are rejected outright so a config file can
+never silently misconfigure a run.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import typing
 from dataclasses import MISSING, fields
 
+from .data import parse_int
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -33,12 +35,12 @@ def _parse_bool(raw: str) -> bool:
 
 # (parse, format) per field annotation.
 _CODECS = {
-    int: (int, str),
+    int: (parse_int, str),
     float: (float, lambda v: repr(float(v))),
     float | None: (lambda raw: None if raw.lower() == "none" else float(raw),
                    lambda v: "none" if v is None else repr(float(v))),
     bool: (_parse_bool, lambda v: "true" if v else "false"),
-    list: (lambda raw: [int(p) for p in raw.split(",") if p.strip() != ""],
+    list: (lambda raw: [parse_int(p) for p in raw.split(",") if p.strip() != ""],
            lambda v: ",".join(str(int(x)) for x in v)),
     str: (str, str),
 }

@@ -15,6 +15,7 @@ harness checks models against.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -37,10 +38,23 @@ __all__ = [
     "load_baskets",
     "load_catalog",
     "make_eval_instances",
+    "parse_int",
     "save_baskets",
     "save_catalog",
     "split_dataset",
 ]
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """text as an int: an optional sign and ASCII digits, with surrounding
+    whitespace. Anything else, digit-group underscores and non-ASCII digits
+    included (int() takes both), raises ValueError."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 @dataclass
@@ -142,7 +156,7 @@ def load_catalog(path) -> Catalog:
             if len(parts) != 2:
                 raise DataError(f"{path}:{ln}: expected 'id<TAB>name', got {line!r}")
             try:
-                item_id = int(parts[0])
+                item_id = parse_int(parts[0])
             except ValueError:
                 raise DataError(f"{path}:{ln}: non-integer item id {parts[0]!r}") from None
             if item_id in names:
@@ -179,7 +193,7 @@ def load_baskets(path, catalog: Catalog | None = None):
             items = []
             for p in parts[1:]:
                 try:
-                    items.append(int(p))
+                    items.append(parse_int(p))
                 except ValueError:
                     raise DataError(f"{path}:{ln}: unknown item token {p!r}") from None
             if any(i < 0 for i in items):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +57,6 @@ __all__ = [
     "init_params",
     "layer_channel_plan",
     "named_parameters",
-    "parameter_shapes",
-    "params_from_tensors",
 ]
 
 
@@ -83,6 +81,9 @@ class ModelConfig:
             raise ConfigError("num_items must be >= 1")
         if self.num_layers < 1:
             raise ConfigError("num_layers must be >= 1")
+        if not all(isinstance(c, (int, np.integer)) for c in self.channels_per_layer):
+            raise ConfigError(
+                f"channels_per_layer must hold integers, got {self.channels_per_layer}")
         self.channels_per_layer = [int(c) for c in self.channels_per_layer]
         if len(self.channels_per_layer) != self.num_layers:
             raise ConfigError(
@@ -195,69 +196,33 @@ class ContextState:
         return [T.gather_rows(self.context, h) for h in range(self.context.shape[0])]
 
 
-def init_params(config: ModelConfig, seed: int) -> NpaParams:
-    """Fresh parameters; embeddings and codebooks use std 1/sqrt(width).
+def _build_params(config: ModelConfig, rng) -> NpaParams:
+    """Parameters drawn from rng, which needs only a numpy Generator's
+    normal(loc, scale, size). The draw order is the item table, the output
+    table unless tied, the positional table, then layer by layer each
+    channel's unit (vqa.init_vqa_params, codebook first) and the merge.
     Every MC head draws a codebook, and all of them then share head 0's."""
-    rng = np.random.default_rng(seed)
     d = config.embedding_dim
 
     def table(rows, cols, std):
         return Tensor(rng.normal(0.0, std, size=(rows, cols)), requires_grad=True)
 
-    tensors = {"item_embeddings": table(config.num_items, d, 1.0 / np.sqrt(d))}
-    if not config.tie_output_embeddings:
-        tensors["output_embeddings"] = table(config.num_items, d, 1.0 / np.sqrt(d))
-    tensors["positional_embeddings"] = table(config.max_sequence_length, d, 0.02)
-    for li, (channels, merges, _) in enumerate(layer_channel_plan(config)):
-        width = d // channels if merges else d
-        for ci in range(channels):
-            unit = vqa.init_vqa_params(rng, d, width, config.num_patterns)
-            tensors.update(unit.named(f"layers.{li}.channels.{ci}"))
-        if merges:
-            tensors[f"layers.{li}.merge"] = table(d, d, 1.0 / np.sqrt(d))
-    return params_from_tensors(config, tensors)
+    std = 1.0 / np.sqrt(d)
+    params = NpaParams(table(config.num_items, d, std),
+                       None if config.tie_output_embeddings else table(config.num_items, d, std),
+                       table(config.max_sequence_length, d, 0.02), [])
+    for channels, merges, _ in layer_channel_plan(config):
+        units = [vqa.init_vqa_params(rng, d, d // channels if merges else d, config.num_patterns)
+                 for _ in range(channels)]
+        if not merges:
+            units[1:] = [replace(u, codebook=units[0].codebook) for u in units[1:]]
+        params.layers.append(LayerParams(units, table(d, d, std) if merges else None))
+    return params
 
 
-_UNIT_TENSORS = [f.name for f in fields(vqa.VqaParams)]
-
-
-def parameter_shapes(config: ModelConfig):
-    """(name, shape) of every parameter, in named_parameters order."""
-    d = config.embedding_dim
-    shapes = [("item_embeddings", (config.num_items, d))]
-    if not config.tie_output_embeddings:
-        shapes.append(("output_embeddings", (config.num_items, d)))
-    shapes.append(("positional_embeddings", (config.max_sequence_length, d)))
-    for li, (channels, merges, _) in enumerate(layer_channel_plan(config)):
-        width = d // channels if merges else d
-        unit = list(zip(_UNIT_TENSORS, [(width, d)] * 3 + [(width, width)] * 2
-                        + [(config.num_patterns, width)]))
-        for ci in range(channels):
-            # The MC last layer's heads share channel 0's codebook.
-            shapes += [(f"layers.{li}.channels.{ci}.{name}", shape) for name, shape in unit
-                       if name != "codebook" or merges or ci == 0]
-        if merges:
-            shapes.append((f"layers.{li}.merge", (d, d)))
-    return shapes
-
-
-def params_from_tensors(config: ModelConfig, tensors) -> NpaParams:
-    """Parameters made of the given tensors, keyed by parameter_shapes names;
-    every head of the MC last layer holds channel 0's codebook."""
-    layers = []
-    for li, (channels, merges, _) in enumerate(layer_channel_plan(config)):
-        units = []
-        for ci in range(channels):
-            unit = {name: tensors.get(f"layers.{li}.channels.{ci}.{name}")
-                    for name in _UNIT_TENSORS}
-            if units and not merges:
-                unit["codebook"] = units[0].codebook
-            units.append(vqa.VqaParams(**unit))
-        layers.append(LayerParams(channels=units,
-                                  merge=tensors[f"layers.{li}.merge"] if merges else None))
-    return NpaParams(item_embeddings=tensors["item_embeddings"],
-                     output_embeddings=tensors.get("output_embeddings"),
-                     positional_embeddings=tensors["positional_embeddings"], layers=layers)
+def init_params(config: ModelConfig, seed: int) -> NpaParams:
+    """Fresh parameters; embeddings and codebooks use std 1/sqrt(width)."""
+    return _build_params(config, np.random.default_rng(seed))
 
 
 def named_parameters(params: NpaParams):
@@ -321,15 +286,18 @@ def check_baskets(baskets, names, config: ModelConfig, caller: str):
 
     baskets are id sequences and names[j] identifies baskets[j] in the
     message. Raises ConfigError when there is no basket, and for the first
-    basket that holds an id int64 cannot hold (_item_ids), is empty, is
-    longer than max_sequence_length, holds an id outside [0, num_items), or
-    repeats an id (the first id seen twice is named).
+    basket that holds an id int64 cannot hold (_item_ids), is not 1-d, is
+    empty, is longer than max_sequence_length, holds an id outside
+    [0, num_items), or repeats an id (the first id seen twice is named).
     """
     if not len(baskets):
         raise ConfigError(f"{caller}: no baskets")
     for name, basket in zip(names, baskets):
         if not (isinstance(basket, np.ndarray) and basket.dtype == np.int64):
             basket = _item_ids(basket, caller, name)  # not converted by the caller
+        if basket.ndim != 1:
+            raise ConfigError(
+                f"{caller}: basket {name}: expected a 1-d id sequence, got shape {basket.shape}")
         items = basket.tolist()
         if not items:
             raise ConfigError(f"{caller}: basket {name}: empty")

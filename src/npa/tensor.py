@@ -209,7 +209,10 @@ def _lead(shape, axes: int):
 
 def _reduce(full, shape):
     """Sum a gradient over the axes an operand of ``shape`` was broadcast
-    on, then view it in that shape."""
+    on, then view it in that shape; a gradient of that shape is returned
+    as it is."""
+    if full.shape == shape:
+        return full
     lead = _lead(shape, full.ndim - 2)
     axes = tuple(i for i, n in enumerate(lead) if n == 1 and full.shape[i] != 1)
     return (full.sum(axis=axes, keepdims=True) if axes else full).reshape(shape)
@@ -229,7 +232,7 @@ def _right_grad(x, g, shape):
         j -= 1
     rows = x.reshape(xl[:j] + (-1, x.shape[-1]))
     full = rows.swapaxes(-1, -2) @ g.reshape(g.shape[:j] + (-1, g.shape[-1]))
-    return (_reduce(full, yl[:j] + shape[-2:]) if j else full).reshape(shape)
+    return _reduce(full, yl[:j] + shape[-2:]).reshape(shape)
 
 
 def matmul(a, b) -> Tensor:
@@ -247,8 +250,7 @@ def matmul(a, b) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            ga = g @ y.swapaxes(-1, -2)
-            _accumulate(a, ga if ga.shape == x.shape else _reduce(ga, x.shape), fresh=True)
+            _accumulate(a, _reduce(g @ y.swapaxes(-1, -2), x.shape), fresh=True)
         if b.requires_grad:
             _accumulate(b, _right_grad(x, g, y.shape), fresh=True)
 
@@ -267,13 +269,6 @@ def transpose(a) -> Tensor:
     return _make(a.data.swapaxes(-1, -2), (a,), back)
 
 
-def _sum_to(g, shape):
-    """Sum g over the leading axes it has beyond ``shape``."""
-    if g.shape == shape:
-        return g
-    return g.reshape((-1,) + shape).sum(axis=0)
-
-
 def add(a, b) -> Tensor:
     """Elementwise sum; an operand whose shape is the other's trailing
     shape is broadcast over the other's leading axes."""
@@ -285,9 +280,9 @@ def add(a, b) -> Tensor:
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, _sum_to(g, sa))
+            _accumulate(a, _reduce(g, sa))
         if b.requires_grad:
-            _accumulate(b, _sum_to(g, sb))
+            _accumulate(b, _reduce(g, sb))
 
     return _make(a.data + b.data, (a, b), back)
 
@@ -601,10 +596,14 @@ def linear_cross_entropy(x, w, targets) -> Tensor:
     x is (rows, k), w is (k, classes) and targets holds one class per row.
     Values and gradients are bit-identical to a matmul node followed by a
     cross-entropy node, also when w is the transpose of a table that feeds
-    x too. The node keeps only the softmax numerators, and the first
-    backward sweep consumes them: it turns them into the logits' gradient
-    in place, so backward allocates no (rows, classes) array. A later sweep
-    first recomputes them, whole and on the calling thread, to the forward's
+    x too. That was checked on OpenBLAS's SkylakeX, Haswell and SandyBridge
+    kernels. Nehalem's dgemm rounds the rows of a zero-padded BLOCK_ROWS
+    block, as this node multiplies them, apart from the same rows in one
+    short product, so there the two can differ in the last bits. The node
+    keeps only the softmax numerators, and the first backward sweep
+    consumes them: it turns them into the logits' gradient in place, so
+    backward allocates no (rows, classes) array. A later sweep first
+    recomputes them, whole and on the calling thread, to the forward's
     bits, so every sweep gives the same gradients. The forward may run as
     two row halves on two threads (_split_rows); the backward is one pass
     on one thread, the x gradient product before the w one.

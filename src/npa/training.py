@@ -160,9 +160,13 @@ def _float32_scores(contexts, logprobs, rows, targets, emb):
     |table - _context_scores(...)| <= bound wherever table is finite; an
     infinite bound marks an entry the derivation below does not cover.
     picked - lse is widened to float64 before the log belief is added. Two
-    row halves on two threads (T._split_rows) give the values of one pass.
-    Overflow to inf or nan raises no warning here: those steps are
-    recomputed in float64, which reports its own.
+    row halves on two threads (T._split_rows) give the values of one pass
+    on OpenBLAS's SkylakeX, SandyBridge and Nehalem kernels, where that was
+    checked. Haswell's sgemm rounds a row by its place in the call, so there
+    the halves' table can differ from one pass in the last bits; the bound
+    below and the winners taken from it still hold. Overflow to inf or nan
+    raises no warning here: those steps are recomputed in float64, which
+    reports its own.
 
     The bound. Let u = 2^-24, d the embedding width, n the item count, c a
     context row, e_j the output embeddings, a = |c| * max_j |e_j| (Euclidean

@@ -187,7 +187,7 @@ def _add_grad(t: Tensor, g: np.ndarray):
     """Add g, a new array, into t.grad, summed over any heads axes that t
     was broadcast on."""
     if t.requires_grad:
-        T._accumulate(t, g if g.shape == t.shape else T._reduce(g, t.shape), fresh=True)
+        T._accumulate(t, T._reduce(g, t.shape), fresh=True)
 
 
 def _codebook(params) -> Tensor:

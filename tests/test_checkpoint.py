@@ -8,10 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from npa.checkpoint import MAGIC, _checksum64, checkpoint_info, load_checkpoint, save_checkpoint
+from npa.checkpoint import (MAGIC, _checksum64, _write_container, checkpoint_info, load_checkpoint,
+                            save_checkpoint)
+from npa.config_io import config_to_kv
 from npa.errors import CheckpointError, ConfigError
 import npa.model
-from npa.model import ModelConfig, init_params, named_parameters, parameter_shapes
+from npa.model import ModelConfig, init_params, named_parameters
 from npa.recommend import export_attention
 
 from conftest import one_tensor_payload, small_mc_config, small_sc_config
@@ -202,7 +204,6 @@ def test_round_trip_random_configs(tmp_path, variant, layers, channels, heads, t
                       variant=variant, mc_last_layer_heads=heads, max_sequence_length=5,
                       tie_output_embeddings=tied, use_positions=use_positions)
     params = init_params(cfg, seed=seed)
-    assert parameter_shapes(cfg) == [(n, t.shape) for n, t in named_parameters(params)]
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, cfg, params)
     loaded_cfg, loaded = load_checkpoint(path)
@@ -219,10 +220,16 @@ def test_load_builds_no_throwaway_model(tmp_path, monkeypatch, factory):
     params = init_params(cfg, seed=11)
     save_checkpoint(tmp_path / "m.ckpt", cfg, params)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("load_checkpoint called init_params")
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"load_checkpoint called {what}")
+        return call
 
-    monkeypatch.setattr(npa.model, "init_params", refuse)
+    monkeypatch.setattr(npa.model, "init_params", refuse("init_params"))
+    # No generator, so no random number: every numpy Generator is built by
+    # default_rng or by the Generator class itself.
+    monkeypatch.setattr(np.random, "default_rng", refuse("numpy.random.default_rng"))
+    monkeypatch.setattr(np.random, "Generator", refuse("numpy.random.Generator"))
     _, loaded = load_checkpoint(tmp_path / "m.ckpt")
     for (_, t1), (_, t2) in zip(named_parameters(params), named_parameters(loaded)):
         np.testing.assert_array_equal(t1.data.astype(np.float32).astype(np.float64), t2.data)
@@ -235,3 +242,17 @@ def test_loaded_mc_heads_share_one_codebook(tmp_path):
     heads = loaded.layers[-1].channels
     assert all(h.codebook is heads[0].codebook for h in heads)
     assert heads[0].codebook is not loaded.layers[0].channels[0].codebook
+
+
+def test_repeated_tensor_name_rejected(tmp_path):
+    cfg = small_sc_config()
+    named = [(n, t.data) for n, t in named_parameters(init_params(cfg, seed=13))]
+    # A second item table, all 7.0, under the same name and with a valid checksum.
+    named.append(("item_embeddings", np.full_like(named[0][1], 7.0)))
+    path = tmp_path / "twice.ckpt"
+    _write_container(path, config_to_kv(cfg), named)
+    for read in (load_checkpoint, checkpoint_info):
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(path))}: tensor item_embeddings appears more "
+                                 "than once$"):
+            read(path)

@@ -501,7 +501,10 @@ def test_train_config_parse_error_exits_before_training(workspace, capsys, monke
 @pytest.mark.parametrize("basket, message", [
     ("", "empty basket argument"),
     ("1,x", "basket must be comma-separated item ids, got '1,x'"),
-], ids=["empty", "non_numeric"])
+    # int() reads "1_0" as 10 and the Arabic-Indic digit "\u0663" as 3.
+    ("1_0,2", "basket must be comma-separated item ids, got '1_0,2'"),
+    ("1,\u0663", "basket must be comma-separated item ids, got '1,\u0663'"),
+], ids=["empty", "non_numeric", "digit_groups", "non_ascii"])
 def test_recommend_rejects_unparsable_basket(workspace, capsys, basket, message):
     rc = main(["recommend", "--ckpt", str(_untrained_checkpoint(workspace)), "--basket", basket])
     assert rc == 1

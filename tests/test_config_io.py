@@ -34,6 +34,21 @@ def test_bad_value_reports_key():
                           "channels_per_layer = 1\n", num_items=10)
 
 
+# int() reads "1_6" as 16 and the Arabic-Indic digits "\u0668" and "\u0662" as 8 and 2.
+@pytest.mark.parametrize("key, value", [("embedding_dim", "1_6"), ("embedding_dim", "\u0668"),
+                                        ("channels_per_layer", "2,\u0662"),
+                                        ("channels_per_layer", "1_0")],
+                         ids=["int_digit_groups", "int_non_ascii", "list_non_ascii",
+                              "list_digit_groups"])
+def test_integers_are_a_sign_and_ascii_digits(key, value):
+    values = {"embedding_dim": "8", "num_layers": "1", "channels_per_layer": "2", key: value}
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    with pytest.raises(ConfigError, match=f"^key '{key}': cannot parse value '{value}'$"):
+        parse_config_file(text, num_items=10)
+    cfg, _ = parse_config_file(text.replace(value, "+2"), num_items=10)
+    assert getattr(cfg, key) in (2, [2])
+
+
 def test_num_items_from_caller_or_file():
     text = "embedding_dim = 4\nnum_layers = 1\nchannels_per_layer = 2\n"
     cfg, _ = parse_config_file(text, num_items=12)

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from npa.data import (MAX_INFERRED_ITEMS, Basket, Catalog, SynthSpec, gen_synthetic,
-                      load_baskets, load_catalog, make_eval_instances, save_baskets,
-                      save_catalog, split_dataset)
+                      load_baskets, load_catalog, make_eval_instances, parse_int,
+                      save_baskets, save_catalog, split_dataset)
 from npa.errors import DataError
 
 from conftest import EXPERIMENT
@@ -38,6 +38,35 @@ def test_load_reports_line_number_and_token(tmp_path):
     path.write_text("b1,1,2\nb2,1,x\n", encoding="utf-8")
     with pytest.raises(DataError, match=r":2.*'x'"):
         load_baskets(path)
+
+
+def test_parse_int_takes_a_sign_and_ascii_digits_only():
+    assert [parse_int(t) for t in ["7", " 7 ", "+7", "-7\t", "007"]] == [7, 7, 7, -7, 7]
+    for text in ["1_0", "\u0663", "1\u0663", "", " ", "+", "7.0", "0x7", "1 0", "--7"]:
+        with pytest.raises(ValueError):
+            parse_int(text)
+
+
+# int() reads "1_0" as 10 and the Arabic-Indic digits "\u0663" and "\u0661" as 3 and 1.
+@pytest.mark.parametrize("line, token", [("b1,1_0,2", "1_0"), ("b1,\u0663,2", "\u0663")],
+                         ids=["digit_groups", "non_ascii"])
+def test_load_baskets_reads_only_ascii_digits(tmp_path, line, token):
+    path = tmp_path / "b.txt"
+    path.write_text(f"b0, 4,+5\n{line}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"b\\.txt:2: unknown item token '{token}'$"):
+        load_baskets(path)
+    path.write_text("b0, 4,+5\n", encoding="utf-8")
+    assert load_baskets(path)[1][0].items == [4, 5]
+
+
+@pytest.mark.parametrize("text, token", [("0\ta\n0_1\tb\n", "0_1"),
+                                         ("0\ta\n\u0661\tb\n", "\u0661")],
+                         ids=["digit_groups", "non_ascii"])
+def test_load_catalog_reads_only_ascii_digits(tmp_path, text, token):
+    path = tmp_path / "cat.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"cat\\.tsv:2: non-integer item id '{token}'$"):
+        load_catalog(path)
 
 
 def test_load_validates_against_catalog(tmp_path):

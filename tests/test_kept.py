@@ -2,6 +2,7 @@
 (``tensor._kept``): built once, never stale, never outliving their weights,
 and never kept while a graph is recorded."""
 
+import copy
 import gc
 import weakref
 
@@ -10,11 +11,9 @@ import pytest
 
 import npa.recommend
 from npa import tensor as T
-from npa.model import (forward, init_params, named_parameters, output_embeddings,
-                       params_from_tensors)
+from npa.model import forward, init_params, named_parameters, output_embeddings
 from npa.optim import AdamW
 from npa.recommend import recommend_topk
-from npa.tensor import Tensor
 from npa.training import TrainConfig, batch_loss, train
 
 from conftest import small_mc_config, small_sc_config
@@ -29,12 +28,6 @@ def _serve(cfg, params, queries=3):
         rec = recommend_topk(BASKETS[q % len(BASKETS)], cfg, params, k=6, rng_seed=q)
         out.append((rec.item_ids, rec.scores))
     return out
-
-
-def _copy(cfg, params):
-    """The same weights in new arrays and tensors."""
-    return params_from_tensors(cfg, {name: Tensor(t.data.copy(), requires_grad=True)
-                                     for name, t in named_parameters(params)})
 
 
 def _mc():
@@ -80,7 +73,7 @@ def test_adamw_step_after_serving_serves_the_updated_weights():
     loss, _ = batch_loss([BASKETS[0], BASKETS[2]], cfg, params, rng=np.random.default_rng(1))
     T.backward(loss)
     optimizer.step()
-    assert _serve(cfg, params) == _serve(cfg, _copy(cfg, params))
+    assert _serve(cfg, params) == _serve(cfg, copy.deepcopy(params))
 
 
 def test_kept_arrays_go_with_their_weights():
@@ -96,7 +89,7 @@ def test_kept_arrays_go_with_their_weights():
 def test_two_parameter_sets_served_alternately_keep_their_own_answers():
     cfg = small_mc_config(mc_last_layer_heads=3)
     sets = [init_params(cfg, seed=41), init_params(cfg, seed=42)]
-    expected = [_serve(cfg, _copy(cfg, params)) for params in sets]
+    expected = [_serve(cfg, copy.deepcopy(params)) for params in sets]
     assert expected[0] != expected[1]
     for _ in range(3):
         for params, answers in zip(sets, expected):

@@ -1,6 +1,7 @@
 """Model composition: embedding, layers, variants, causality, determinism."""
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -123,6 +124,25 @@ def test_ids_outside_int64_are_named_as_given(values, shown):
         npa.model._item_ids(values, "forward")
     edge = npa.model._item_ids([2 ** 63 - 1, -2 ** 63, 2.0 ** 62], "forward")
     assert edge.dtype == np.int64 and edge.tolist() == [2 ** 63 - 1, -2 ** 63, 2 ** 62]
+
+
+@pytest.mark.parametrize("entry", ["check_baskets", "train"])
+def test_nested_basket_fails_before_model_work(monkeypatch, entry):
+    cfg = small_sc_config()
+    params = init_params(cfg, seed=0)
+
+    def no_model_work(*args, **kwargs):
+        raise AssertionError("model work before the basket check")
+
+    monkeypatch.setattr(npa.model, "embed_inputs", no_model_work)
+    call, message = {
+        "check_baskets": (lambda: check_baskets([[[1, 2]]], [0], cfg, "x"),
+                          "x: basket 0: expected a 1-d id sequence, got shape (1, 2)"),
+        "train": (lambda: train([[[1, 2], [3, 4]], [1, 2]], cfg, params, TrainConfig(epochs=1)),
+                  "train: basket 0: expected a 1-d id sequence, got shape (2, 2)"),
+    }[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_check_baskets_rejects_no_baskets_and_an_empty_one():
@@ -275,10 +295,36 @@ def test_config_validation_errors():
         small_sc_config(embedding_dim=9, channels_per_layer=[2, 2])
     with pytest.raises(ConfigError, match="channels_per_layer"):
         small_sc_config(channels_per_layer=[2])
+    with pytest.raises(ConfigError, match=re.escape(
+            "channels_per_layer must hold integers, got [2.7, 2.2]")):
+        small_sc_config(channels_per_layer=[2.7, 2.2])
+    assert small_sc_config(channels_per_layer=[np.int64(2), 2]).channels_per_layer == [2, 2]
     with pytest.raises(ConfigError, match="variant"):
         small_sc_config(variant="XX")
     with pytest.raises(ConfigError, match="sc_last_extraction"):
         small_sc_config(sc_last_extraction="sampling")
+
+
+def _digest(params):
+    h = hashlib.sha256()
+    for name, t in named_parameters(params):
+        h.update(f"{name} {t.data.shape}\n".encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+# Recorded from init_params before it and load_checkpoint shared one walk.
+# The draws are generator normals times a scale, no BLAS product, so the
+# bytes are the same on every kernel.
+@pytest.mark.parametrize("config, digest", [
+    (small_sc_config(), "066043108b90de249dec222ac892c2bd1c02af719e2407864c08c243f753af6d"),
+    (small_mc_config(mc_last_layer_heads=3),
+     "583cec5870adc5c47df04c720f63ecb6ee8924d08922d33b6e7b334d26725575"),
+    (small_sc_config(tie_output_embeddings=True),
+     "05fcc56e3683157a4dfb27e0570be43bc69db72167c8d1aabc150f16214065eb"),
+], ids=["SC", "MC3", "tied"])
+def test_init_params_bytes_pinned(config, digest):
+    assert _digest(init_params(config, seed=13)) == digest
 
 
 def test_mc_last_layer_head_count_not_divisibility_checked():
