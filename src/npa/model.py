@@ -262,11 +262,16 @@ def output_embeddings(params: NpaParams) -> Tensor:
 
 
 def _item_ids(values, caller: str, name=None) -> np.ndarray:
-    """values as an int64 id array. An id that is not a number, fractional,
-    not finite or outside int64's range raises ConfigError naming the
-    basket (name; by default the ids of a 1-d basket, the row of a batch)
-    and the id, both as given."""
-    ids = np.asarray(values)
+    """values as an int64 id array. A ragged basket, or an id that is not
+    a number, fractional, not finite or outside int64's range, raises
+    ConfigError naming the basket (name; by default the ids of a 1-d
+    basket, the row of a batch) and the id, both as given."""
+    try:
+        ids = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        shown = ",".join(map(str, values)) if name is None else name
+        raise ConfigError(f"{caller}: basket {shown}: expected a 1-d id sequence, "
+                          "got a ragged one") from None
     if ids.dtype.kind not in "bi":
         ids = np.asarray(values, dtype=object)  # the ids as given, not as numpy rounds them
         for at, value in enumerate(ids.flat):

@@ -22,6 +22,12 @@ class AdamW:
         w = w - lr * ( m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps) + wd * w )
 
     The betas and eps are fixed at Adam's usual values.
+
+    Memory: a step allocates one scratch array, sized to the largest
+    parameter, and each parameter's new weight array; every product and
+    sum is that of the formula above, in its order. Weights are rebound
+    to the new array and never written in place, so arrays that
+    tensor._kept derived from the old weights are rebuilt, not stale.
     """
 
     BETA1 = 0.9
@@ -49,18 +55,26 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.BETA1 ** t
         bc2 = 1.0 - self.BETA2 ** t
+        scratch = np.empty(max((p.data.size for _, p in self.params), default=0))
         for name, p in self.params:
             g = p.grad
             m = self.first_moment[name]
             v = self.second_moment[name]
+            s = scratch[:g.size].reshape(g.shape)
             m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
+            m += np.multiply(g, 1.0 - self.BETA1, out=s)
             v *= self.BETA2
-            v += (1.0 - self.BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+            np.multiply(g, 1.0 - self.BETA2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.EPS
+            update = np.divide(m, bc1, out=np.empty_like(m))
+            update /= s
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+                update += np.multiply(p.data, self.weight_decay, out=s)
+            update *= self.lr
+            p.data = np.subtract(p.data, update, out=update)
 
     def zero_grad(self):
         for _, p in self.params:

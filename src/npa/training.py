@@ -401,6 +401,9 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
     permutations_per_basket fresh orderings per epoch and positions are
     skipped; temporal mode requires positions. A passed-in optimizer
     carries its moments across calls; by default a fresh AdamW is built.
+    Each batch's graph is dropped right after its backward sweep, so it is
+    freed before the gradient clip, the optimizer step and the next
+    batch's forward pass.
     """
     if not T._grad_enabled:
         raise RuntimeError("train: called inside tensor.no_grad, which records no graph")
@@ -447,6 +450,7 @@ def train(baskets, config, params, train_config: TrainConfig, log=None,
                 raise FloatingPointError(
                     f"non-finite loss in epoch {epoch}, batch starting at {start}")
             T.backward(loss)
+            del loss  # the batch's graph: freed before the update allocates
             if train_config.gradient_clip_norm is not None:
                 clip_grad_norm(optimizer.params, train_config.gradient_clip_norm)
             optimizer.step()

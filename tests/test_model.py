@@ -126,7 +126,8 @@ def test_ids_outside_int64_are_named_as_given(values, shown):
     assert edge.dtype == np.int64 and edge.tolist() == [2 ** 63 - 1, -2 ** 63, 2 ** 62]
 
 
-@pytest.mark.parametrize("entry", ["check_baskets", "train"])
+@pytest.mark.parametrize("entry", ["check_baskets", "train", "check_baskets_ragged",
+                                   "train_ragged", "forward_ragged"])
 def test_nested_basket_fails_before_model_work(monkeypatch, entry):
     cfg = small_sc_config()
     params = init_params(cfg, seed=0)
@@ -140,6 +141,14 @@ def test_nested_basket_fails_before_model_work(monkeypatch, entry):
                           "x: basket 0: expected a 1-d id sequence, got shape (1, 2)"),
         "train": (lambda: train([[[1, 2], [3, 4]], [1, 2]], cfg, params, TrainConfig(epochs=1)),
                   "train: basket 0: expected a 1-d id sequence, got shape (2, 2)"),
+        # numpy cannot make one array of a ragged basket.
+        "check_baskets_ragged": (lambda: check_baskets([[[1, 2], [3]]], [0], cfg, "x"),
+                                 "x: basket 0: expected a 1-d id sequence, got a ragged one"),
+        "train_ragged": (lambda: train([[1, [2, 3]], [1, 2]], cfg, params, TrainConfig(epochs=1)),
+                         "train: basket 0: expected a 1-d id sequence, got a ragged one"),
+        "forward_ragged": (lambda: forward([1, [2, 3]], cfg, params),
+                           "forward: basket 1,[2, 3]: expected a 1-d id sequence, "
+                           "got a ragged one"),
     }[entry]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call()

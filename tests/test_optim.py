@@ -1,5 +1,7 @@
 """AdamW update rule, state bookkeeping, and convergence behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,64 @@ def test_update_matches_manual_adamw_formula():
     step = (m / (1 - 0.9)) / (np.sqrt(v / (1 - 0.999)) + 1e-8)
     expected = 2.0 - 0.1 * (step + 0.01 * 2.0)
     np.testing.assert_allclose(w.data, expected, rtol=1e-12)
+
+
+def reference_adamw(weights, gradients, lr, weight_decay):
+    """The weights after one AdamW step per entry of gradients, written as
+    the formula reads, one temporary array per operation."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    weights = [w.copy() for w in weights]
+    m = [np.zeros_like(w) for w in weights]
+    v = [np.zeros_like(w) for w in weights]
+    for t, grads in enumerate(gradients, start=1):
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for i, g in enumerate(grads):
+            m[i] *= b1
+            m[i] += (1.0 - b1) * g
+            v[i] *= b2
+            v[i] += (1.0 - b2) * g * g
+            update = (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            if weight_decay:
+                update = update + weight_decay * weights[i]
+            weights[i] = weights[i] - lr * update
+    return weights
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_steps_are_bit_identical_to_the_formula(weight_decay):
+    rng = np.random.default_rng(7)
+    shapes = [(10_000, 32), (), (1,), (7,), (3, 5), (2, 1, 4)]
+    shapes += [tuple(rng.integers(1, 40, size=rng.integers(1, 4))) for _ in range(4)]
+    start = [rng.normal(size=shape) for shape in shapes]
+    gradients = [[rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                  for shape in shapes] for _ in range(24)]
+    for step in gradients[5::6]:
+        step[3][...] = 0.0  # a zero gradient: the update is the moments' alone
+    params = [(f"p{i}", Tensor(w.copy(), requires_grad=True)) for i, w in enumerate(start)]
+    opt = AdamW(params, lr=3e-3, weight_decay=weight_decay)
+    for grads in gradients:
+        before = [p.data for _, p in params]
+        for (_, p), g in zip(params, grads):
+            p.grad = g.copy()
+        opt.step()
+        for (_, p), old in zip(params, before):
+            # Rebound, never written in place; a 0-d weight stays an array.
+            assert p.data is not old and isinstance(p.data, np.ndarray)
+    for (_, p), want in zip(params, reference_adamw(start, gradients, 3e-3, weight_decay)):
+        assert p.data.shape == want.shape and np.array_equal(p.data, want)
+
+
+def test_step_allocates_one_scratch_and_the_new_weight():
+    w = Tensor(np.random.default_rng(8).normal(size=(10_000, 32)), requires_grad=True)
+    w.grad = np.random.default_rng(9).normal(size=w.shape)
+    opt = AdamW([("w", w)], lr=1e-3, weight_decay=0.01)
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * w.data.nbytes
 
 
 def test_clip_grad_norm_scales_to_bound():

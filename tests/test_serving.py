@@ -115,8 +115,10 @@ def test_recommend_topk_checks_its_basket_once(monkeypatch):
     ([[1, 2]], r"recommend_topk: expected a 1-d id sequence, got shape \(1, 2\)"),
     ([2 ** 63], "recommend_topk: basket 9223372036854775808: item id 9223372036854775808 "
                 "is outside int64's range"),
+    ([1, [2, 3]], r"recommend_topk: basket 1,\[2, 3\]: expected a 1-d id sequence, "
+                  "got a ragged one"),
 ], ids=["empty", "too_long", "above_range", "negative", "repeat", "fraction", "two_d",
-        "beyond_int64"])
+        "beyond_int64", "ragged"])
 def test_recommend_topk_basket_errors(basket, message):
     cfg = small_sc_config()
     with pytest.raises(ConfigError, match=f"^{message}$"):

@@ -4,6 +4,7 @@
 import dataclasses
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -232,6 +233,37 @@ def test_train_clips_gradients_like_the_manual_steps():
     for n, want in manual.items():
         assert np.array_equal(clipped[n], want), n
     assert any(not np.array_equal(unclipped[n], want) for n, want in manual.items())
+
+
+def test_train_drops_each_batch_graph_before_the_update(monkeypatch):
+    # Tensor has __slots__, so the graph is watched through an array only it
+    # holds: each batch's loss value.
+    cfg = small_mc_config()
+    baskets = [np.random.default_rng(i).choice(20, size=3 + i % 4, replace=False)
+               for i in range(9)]
+    graphs, seen = [], []
+
+    def watched(name, real):
+        def call(*args, **kwargs):
+            seen.append((name, [ref() is not None for ref in graphs]))
+            return real(*args, **kwargs)
+        return call
+
+    loss_call = watched("_loss", training_mod._loss)
+
+    def loss_and_watch(*args, **kwargs):
+        loss, details = loss_call(*args, **kwargs)
+        graphs.append(weakref.ref(loss.data))
+        return loss, details
+
+    monkeypatch.setattr(training_mod, "_loss", loss_and_watch)
+    monkeypatch.setattr(training_mod, "clip_grad_norm",
+                        watched("clip_grad_norm", training_mod.clip_grad_norm))
+    monkeypatch.setattr(AdamW, "step", watched("step", AdamW.step))
+    train(baskets, cfg, init_params(cfg, seed=2),
+          TrainConfig(epochs=1, batch_size=3, gradient_clip_norm=1.0))
+    assert [name for name, _ in seen] == ["_loss", "clip_grad_norm", "step"] * 3
+    assert not any(any(alive) for _, alive in seen), seen
 
 
 def test_train_modes_validate_positions():
